@@ -57,17 +57,14 @@ from .gauge import (
     two_local_cd,
 )
 from .simulator import (
+    DrivenHamiltonian,
     EvolutionReport,
     StateVector,
     apply_pauli_exponential,
-    apply_pauli_sum,
-    load_state,
     ode_reference,
     plus_state,
     sample_shots,
-    save_state,
     success_probability,
-    sum_matvec,
     trotter_evolve,
 )
 from .spectrum import GapCurve, gap_curve, gap_rows, instantaneous_spectrum, operator_norm

@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="qubit count")
     gen.add_argument("--seed", type=int, required=True, help="generation seed")
     gen.add_argument("--out", type=Path, default=None, help="output JSON path")
-    gen.add_argument("--distribution", default="gaussian")
     gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="evolve one instance and print P_s")
@@ -121,7 +120,7 @@ def cmd_gen(args) -> int:
         raise ResourceCapError(
             f"n={args.n} exceeds the state-vector cap {STATEVECTOR_CAP}"
         )
-    inst = generate_instance(args.n, args.seed, args.distribution)
+    inst = generate_instance(args.n, args.seed)
     out = args.out or _default_output_dir() / f"instance-n{args.n}-s{args.seed}.json"
     save_instance(inst, out)
     truth = ground_state(inst)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterError, SingularGaugeError
-from .gauge import Ansatz, assemble_hamiltonian
+from .gauge import Ansatz
 from .problem import (
     STATEVECTOR_CAP,
     generate_instance,
@@ -30,7 +30,12 @@ from .problem import (
     instance_seed,
 )
 from .schedule import Schedule
-from .simulator import sample_shots, success_probability, trotter_evolve
+from .simulator import (
+    DrivenHamiltonian,
+    sample_shots,
+    success_probability,
+    trotter_evolve,
+)
 from .spectrum import gap_curve, operator_norm
 
 #: Baseline ratios with a smaller denominator than this are left out of the
@@ -45,6 +50,27 @@ _CSV_HEADER = (
     "instance_id,n,seed,degenerate,excluded,ansatz,P_s,wall_ms,"
     "entangling_count,delta_min"
 )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Per-field type checks; values read from a config file arrive unconverted.
+_FIELD_TYPES = {
+    "master_seed": _is_int,
+    "n_values": lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)),
+    "instances_per_n": _is_int,
+    "total_time": lambda v: _is_int(v) or isinstance(v, float),
+    "trotter_steps": _is_int,
+    "ansatz": lambda v: isinstance(v, (tuple, list)) and all(isinstance(t, str) for t in v),
+    "shots": lambda v: v is None or _is_int(v),
+    "output_dir": lambda v: isinstance(v, str),
+    "jobs": _is_int,
+    "compute_gaps": lambda v: isinstance(v, bool),
+    "gap_samples": _is_int,
+    "record_timings": lambda v: isinstance(v, bool),
+}
 
 
 @dataclass(frozen=True)
@@ -65,6 +91,9 @@ class ExperimentConfig:
     record_timings: bool = False
 
     def __post_init__(self):
+        wrong = [name for name, ok in _FIELD_TYPES.items() if not ok(getattr(self, name))]
+        if wrong:
+            raise ParameterError(f"wrongly typed config fields {wrong}")
         if self.instances_per_n < 1:
             raise ParameterError("instances_per_n must be >= 1")
         if not self.n_values or any(n < 1 for n in self.n_values):
@@ -99,10 +128,9 @@ class ExperimentConfig:
         if unknown:
             raise ParameterError(f"unknown config fields {sorted(unknown)}")
         kwargs = dict(payload)
-        if "n_values" in kwargs:
-            kwargs["n_values"] = tuple(int(v) for v in kwargs["n_values"])
-        if "ansatz" in kwargs:
-            kwargs["ansatz"] = tuple(str(v) for v in kwargs["ansatz"])
+        for name in ("n_values", "ansatz"):
+            if isinstance(kwargs.get(name), list):
+                kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
     @classmethod
@@ -367,11 +395,8 @@ def cost_report(
             continue
         costs = []
         for record in group[:norm_samples]:
-            inst = generate_instance(n, record.seed)
-            peak = max(
-                operator_norm(assemble_hamiltonian(inst, p.lam, p.lam_dot, ansatz))
-                for p in grid
-            )
+            hamiltonian = DrivenHamiltonian(generate_instance(n, record.seed), ansatz)
+            peak = max(operator_norm(hamiltonian, p.lam, p.lam_dot) for p in grid)
             costs.append(cfg.total_time * peak)
         norm_cost = float(np.mean(costs)) if costs else None
         rows.append(CostRow(n, tag, per_step, total, norm_cost, False))
@@ -441,12 +466,19 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
             entangling,
             delta,
         ) = parts
-        record = by_id.get(int(rid))
+        try:
+            rid, n, seed, entangling = int(rid), int(n), int(seed), int(entangling)
+            ps = float(ps) if ps else None
+            wall = float(wall) if wall else 0.0
+            delta = float(delta) if delta else None
+        except ValueError as exc:
+            raise ParameterError(f"line {lineno}: malformed field ({exc})")
+        record = by_id.get(rid)
         if record is None:
             record = RunRecord(
-                instance_id=int(rid),
-                n=int(n),
-                seed=int(seed),
+                instance_id=rid,
+                n=n,
+                seed=seed,
                 degenerate=degenerate == "true",
                 excluded=excluded == "true",
                 ps={},
@@ -454,12 +486,12 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
                 entangling={},
                 delta_min={},
             )
-            by_id[int(rid)] = record
-        record.ps[tag] = float(ps) if ps else None
-        record.wall_ms[tag] = float(wall) if wall else 0.0
-        record.entangling[tag] = int(entangling)
-        if delta:
-            record.delta_min[tag] = float(delta)
+            by_id[rid] = record
+        record.ps[tag] = ps
+        record.wall_ms[tag] = wall
+        record.entangling[tag] = entangling
+        if delta is not None:
+            record.delta_min[tag] = delta
     return [by_id[k] for k in sorted(by_id)], cfg_hash
 
 

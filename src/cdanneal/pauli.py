@@ -251,35 +251,6 @@ class PauliSum:
             for k in keys
         )
 
-    def to_text(self) -> str:
-        """Serialize as lines ``coeff_re coeff_im pauli-word`` (word-sorted)."""
-        lines = []
-        for string in sorted(self._terms, key=PauliString.label):
-            c = self._terms[string]
-            lines.append(f"{c.real!r} {c.imag!r} {string.label()}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, n: int | None = None) -> "PauliSum":
-        terms: dict[PauliString, complex] = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParameterError(f"line {lineno}: expected 're im word', got {raw!r}")
-            re_part, im_part, word = parts
-            string = PauliString.from_label(word)
-            if n is None:
-                n = string.n
-            elif string.n != n:
-                raise DimensionMismatchError(f"line {lineno}: word length {string.n} != {n}")
-            terms[string] = terms.get(string, 0.0) + complex(float(re_part), float(im_part))
-        if n is None:
-            raise ParameterError("empty serialization without an explicit qubit count")
-        return cls(n, terms)
-
     def __repr__(self) -> str:
         return f"PauliSum(n={self.n}, terms={len(self._terms)})"
 

@@ -9,6 +9,7 @@ over spins s in {+1, -1}, with basis bit b on a site mapping to s = 1 - 2b
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,23 +24,20 @@ STATEVECTOR_CAP = 20
 #: Absolute tolerance for calling two classical energies degenerate.
 DEGENERACY_TOL = 1e-9
 
-_DISTRIBUTIONS = ("gaussian",)
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
     """One spin-glass problem: all-to-all couplings, local fields, provenance.
 
-    ``couplings`` holds (i, j, J_ij) with i < j in lexicographic order;
-    ``fields`` has exactly n entries.  Instances regenerate bit-exactly from
-    (n, seed, distribution).
+    ``couplings`` holds (i, j, J_ij) with i < j, each pair at most once, in
+    lexicographic order; ``fields`` has exactly n entries.  All values are
+    finite.  Instances regenerate bit-exactly from (n, seed).
     """
 
     n: int
     couplings: tuple[tuple[int, int, float], ...]
     fields: tuple[float, ...]
     seed: int
-    distribution: str = "gaussian"
 
     def __post_init__(self):
         if self.n < 1:
@@ -48,9 +46,17 @@ class ProblemInstance:
             raise ParameterError(
                 f"expected {self.n} fields, got {len(self.fields)}"
             )
-        for i, j, _ in self.couplings:
+        if not all(math.isfinite(h) for h in self.fields):
+            raise ParameterError(f"fields must be finite, got {self.fields}")
+        pairs = set()
+        for i, j, value in self.couplings:
             if not (0 <= i < j < self.n):
                 raise ParameterError(f"coupling ({i},{j}) must satisfy 0 <= i < j < n")
+            if (i, j) in pairs:
+                raise ParameterError(f"coupling ({i},{j}) is given more than once")
+            if not math.isfinite(value):
+                raise ParameterError(f"coupling ({i},{j}) must be finite, got {value}")
+            pairs.add((i, j))
 
     def coupling_matrix(self) -> np.ndarray:
         """Symmetric (n, n) coupling array with zero diagonal."""
@@ -72,19 +78,15 @@ class GroundTruth:
     degenerate: bool
 
 
-def generate_instance(n: int, seed: int, distribution: str = "gaussian") -> ProblemInstance:
+def generate_instance(n: int, seed: int) -> ProblemInstance:
     """Draw couplings and fields i.i.d. from the standard normal.
 
-    Deterministic given (n, seed, distribution): couplings are drawn first in
+    Deterministic given (n, seed): couplings are drawn first in
     lexicographic (i, j) order, then the fields in site order, from a PCG64
     stream keyed by the seed.
     """
     if n < 1:
         raise ParameterError(f"qubit count must be >= 1, got {n}")
-    if distribution not in _DISTRIBUTIONS:
-        raise ParameterError(
-            f"unknown distribution {distribution!r}; supported: {_DISTRIBUTIONS}"
-        )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     couplings = tuple(
         (i, j, float(rng.standard_normal()))
@@ -92,7 +94,7 @@ def generate_instance(n: int, seed: int, distribution: str = "gaussian") -> Prob
         for j in range(i + 1, n)
     )
     fields = tuple(float(rng.standard_normal()) for _ in range(n))
-    return ProblemInstance(n, couplings, fields, seed, distribution)
+    return ProblemInstance(n, couplings, fields, seed)
 
 
 def instance_seed(master_seed: int, index: int) -> int:

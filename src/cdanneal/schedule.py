@@ -25,24 +25,16 @@ class GridPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Total time, step count, and profile choice for one digitized evolution.
-
-    ``midpoint=True`` evaluates step coefficients at the interval midpoint
-    instead of the right endpoint; it is off by default.
-    """
+    """Total time and step count for one digitized evolution."""
 
     total_time: float = 1.0
     steps: int = 20
-    form: str = "sin2-sin2"
-    midpoint: bool = False
 
     def __post_init__(self):
         if self.total_time <= 0.0:
             raise ParameterError(f"total time must be positive, got {self.total_time}")
         if self.steps < 1:
             raise ParameterError(f"step count must be >= 1, got {self.steps}")
-        if self.form != "sin2-sin2":
-            raise ParameterError(f"unknown schedule form {self.form!r}")
 
     @property
     def dt(self) -> float:
@@ -74,13 +66,12 @@ class Schedule:
     def grid(self) -> tuple[GridPoint, ...]:
         """Per-step coefficient evaluation points t_k = k*dt for k = 1..M.
 
-        Each point carries (t, lam, lam_dot).  With ``midpoint`` set the
-        evaluation shifts to t_k - dt/2 while steps still span dt.
+        Each point carries (t, lam, lam_dot), evaluated at the right end of
+        its step.
         """
         dt = self.dt
         points = []
         for k in range(1, self.steps + 1):
-            t_eval = k * dt - (0.5 * dt if self.midpoint else 0.0)
-            t_eval = min(t_eval, self.total_time)
+            t_eval = min(k * dt, self.total_time)
             points.append(GridPoint(t_eval, self.lam(t_eval), self.lam_dot(t_eval)))
         return tuple(points)

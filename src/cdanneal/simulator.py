@@ -1,18 +1,21 @@
 """Dense state-vector engine for digitized driven evolutions.
 
-Pauli-string exponentials are applied exactly: every string P is an
-involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P, and the
-action of P on a state factors into an index XOR permutation plus a sign
-pattern.  No gate decomposition happens here; circuit-level costs are
-tracked symbolically in the evolution report.
+The Trotter engine, the ODE reference and the spectra all read the driven
+Hamiltonian from one ``DrivenHamiltonian`` compiled per (instance, drive).
+Its diagonal problem part is the classical energy vector E, so a Trotter
+step applies all Z and ZZ terms as the single phase exp(-i dt lam E).  The
+mixer and CD terms are off-diagonal Pauli strings applied exactly: every
+string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P,
+and the action of P on a state factors into an index XOR permutation plus a
+sign pattern.  No gate decomposition happens here; circuit-level costs are
+tracked symbolically, one exponential per Pauli term, in the evolution
+report.
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -25,11 +28,9 @@ from .errors import (
     SingularGaugeError,
 )
 from .gauge import Ansatz, cd_coefficients, cd_terms
-from .pauli import PauliString, PauliSum, string_amplitudes
-from .problem import STATEVECTOR_CAP, GroundTruth, ProblemInstance
+from .pauli import DENSE_CAP, PauliString, string_amplitudes
+from .problem import STATEVECTOR_CAP, GroundTruth, ProblemInstance, classical_energies
 from .schedule import Schedule
-
-_STATE_MAGIC = b"CDSTATEV"
 
 
 @dataclass
@@ -58,7 +59,6 @@ class EvolutionReport:
     single_total: int
     entangling_total: int
     wall_seconds: float
-    cd_coefficient_table: tuple[tuple[float, ...], ...] | None = None
 
 
 def plus_state(n: int, cap: int = STATEVECTOR_CAP) -> StateVector:
@@ -70,116 +70,104 @@ def plus_state(n: int, cap: int = STATEVECTOR_CAP) -> StateVector:
     return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 
-class _Compiled:
-    """Per-string arrays reused across many exponential applications."""
-
-    __slots__ = ("diagonal", "signs", "perm", "gathered", "entangling")
-
-    def __init__(self, string: PauliString):
-        perm, amps = string_amplitudes(string)
-        self.entangling = string.weight >= 2
-        self.diagonal = string.is_diagonal
-        if self.diagonal:
-            # y_count is zero for diagonal strings, so amps is real.
-            self.signs = amps.real
-            self.perm = None
-            self.gathered = None
-        else:
-            self.signs = None
-            self.perm = perm
-            # amps indexed at b ^ x equals amps at b times (-1)**y_count.
-            self.gathered = amps * ((-1.0) ** string.y_count)
-
-    def action(self, psi: np.ndarray) -> np.ndarray:
-        if self.diagonal:
-            return self.signs * psi
-        return self.gathered * psi[self.perm]
-
-    def apply_exp(self, psi: np.ndarray, theta: float) -> None:
-        """In-place psi <- exp(-i theta P) psi."""
-        c, s = np.cos(theta), np.sin(theta)
-        if self.diagonal:
-            psi *= c - 1j * s * self.signs
-        else:
-            psi[:] = c * psi - 1j * s * (self.gathered * psi[self.perm])
-
-
 def apply_pauli_exponential(
     state: StateVector, string: PauliString, theta: float
 ) -> StateVector:
-    """Apply exp(-i theta P) to the state in place and return it."""
+    """Apply exp(-i theta P) to the state in place and return it.
+
+    Works on any string, diagonal or not, one string at a time; it is the
+    reference that ``DrivenHamiltonian`` is tested against.
+    """
     if string.n != state.n:
         raise DimensionMismatchError(
             f"string acts on {string.n} qubits, state has {state.n}"
         )
-    _Compiled(string).apply_exp(state.amplitudes, theta)
+    perm, amps = string_amplitudes(string)
+    psi = state.amplitudes
+    # P|b> = amps[b] |b ^ x_mask>, so P psi is (amps * psi) permuted by perm.
+    psi[:] = np.cos(theta) * psi - 1j * np.sin(theta) * (amps * psi)[perm]
     return state
 
 
-def apply_pauli_sum(operator: PauliSum, psi: np.ndarray) -> np.ndarray:
-    """Matrix-free action of an operator sum on an amplitude array."""
-    out = np.zeros_like(psi)
-    for string, coeff in operator.terms.items():
-        out += coeff * _Compiled(string).action(psi)
-    return out
+class DrivenHamiltonian:
+    """H(lam, lam_dot) = (1-lam) H_x + lam H_p + lam_dot A_CD(lam), compiled once.
 
-
-def sum_matvec(operator: PauliSum):
-    """Compile an operator sum once and return a fast matvec closure."""
-    compiled = [(coeff, _Compiled(s)) for s, coeff in operator.terms.items()]
-
-    def matvec(psi: np.ndarray) -> np.ndarray:
-        out = np.zeros(psi.shape[0], dtype=np.complex128)
-        flat = np.asarray(psi, dtype=np.complex128).reshape(-1)
-        for coeff, comp in compiled:
-            out += coeff * comp.action(flat)
-        return out
-
-    return matvec
-
-
-class _TermTable:
-    """Canonically ordered Trotter terms with per-step coefficient evaluation.
-
-    Order: single-qubit X by ascending site, single-qubit Z by ascending site
-    (nonzero fields only), ZZ couplings lexicographic (nonzero only), then the
-    CD strings in the gauge module's canonical order.
+    Built once per (instance, drive).  It holds the classical energy vector
+    E, which is the diagonal problem part H_p, and the off-diagonal strings:
+    the n mixer X strings by site, then the CD strings in ``cd_terms`` order.
+    Off-diagonal string k acts as (P_k psi)[b] = gathered[k, b] * psi[perms[k, b]].
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
+        n = inst.n
         self.inst = inst
         self.ansatz = ansatz
-        n = inst.n
-        strings: list[PauliString] = [PauliString.single(n, i, "X") for i in range(n)]
-        static_parts: list[tuple[str, float]] = [("x", 1.0)] * n
-        for i, h in enumerate(inst.fields):
-            if h != 0.0:
-                strings.append(PauliString.single(n, i, "Z"))
-                static_parts.append(("z", h))
-        for i, j, value in inst.couplings:
-            if value != 0.0:
-                strings.append(PauliString(n, 0, (1 << i) | (1 << j)))
-                static_parts.append(("zz", value))
+        self.n = n
+        self.energies = classical_energies(inst)
         self.cd_strings = cd_terms(inst, ansatz)
-        strings.extend(self.cd_strings)
-        self.strings = strings
-        self.static_parts = static_parts
-        self.compiled = [_Compiled(s) for s in strings]
-        self.single_count = sum(1 for s in strings if s.weight == 1)
-        self.entangling_count = len(strings) - self.single_count
+        strings = [PauliString.single(n, i, "X") for i in range(n)] + self.cd_strings
+        self.perms = np.empty((len(strings), 1 << n), dtype=np.intp)
+        self.gathered = np.empty((len(strings), 1 << n), dtype=np.complex128)
+        for k, string in enumerate(strings):
+            perm, amps = string_amplitudes(string)
+            self.perms[k] = perm
+            # amps indexed at b ^ x equals amps at b times (-1)**y_count.
+            self.gathered[k] = amps * (-1.0) ** string.y_count
+        cd_single = sum(1 for s in self.cd_strings if s.weight == 1)
+        self.single_count = n + sum(1 for h in inst.fields if h != 0.0) + cd_single
+        self.entangling_count = (
+            sum(1 for _, _, value in inst.couplings if value != 0.0)
+            + len(self.cd_strings)
+            - cd_single
+        )
 
     def coefficients(self, lam: float, lam_dot: float) -> np.ndarray:
-        values = np.empty(len(self.strings))
-        for idx, (kind, base) in enumerate(self.static_parts):
-            if kind == "x":
-                values[idx] = -(1.0 - lam)
-            else:
-                values[idx] = lam * base
+        """Off-diagonal coefficients: -(1-lam) per X string, then the CD values."""
+        values = np.empty(len(self.perms))
+        values[: self.n] = -(1.0 - lam)
         if self.cd_strings:
-            values[len(self.static_parts):] = cd_coefficients(
-                self.inst, self.ansatz, lam, lam_dot
-            )
+            values[self.n :] = cd_coefficients(self.inst, self.ansatz, lam, lam_dot)
         return values
+
+    def step(self, psi: np.ndarray, dt: float, lam: float, lam_dot: float) -> None:
+        """In place: one first-order Trotter step with coefficients at (lam, lam_dot).
+
+        Canonical order: X by site, every nonzero Z and ZZ term, then CD.
+        The Z and ZZ terms commute and are adjacent, so their product is
+        exactly the single phase exp(-i dt lam E).
+        """
+        thetas = dt * self.coefficients(lam, lam_dot)
+        for k in range(self.n):
+            self._rotate(psi, k, thetas[k])
+        psi *= np.exp(-1j * dt * lam * self.energies)
+        for k in range(self.n, len(thetas)):
+            self._rotate(psi, k, thetas[k])
+
+    def _rotate(self, psi: np.ndarray, k: int, theta: float) -> None:
+        psi[:] = np.cos(theta) * psi - 1j * np.sin(theta) * (
+            self.gathered[k] * psi[self.perms[k]]
+        )
+
+    def matvec(self, psi: np.ndarray, lam: float, lam_dot: float) -> np.ndarray:
+        """H(lam, lam_dot) @ psi for a complex amplitude array."""
+        out = lam * self.energies * psi
+        for k, value in enumerate(self.coefficients(lam, lam_dot)):
+            if value != 0.0:
+                out += value * (self.gathered[k] * psi[self.perms[k]])
+        return out
+
+    def dense(self, lam: float, lam_dot: float) -> np.ndarray:
+        """Dense 2**n x 2**n matrix of H(lam, lam_dot); guarded by ``DENSE_CAP``."""
+        if self.n > DENSE_CAP:
+            raise ResourceCapError(f"dense matrix for n={self.n} exceeds cap {DENSE_CAP}")
+        dim = 1 << self.n
+        rows = np.arange(dim)
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        mat[rows, rows] = lam * self.energies
+        for k, value in enumerate(self.coefficients(lam, lam_dot)):
+            # Row b of P_k has its single nonzero entry at column perms[k, b].
+            mat[rows, self.perms[k]] += value * self.gathered[k]
+        return mat
 
 
 def trotter_evolve(
@@ -188,27 +176,26 @@ def trotter_evolve(
     ansatz: Ansatz,
     *,
     cap: int = STATEVECTOR_CAP,
-    audit_cd: bool = False,
 ) -> EvolutionReport:
     """First-order digitized evolution from the uniform superposition.
 
     Each grid step k applies exp(-i dt c_j(t_k) P_j) for every term P_j of
-    the assembled Hamiltonian, coefficients evaluated at the step's grid
-    point, in the fixed canonical term order.  A gauge singularity at any
-    grid point aborts with the offending step index attached.
+    the driven Hamiltonian, coefficients evaluated at the step's grid point,
+    in the fixed canonical term order (see ``DrivenHamiltonian.step``).  A
+    gauge singularity at any grid point aborts with the offending step index
+    attached.
     """
     if inst.n > cap:
         raise ResourceCapError(f"state vector for n={inst.n} exceeds cap {cap}")
-    table = _TermTable(inst, ansatz)
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
     state = plus_state(inst.n, cap=cap)
     psi = state.amplitudes
     dt = sched.dt
     norms: list[float] = []
-    audit: list[tuple[float, ...]] = []
     started = time.perf_counter()
     for step, point in enumerate(sched.grid(), 1):
         try:
-            values = table.coefficients(point.lam, point.lam_dot)
+            hamiltonian.step(psi, dt, point.lam, point.lam_dot)
         except SingularGaugeError as exc:
             raise SingularGaugeError(
                 f"{exc} (aborted at grid step {step}/{sched.steps})",
@@ -217,23 +204,19 @@ def trotter_evolve(
                 value=exc.value,
                 step=step,
             ) from exc
-        if audit_cd:
-            audit.append(tuple(values[len(table.static_parts):]))
-        for comp, value in zip(table.compiled, values):
-            comp.apply_exp(psi, dt * value)
         norms.append(float(np.linalg.norm(psi)))
     wall = time.perf_counter() - started
     steps = sched.steps
+    single, entangling = hamiltonian.single_count, hamiltonian.entangling_count
     return EvolutionReport(
         final_state=state,
         step_norms=tuple(norms),
-        operator_applications=len(table.strings) * steps,
-        single_per_step=table.single_count,
-        entangling_per_step=table.entangling_count,
-        single_total=table.single_count * steps,
-        entangling_total=table.entangling_count * steps,
+        operator_applications=(single + entangling) * steps,
+        single_per_step=single,
+        entangling_per_step=entangling,
+        single_total=single * steps,
+        entangling_total=entangling * steps,
         wall_seconds=wall,
-        cd_coefficient_table=tuple(audit) if audit_cd else None,
     )
 
 
@@ -247,21 +230,16 @@ def ode_reference(
 ) -> StateVector:
     """Adaptive high-order integration of the exact time-dependent flow.
 
-    Independent of the Trotter path: the Schroedinger equation with the
-    continuously assembled Hamiltonian is integrated without renormalization,
+    Independent of the product formula: the Schroedinger equation with the
+    continuously evaluated Hamiltonian is integrated without renormalization,
     so norm drift doubles as an accuracy diagnostic.  Intended for small n.
     """
     if inst.n > cap:
         raise ResourceCapError(f"state vector for n={inst.n} exceeds cap {cap}")
-    table = _TermTable(inst, ansatz)
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        values = table.coefficients(sched.lam(t), sched.lam_dot(t))
-        out = np.zeros_like(psi)
-        for comp, value in zip(table.compiled, values):
-            if value != 0.0:
-                out += value * comp.action(psi)
-        return -1j * out
+        return -1j * hamiltonian.matvec(psi, sched.lam(t), sched.lam_dot(t))
 
     solution = solve_ivp(
         rhs,
@@ -297,23 +275,3 @@ def sample_shots(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     probabilities = probabilities / probabilities.sum()
     counts = np.random.default_rng(seed).multinomial(shots, probabilities)
     return {int(i): int(c) for i, c in enumerate(counts) if c}
-
-
-def save_state(state: StateVector, path: str | Path) -> None:
-    """Binary dump: 16-byte header (magic, n) then little-endian amplitudes."""
-    header = _STATE_MAGIC + struct.pack("<Q", state.n)
-    data = np.ascontiguousarray(state.amplitudes, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + data)
-
-
-def load_state(path: str | Path) -> StateVector:
-    blob = Path(path).read_bytes()
-    if len(blob) < 16 or blob[:8] != _STATE_MAGIC:
-        raise ParameterError(f"{path}: not a state dump")
-    (n,) = struct.unpack("<Q", blob[8:16])
-    amplitudes = np.frombuffer(blob[16:], dtype="<c16").astype(np.complex128)
-    if amplitudes.size != 1 << n:
-        raise ParameterError(
-            f"{path}: expected {1 << n} amplitudes, found {amplitudes.size}"
-        )
-    return StateVector(int(n), amplitudes)

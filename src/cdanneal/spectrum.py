@@ -1,4 +1,8 @@
-"""Instantaneous spectra of the driven Hamiltonian and minimum-gap curves."""
+"""Instantaneous spectra of the driven Hamiltonian and minimum-gap curves.
+
+Every solve reads the operator compiled by ``DrivenHamiltonian``: dense
+``eigvalsh`` up to ``_DENSE_DIAG_LIMIT`` qubits, Lanczos on its matvec above.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ParameterError, ResourceCapError
-from .gauge import Ansatz, assemble_hamiltonian
-from .pauli import DENSE_CAP, PauliSum, to_dense
+from .errors import ParameterError
+from .gauge import Ansatz
 from .problem import ProblemInstance
 from .schedule import Schedule
-from .simulator import sum_matvec
+from .simulator import DrivenHamiltonian
+
+# Not called here; benchmarks/spans.py patches these names on this module.
+from .gauge import assemble_hamiltonian  # noqa: F401
+from .pauli import to_dense  # noqa: F401
 
 #: Above this qubit count, low-lying eigenvalues come from a Lanczos solver.
 _DENSE_DIAG_LIMIT = 11
@@ -34,50 +41,56 @@ class GapCurve:
 
 
 def instantaneous_spectrum(
-    inst: ProblemInstance,
+    inst: ProblemInstance | DrivenHamiltonian,
     lam: float,
     lam_dot: float,
     ansatz: Ansatz,
     k: int = 2,
-    *,
-    dense_cap: int = DENSE_CAP,
 ) -> np.ndarray:
-    """Lowest k eigenvalues of the assembled Hamiltonian, ascending."""
-    dim = 1 << inst.n
+    """Lowest k eigenvalues of the driven Hamiltonian, ascending.
+
+    ``inst`` may be the ``DrivenHamiltonian`` already compiled for
+    (instance, ``ansatz``), so that callers solving many points compile once.
+    A dense solve serves small n and requests for all but the top two
+    eigenvalues; only that solve is bound by the dense-matrix cap.
+    """
+    if isinstance(inst, DrivenHamiltonian):
+        hamiltonian = inst
+        if hamiltonian.ansatz is not ansatz:
+            raise ParameterError(
+                f"operator compiled for {hamiltonian.ansatz.value}, asked for {ansatz.value}"
+            )
+    else:
+        hamiltonian = DrivenHamiltonian(inst, ansatz)
+    dim = 1 << hamiltonian.n
     if not 1 <= k <= dim:
         raise ParameterError(f"need 1 <= k <= {dim}, got {k}")
-    if inst.n > dense_cap:
-        raise ResourceCapError(
-            f"spectrum for n={inst.n} exceeds dense cap {dense_cap}"
-        )
-    operator = assemble_hamiltonian(inst, lam, lam_dot, ansatz)
-    if inst.n <= _DENSE_DIAG_LIMIT or k > dim - 2:
-        eigenvalues = np.linalg.eigvalsh(to_dense(operator, cap=dense_cap))
-        return eigenvalues[:k]
-    return _lanczos_low(operator, dim, k)
+    if hamiltonian.n <= _DENSE_DIAG_LIMIT or k > dim - 2:
+        return np.linalg.eigvalsh(hamiltonian.dense(lam, lam_dot))[:k]
+    return np.sort(_lanczos(hamiltonian, lam, lam_dot, k, "SA"))
 
 
-def _lanczos_low(operator: PauliSum, dim: int, k: int) -> np.ndarray:
-    matvec = sum_matvec(operator)
+def operator_norm(hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float) -> float:
+    """Spectral norm of the driven Hamiltonian at (lam, lam_dot)."""
+    if hamiltonian.n <= _DENSE_DIAG_LIMIT:
+        return float(np.abs(np.linalg.eigvalsh(hamiltonian.dense(lam, lam_dot))).max())
+    return float(np.abs(_lanczos(hamiltonian, lam, lam_dot, 1, "LM")).max())
+
+
+def _lanczos(
+    hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float, k: int, which: str
+) -> np.ndarray:
+    dim = 1 << hamiltonian.n
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        psi = np.asarray(v, dtype=np.complex128).reshape(-1)
+        return hamiltonian.matvec(psi, lam, lam_dot)
+
     linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
     # Fixed start vector keeps the iteration, and hence emitted files,
     # bit-reproducible across runs.
     v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    eigenvalues = eigsh(linop, k=k, which="SA", v0=v0, return_eigenvectors=False)
-    return np.sort(eigenvalues)
-
-
-def operator_norm(operator: PauliSum, *, dense_cap: int = DENSE_CAP) -> float:
-    """Spectral norm of a Hermitian operator sum."""
-    dim = 1 << operator.n
-    if operator.n <= _DENSE_DIAG_LIMIT:
-        eigenvalues = np.linalg.eigvalsh(to_dense(operator, cap=max(dense_cap, operator.n)))
-        return float(np.abs(eigenvalues).max())
-    matvec = sum_matvec(operator)
-    linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    extreme = eigsh(linop, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    return float(np.abs(extreme[0]))
+    return eigsh(linop, k=k, which=which, v0=v0, return_eigenvectors=False)
 
 
 def gap_curve(
@@ -87,7 +100,6 @@ def gap_curve(
     samples: int = GAP_SAMPLES,
     *,
     refine: bool = True,
-    dense_cap: int = DENSE_CAP,
 ) -> GapCurve:
     """|E1 - E0| on a uniform time grid including both endpoints.
 
@@ -97,11 +109,10 @@ def gap_curve(
     """
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
 
     def gap_at(t: float) -> float:
-        low = instantaneous_spectrum(
-            inst, sched.lam(t), sched.lam_dot(t), ansatz, 2, dense_cap=dense_cap
-        )
+        low = instantaneous_spectrum(hamiltonian, sched.lam(t), sched.lam_dot(t), ansatz, 2)
         return float(low[1] - low[0])
 
     times = np.linspace(0.0, sched.total_time, samples)

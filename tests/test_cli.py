@@ -97,6 +97,8 @@ def test_run_malformed_instance(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run_cli("run", "--instance", str(path)) == 2
+    path.write_text('{"n": 2, "seed": 0, "h": [0, 0], "J": [[0, 1, 1.0], [0, 1, 1.3]]}')
+    assert run_cli("run", "--instance", str(path)) == 2
 
 
 def test_usage_error_exit_code():
@@ -174,8 +176,9 @@ def test_sweep_flag_overrides(tmp_path):
 
 def test_sweep_bad_config_exit(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"unknown_field": 1}))
-    assert run_cli("sweep", "--config", str(config)) == 2
+    for payload in ({"unknown_field": 1}, {"jobs": "4"}, {"n_values": "4"}):
+        config.write_text(json.dumps(payload))
+        assert run_cli("sweep", "--config", str(config)) == 2
 
 
 # ------------------------------------------------------------------- gap

@@ -250,6 +250,11 @@ def test_records_csv_rejects_malformed():
     good = records_to_csv([], "x")
     with pytest.raises(ParameterError):
         records_from_csv(good + "1,2\n")
+    row = ["0", "4", "17", "false", "false", "none", "0.5", "0.0", "120", ""]
+    for field in (6, 2, 8):  # P_s, seed, entangling_count
+        bad = row[:field] + ["abc"] + row[field + 1:]
+        with pytest.raises(ParameterError, match="line 3"):
+            records_from_csv(good + ",".join(bad) + "\n")
 
 
 def test_metric_consistency_from_csv():

@@ -46,15 +46,21 @@ def test_generation_statistics():
 def test_generation_validation():
     with pytest.raises(ParameterError):
         generate_instance(0, 1)
-    with pytest.raises(ParameterError):
-        generate_instance(3, 1, distribution="uniform")
 
 
 def test_instance_validation():
-    with pytest.raises(ParameterError):
-        ProblemInstance(2, couplings=((1, 0, 1.0),), fields=(0.0, 0.0), seed=0)
-    with pytest.raises(ParameterError):
-        ProblemInstance(2, couplings=(), fields=(0.0,), seed=0)
+    nan, inf = float("nan"), float("inf")
+    for couplings, fields in (
+        (((1, 0, 1.0),), (0.0, 0.0)),
+        ((), (0.0,)),
+        (((0, 1, 1.0), (0, 1, 1.3)), (0.0, 0.0)),
+        ((), (nan, 0.0)),
+        ((), (0.0, -inf)),
+        (((0, 1, nan),), (0.0, 0.0)),
+        (((0, 1, inf),), (0.0, 0.0)),
+    ):
+        with pytest.raises(ParameterError):
+            ProblemInstance(2, couplings=couplings, fields=fields, seed=0)
 
 
 def test_instance_file_round_trip(tmp_path):

@@ -68,11 +68,6 @@ def test_rate_integrates_to_unity():
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
-def test_midpoint_option():
-    sched = Schedule(1.0, 4, midpoint=True)
-    assert [p.t for p in sched.grid()] == pytest.approx([0.125, 0.375, 0.625, 0.875])
-
-
 def test_domain_validation():
     sched = Schedule(1.0, 20)
     with pytest.raises(ParameterError):
@@ -85,5 +80,3 @@ def test_domain_validation():
         Schedule(1.0, 0)
     with pytest.raises(ParameterError):
         Schedule(0.0, 5)
-    with pytest.raises(ParameterError):
-        Schedule(1.0, 5, form="linear")

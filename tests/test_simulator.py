@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cdanneal.errors import (
     DimensionMismatchError,
@@ -9,7 +11,7 @@ from cdanneal.errors import (
     ResourceCapError,
     SingularGaugeError,
 )
-from cdanneal.gauge import Ansatz
+from cdanneal.gauge import Ansatz, assemble_hamiltonian, cd_coefficients, cd_terms
 from cdanneal.pauli import PauliString, to_dense
 from cdanneal.problem import (
     GroundTruth,
@@ -20,14 +22,12 @@ from cdanneal.problem import (
 )
 from cdanneal.schedule import Schedule
 from cdanneal.simulator import (
+    DrivenHamiltonian,
     StateVector,
     apply_pauli_exponential,
-    apply_pauli_sum,
-    load_state,
     ode_reference,
     plus_state,
     sample_shots,
-    save_state,
     success_probability,
     trotter_evolve,
 )
@@ -107,13 +107,66 @@ def test_exponential_dimension_mismatch():
         apply_pauli_exponential(basis_state(2, 0), PauliString.from_label("X"), 0.1)
 
 
-def test_apply_pauli_sum_matches_dense():
-    rng = np.random.default_rng(2)
-    from cdanneal.pauli import PauliSum
+# ------------------------------------------------------- DrivenHamiltonian
 
-    operator = PauliSum.from_labels({"XI": 0.3, "ZZ": -1.2, "YX": 0.7})
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.allclose(apply_pauli_sum(operator, psi), to_dense(operator) @ psi)
+# Zero values exercise the dropped Z, ZZ and CD terms.  Nonzero values stay
+# away from the 1e-12 scale at which PauliSum prunes the reference's terms.
+_VALUES = st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(-2.0, -0.05))
+
+
+@st.composite
+def driven_points(draw):
+    n = draw(st.integers(1, 6))
+    fields = tuple(draw(_VALUES) for _ in range(n))
+    couplings = tuple(
+        (i, j, draw(_VALUES)) for i in range(n) for j in range(i + 1, n)
+    )
+    inst = ProblemInstance(n, couplings, fields, seed=0)
+    ansatz = draw(st.sampled_from(list(Ansatz)))
+    assume(ansatz is not Ansatz.TWO_LOCAL or n >= 2)
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
+    lam_dot = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 3.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return inst, ansatz, lam, lam_dot, seed
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(driven_points())
+def test_driven_hamiltonian_matches_reference(point):
+    inst, ansatz, lam, lam_dot, seed = point
+    try:
+        reference = to_dense(assemble_hamiltonian(inst, lam, lam_dot, ansatz))
+    except SingularGaugeError:
+        assume(False)
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
+    psi = random_state(inst.n, seed)
+    assert np.abs(hamiltonian.dense(lam, lam_dot) - reference).max() <= 1e-12
+    assert np.abs(hamiltonian.matvec(psi, lam, lam_dot) - reference @ psi).max() <= 1e-12
+
+    # One step against the canonical-order product of single exponentials:
+    # X by site, nonzero Z, nonzero ZZ, then CD.
+    n, dt = inst.n, 0.3
+    expected = StateVector(n, psi.copy())
+    for i in range(n):
+        apply_pauli_exponential(expected, PauliString.single(n, i, "X"), -dt * (1.0 - lam))
+    for i, h in enumerate(inst.fields):
+        if h != 0.0:
+            apply_pauli_exponential(expected, PauliString.single(n, i, "Z"), dt * lam * h)
+    for i, j, value in inst.couplings:
+        if value != 0.0:
+            zz = PauliString(n, 0, (1 << i) | (1 << j))
+            apply_pauli_exponential(expected, zz, dt * lam * value)
+    cd_values = cd_coefficients(inst, ansatz, lam, lam_dot)
+    for string, value in zip(cd_terms(inst, ansatz), cd_values):
+        apply_pauli_exponential(expected, string, dt * value)
+    hamiltonian.step(psi, dt, lam, lam_dot)
+    assert np.abs(psi - expected.amplitudes).max() <= 1e-12
 
 
 # ---------------------------------------------------------- trotter_evolve
@@ -183,16 +236,6 @@ def test_trotter_singular_gauge_aborts_with_step():
     with pytest.raises(SingularGaugeError) as err:
         trotter_evolve(feeble, Schedule(1.0, 20), Ansatz.NC1)
     assert err.value.step == 1
-
-
-def test_trotter_cd_audit_table():
-    inst = generate_instance(2, instance_seed(79, 0))
-    report = trotter_evolve(inst, Schedule(1.0, 5), Ansatz.NC1, audit_cd=True)
-    assert report.cd_coefficient_table is not None
-    assert len(report.cd_coefficient_table) == 5
-    assert len(report.cd_coefficient_table[0]) == 4  # 2 Y + 2 coupling strings
-    # the rate vanishes at the final grid point
-    assert max(abs(v) for v in report.cd_coefficient_table[-1]) <= 1e-12
 
 
 # ------------------------------------------------------------ ode_reference
@@ -301,25 +344,3 @@ def test_shots_deterministic():
 def test_shots_validation():
     with pytest.raises(ParameterError):
         sample_shots(plus_state(1), 0, seed=0)
-
-
-# ------------------------------------------------------------- state dumps
-
-
-def test_state_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    amplitudes = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    amplitudes /= np.linalg.norm(amplitudes)
-    state = StateVector(3, amplitudes)
-    path = tmp_path / "state.bin"
-    save_state(state, path)
-    again = load_state(path)
-    assert again.n == 3
-    assert np.allclose(again.amplitudes, amplitudes)
-
-
-def test_state_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTDUMP!" + b"\x00" * 16)
-    with pytest.raises(ParameterError):
-        load_state(path)

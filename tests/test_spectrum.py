@@ -14,6 +14,7 @@ from cdanneal.problem import (
     instance_seed,
 )
 from cdanneal.schedule import Schedule
+from cdanneal.simulator import DrivenHamiltonian
 from cdanneal.spectrum import (
     gap_curve,
     gap_rows,
@@ -46,11 +47,19 @@ def test_spectrum_final_time_matches_classical_gap():
 
 
 def test_spectrum_caps_and_validation():
-    inst = generate_instance(5, 1)
+    # Above the dense cap the Lanczos path still serves the low end.
+    big = generate_instance(15, 1)
+    low = instantaneous_spectrum(big, 0.5, 0.0, Ansatz.NONE)
+    assert low.shape == (2,) and low[0] <= low[1]
+    # Rayleigh bound from the classical ground state, where <b|H|b> = lam E(b).
+    assert low[0] <= 0.5 * classical_energies(big).min() + 1e-9
     with pytest.raises(ResourceCapError):
-        instantaneous_spectrum(inst, 0.5, 0.0, Ansatz.NONE, dense_cap=4)
+        instantaneous_spectrum(big, 0.5, 0.0, Ansatz.NONE, k=(1 << 15) - 1)
+    inst = generate_instance(5, 1)
     with pytest.raises(ParameterError):
         instantaneous_spectrum(inst, 0.5, 0.0, Ansatz.NONE, k=0)
+    with pytest.raises(ParameterError):
+        instantaneous_spectrum(DrivenHamiltonian(inst, Ansatz.NC1), 0.5, 0.0, Ansatz.NONE)
 
 
 def test_lanczos_path_matches_dense(monkeypatch):
@@ -61,12 +70,14 @@ def test_lanczos_path_matches_dense(monkeypatch):
     assert lanczos_values == pytest.approx(dense_values, abs=1e-8)
 
 
-def test_operator_norm_matches_dense():
+def test_operator_norm_matches_dense(monkeypatch):
     inst = generate_instance(4, instance_seed(913, 0))
-    operator = assemble_hamiltonian(inst, 0.6, 0.5, Ansatz.NC1)
-    dense = to_dense(operator)
+    dense = to_dense(assemble_hamiltonian(inst, 0.6, 0.5, Ansatz.NC1))
     expected = float(np.abs(np.linalg.eigvalsh(dense)).max())
-    assert operator_norm(operator) == pytest.approx(expected, abs=1e-10)
+    hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
+    assert operator_norm(hamiltonian, 0.6, 0.5) == pytest.approx(expected, abs=1e-10)
+    monkeypatch.setattr(spectrum_mod, "_DENSE_DIAG_LIMIT", 2)
+    assert operator_norm(hamiltonian, 0.6, 0.5) == pytest.approx(expected, abs=1e-8)
 
 
 def test_assembled_hamiltonians_hermitian():
