@@ -43,6 +43,7 @@ from .problem import (
 from .schedule import GridPoint, Schedule
 from .gauge import (
     Ansatz,
+    CompiledGauge,
     GaugeSolution,
     adiabatic_pair,
     assemble_hamiltonian,

@@ -16,6 +16,12 @@ G = dH + i[A, H]; it is quadratic in the ansatz coefficients, so the solver
 reduces to a small symmetric linear system.  Every family produces operators
 whose strings carry an odd number of Y factors, hence purely imaginary
 off-diagonals: the driving is deliberately non-stoquastic.
+
+``CompiledGauge`` compiles a drive once per instance: its strings, the
+instance sums of the closed forms, and for the 2-local family the Gram
+matrix and source vector of the action as polynomials of degree two in lam,
+so each coefficient evaluation is one small eigensolve.  ``minimize_action``
+stays the general PauliSum solver that the compiled solve is checked against.
 """
 
 from __future__ import annotations
@@ -90,20 +96,32 @@ def local_y_coefficients(
     The joint least-squares problem over {Y_i} has a diagonal normal matrix,
     so this site-wise form is the exact joint minimizer.
     """
-    h = inst.field_array()
-    j2_row = (inst.coupling_matrix() ** 2).sum(axis=1)
-    denominator = 2.0 * ((lam - 1.0) ** 2 + lam**2 * (h**2 + j2_row))
+    return _local_y(
+        inst.field_array(), _local_y_weights(inst), np.arange(inst.n), lam, floor
+    )
+
+
+def _local_y_weights(inst: ProblemInstance) -> np.ndarray:
+    """h_i^2 + sum_{j != i} J_ij^2 per site: the lam^2 part of the denominator."""
+    return inst.field_array() ** 2 + (inst.coupling_matrix() ** 2).sum(axis=1)
+
+
+def _local_y(
+    fields: np.ndarray, weights: np.ndarray, sites: np.ndarray, lam: float, floor: float
+) -> np.ndarray:
+    denominator = 2.0 * ((lam - 1.0) ** 2 + lam**2 * weights)
     small = np.flatnonzero(np.abs(denominator) < floor)
     if small.size:
-        site = int(small[0])
+        site = int(sites[small[0]])
+        value = float(denominator[small[0]])
         raise SingularGaugeError(
-            f"single-site Y denominator {denominator[site]:.3e} below floor "
+            f"single-site Y denominator {value:.3e} below floor "
             f"{floor:.0e} at site {site}, lam={lam}",
             site=site,
             lam=lam,
-            value=float(denominator[site]),
+            value=value,
         )
-    return h / denominator
+    return fields / denominator
 
 
 def nc1_coefficient(
@@ -124,6 +142,11 @@ def nc1_coefficient(
     the single nested-commutator basis operator is the authoritative oracle
     and the validation suite checks the two against each other.
     """
+    return _nc1_alpha(_nc1_sums(inst), lam, floor)
+
+
+def _nc1_sums(inst: ProblemInstance) -> tuple[float, float, float]:
+    """The instance sums of the nc1 closed form: numerator, quadratic, quartic."""
     h = inst.field_array()
     jmat = inst.coupling_matrix()
     j2 = jmat**2
@@ -144,6 +167,11 @@ def nc1_coefficient(
         + 6.0 * cross_hj
         + 6.0 * shared_site
     )
+    return sum_h2 + 2.0 * sum_j2, quadratic, quartic
+
+
+def _nc1_alpha(sums: tuple[float, float, float], lam: float, floor: float) -> float:
+    numerator, quadratic, quartic = sums
     denominator = (1.0 - 2.0 * lam) * quadratic + lam**2 * quartic
     if abs(denominator) < floor:
         raise SingularGaugeError(
@@ -152,7 +180,7 @@ def nc1_coefficient(
             lam=lam,
             value=float(denominator),
         )
-    return -0.25 * (sum_h2 + 2.0 * sum_j2) / denominator
+    return -0.25 * numerator / denominator
 
 
 def nc_ansatz_terms(
@@ -231,14 +259,7 @@ def minimize_action(
             gram[a, b] = gram[b, a] = value
     source = np.array([trace_inner(dH, img).real for img in images])
 
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    top = float(eigenvalues.max(initial=0.0))
-    cutoff = top / cond_threshold if top > 0.0 else 0.0
-    keep = eigenvalues > cutoff
-    condition_warning = bool((~keep).any())
-    projected = eigenvectors.T @ (-source)
-    scaled = np.where(keep, projected / np.where(keep, eigenvalues, 1.0), 0.0)
-    coefficients = eigenvectors @ scaled
+    coefficients, condition_warning = _solve_normal(gram, source, cond_threshold)
 
     residual_op = dH
     for c, img in zip(coefficients, images):
@@ -292,13 +313,116 @@ def two_local_basis(n: int) -> tuple[list[PauliSum], list[str]]:
 
 def two_local_cd(inst: ProblemInstance, lam: float) -> tuple[PauliSum, GaugeSolution]:
     """Variationally optimal 2-local CD operator (rate factor applied later)."""
-    basis, labels = two_local_basis(inst.n)
-    H, dH = adiabatic_pair(inst, lam)
-    solution = minimize_action(basis, H, dH, labels=labels, lam=lam)
-    operator = PauliSum.zero(inst.n)
-    for op, lbl in zip(basis, labels):
-        operator = operator + solution.coefficients[lbl] * op
-    return operator, solution
+    gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+    solution = gauge.solve_two_local(lam)
+    values = solution.vector()[gauge.string_basis]
+    return PauliSum(inst.n, zip(gauge.terms, values)), solution
+
+
+def _solve_normal(
+    gram: np.ndarray, source: np.ndarray, cond_threshold: float
+) -> tuple[np.ndarray, bool]:
+    """Minimizer of c^T gram c + 2 c^T source, truncated as a pseudo-inverse.
+
+    Eigenvalues of the symmetric ``gram`` below max(eig)/cond_threshold are
+    dropped; the flag reports whether any were.
+    """
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    top = float(eigenvalues.max(initial=0.0))
+    cutoff = top / cond_threshold if top > 0.0 else 0.0
+    keep = eigenvalues > cutoff
+    projected = eigenvectors.T @ (-source)
+    scaled = np.where(keep, projected / np.where(keep, eigenvalues, 1.0), 0.0)
+    return eigenvectors @ scaled, bool((~keep).any())
+
+
+class CompiledGauge:
+    """The CD drive of one instance, compiled once per (instance, drive).
+
+    Holds the drive's strings (``terms``, in ``cd_terms`` order) and every
+    part of its coefficient solve that does not depend on lam:
+
+    * local-y: the fields and the lam^2 denominator weights of the sites
+      that carry a Y term (h_i != 0); no other site is ever divided for;
+    * nc1: the three instance sums of the closed form and each string's
+      source value (h_i for Y_i, J_ij for both strings of a coupling);
+    * two-local: the action as a quadratic in lam.  With H = (1-lam) H_x +
+      lam H_p the images i[B_b, H] are (1-lam) i[B_b, H_x] + lam i[B_b, H_p],
+      so the Gram matrix is (1-lam)^2 G_xx + lam (1-lam) G_xp + lam^2 G_pp,
+      the source vector is (1-lam) v_x + lam v_p, and the action at the
+      minimizer needs only ||dH||^2 besides.  Each lam then costs one small
+      ``eigh``.
+
+    ``string_basis`` maps each two-local string to its basis element: the
+    symmetrized ZY and XY elements own two strings each.
+    """
+
+    def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
+        self.inst = inst
+        self.ansatz = ansatz
+        self.terms = cd_terms(inst, ansatz)
+        if ansatz is Ansatz.LOCAL_Y:
+            self.sites = np.flatnonzero(inst.field_array())
+            self.fields = inst.field_array()[self.sites]
+            self.weights = _local_y_weights(inst)[self.sites]
+        elif ansatz is Ansatz.NC1:
+            self.nc1_sums = _nc1_sums(inst)
+            pairs = [value for _, _, value in inst.couplings if value != 0.0]
+            self.sources = np.array(
+                [h for h in inst.fields if h != 0.0] + list(np.repeat(pairs, 2))
+            )
+        elif ansatz is Ansatz.TWO_LOCAL:
+            self._compile_two_local()
+
+    def _compile_two_local(self) -> None:
+        inst, n = self.inst, self.inst.n
+        basis, labels = two_local_basis(n)
+        self.labels = tuple(labels)
+        self.string_basis = np.concatenate(
+            [np.arange(n), np.repeat(np.arange(n, len(basis)), 2)]
+        )
+        mixer, problem = mixer_hamiltonian(n), problem_hamiltonian(inst)
+        ops = (
+            [problem - mixer]
+            + [1j * commutator(op, mixer) for op in basis]
+            + [1j * commutator(op, problem) for op in basis]
+        )
+        # One column per Pauli string met.  dH and the images of Hermitian
+        # basis operators under i[., H] are Hermitian: every coefficient is real.
+        columns: dict[PauliString, int] = {}
+        rows, cols, values = [], [], []
+        for row, op in enumerate(ops):
+            for string, value in op:
+                rows.append(row)
+                cols.append(columns.setdefault(string, len(columns)))
+                values.append(value.real)
+        table = np.zeros((len(ops), len(columns)))
+        table[rows, cols] = values
+        source, image_x, image_p = table[0], table[1 : 1 + len(basis)], table[1 + len(basis) :]
+        self.gram_xx = image_x @ image_x.T
+        cross = image_x @ image_p.T
+        self.gram_xp = cross + cross.T
+        self.gram_pp = image_p @ image_p.T
+        self.source_x = image_x @ source
+        self.source_p = image_p @ source
+        self.norm_dh = float(source @ source)
+
+    def solve_two_local(self, lam: float) -> GaugeSolution:
+        """The two-local action minimizer at ``lam``, as ``minimize_action`` gives it."""
+        if self.ansatz is not Ansatz.TWO_LOCAL:
+            raise ParameterError(f"gauge compiled for {self.ansatz.value}, not two-local")
+        mix = 1.0 - lam
+        gram = mix**2 * self.gram_xx + lam * mix * self.gram_xp + lam**2 * self.gram_pp
+        source = mix * self.source_x + lam * self.source_p
+        coefficients, warning = _solve_normal(gram, source, CONDITION_THRESHOLD)
+        residual = self.norm_dh + 2.0 * coefficients @ source + coefficients @ gram @ coefficients
+        return GaugeSolution(
+            coefficients={lbl: float(c) for lbl, c in zip(self.labels, coefficients)},
+            residual_action=max(0.0, float(residual)),
+            lam=lam,
+            condition_warning=warning,
+            labels=self.labels,
+        )
 
 
 def cd_terms(inst: ProblemInstance, ansatz: Ansatz) -> list[PauliString]:
@@ -341,45 +465,34 @@ def cd_terms(inst: ProblemInstance, ansatz: Ansatz) -> list[PauliString]:
 
 
 def cd_coefficients(
-    inst: ProblemInstance, ansatz: Ansatz, lam: float, lam_dot: float
+    gauge: ProblemInstance | CompiledGauge, ansatz: Ansatz, lam: float, lam_dot: float
 ) -> np.ndarray:
     """Coefficients aligned with ``cd_terms``, including the lam_dot factor.
 
-    The CD contribution is lam_dot * A(lam), so a zero rate short-circuits to
-    zeros without touching any denominator: the driving vanishes identically
-    there regardless of whether A is well defined.
+    ``gauge`` may be the ``CompiledGauge`` already built for (instance,
+    ``ansatz``), so that callers evaluating many points compile once; an
+    instance is compiled for this call alone.  The CD contribution is
+    lam_dot * A(lam), so a zero rate short-circuits to zeros without touching
+    any denominator: the driving vanishes identically there regardless of
+    whether A is well defined.
     """
-    strings = cd_terms(inst, ansatz)
-    if not strings or lam_dot == 0.0:
-        return np.zeros(len(strings))
-    n = inst.n
+    if isinstance(gauge, CompiledGauge):
+        if gauge.ansatz is not ansatz:
+            raise ParameterError(
+                f"gauge compiled for {gauge.ansatz.value}, asked for {ansatz.value}"
+            )
+    else:
+        gauge = CompiledGauge(gauge, ansatz)
+    if not gauge.terms or lam_dot == 0.0:
+        return np.zeros(len(gauge.terms))
     if ansatz is Ansatz.LOCAL_Y:
-        beta = local_y_coefficients(inst, lam)
-        return lam_dot * np.array(
-            [beta[i] for i in range(n) if inst.fields[i] != 0.0]
-        )
+        beta = _local_y(gauge.fields, gauge.weights, gauge.sites, lam, SINGULAR_FLOOR)
+        return lam_dot * beta
     if ansatz is Ansatz.NC1:
-        alpha = nc1_coefficient(inst, lam)
-        values = [
-            -2.0 * lam_dot * alpha * inst.fields[i]
-            for i in range(n)
-            if inst.fields[i] != 0.0
-        ]
-        for _, _, value in inst.couplings:
-            if value == 0.0:
-                continue
-            pair_coeff = -2.0 * lam_dot * alpha * value
-            values.extend((pair_coeff, pair_coeff))
-        return np.array(values)
+        alpha = _nc1_alpha(gauge.nc1_sums, lam, SINGULAR_FLOOR)
+        return -2.0 * lam_dot * alpha * gauge.sources
     if ansatz is Ansatz.TWO_LOCAL:
-        _, solution = two_local_cd(inst, lam)
-        values = [lam_dot * solution.coefficients[f"y{i}"] for i in range(n)]
-        for prefix in ("zy", "xy"):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    c = lam_dot * solution.coefficients[f"{prefix}{i},{j}"]
-                    values.extend((c, c))
-        return np.array(values)
+        return lam_dot * gauge.solve_two_local(lam).vector()[gauge.string_basis]
     raise ParameterError(f"unknown ansatz {ansatz!r}")
 
 
@@ -387,9 +500,8 @@ def cd_operator(
     inst: ProblemInstance, ansatz: Ansatz, lam: float, lam_dot: float
 ) -> PauliSum:
     """The CD contribution lam_dot * A(lam) as an operator sum."""
-    strings = cd_terms(inst, ansatz)
-    values = cd_coefficients(inst, ansatz, lam, lam_dot)
-    return PauliSum(inst.n, zip(strings, values))
+    gauge = CompiledGauge(inst, ansatz)
+    return PauliSum(inst.n, zip(gauge.terms, cd_coefficients(gauge, ansatz, lam, lam_dot)))
 
 
 def assemble_hamiltonian(

@@ -17,11 +17,13 @@ import numpy as np
 
 from .gauge import (
     Ansatz,
+    CompiledGauge,
     adiabatic_pair,
     local_y_coefficients,
     minimize_action,
     nc1_coefficient,
     nc_ansatz_terms,
+    two_local_basis,
 )
 from .pauli import PauliString, PauliSum, commutator, multiply, to_dense, trace_inner
 from .problem import generate_instance, instance_seed
@@ -102,6 +104,29 @@ def _check_nc1(seed: int, nc1_fn: Callable | None) -> CheckResult:
     return CheckResult("nc1-oracle", passed, f"max |closed form - solver| {worst:.2e}")
 
 
+def _check_two_local(seed: int) -> CheckResult:
+    worst = 0.0
+    for n in (2, 3):
+        basis, labels = two_local_basis(n)
+        for rep in range(3):
+            inst = generate_instance(n, instance_seed(seed, 300 * n + rep))
+            gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+            for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+                compiled = gauge.solve_two_local(lam)
+                solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels)
+                if compiled.condition_warning != solved.condition_warning:
+                    return CheckResult(
+                        "two-local-oracle", False, f"condition flags differ at n={n}, lam={lam}"
+                    )
+                worst = max(
+                    worst,
+                    float(np.abs(compiled.vector() - solved.vector()).max()),
+                    abs(compiled.residual_action - solved.residual_action),
+                )
+    passed = worst <= 1e-10
+    return CheckResult("two-local-oracle", passed, f"max |compiled - solver| {worst:.2e}")
+
+
 def _check_trotter_scaling(seed: int) -> CheckResult:
     ratios = []
     for tag in (Ansatz.NONE, Ansatz.LOCAL_Y, Ansatz.NC1):
@@ -155,6 +180,7 @@ def run_validation_checks(
         ("pauli-identities", lambda: _check_pauli_identities(seed)),
         ("local-y-oracle", lambda: _check_local_y(seed)),
         ("nc1-oracle", lambda: _check_nc1(seed, nc1_fn)),
+        ("two-local-oracle", lambda: _check_two_local(seed)),
         ("trotter-scaling", lambda: _check_trotter_scaling(seed)),
         ("endpoint-gap-equality", lambda: _check_endpoint_gaps(seed)),
         ("unitarity", lambda: _check_unitarity(seed)),

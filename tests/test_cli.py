@@ -1,7 +1,8 @@
+import dataclasses
 import json
 
 from cdanneal.cli import main
-from cdanneal.gauge import nc1_coefficient
+from cdanneal.gauge import CompiledGauge, nc1_coefficient
 from cdanneal.problem import ProblemInstance, save_instance
 from cdanneal.validate import run_validation_checks
 
@@ -70,6 +71,14 @@ def test_run_cd_beats_baseline(tmp_path):
         ) == 0
         results[tag] = json.loads(record.read_text())["P_s"]
     assert results["nc1"] > results["none"]
+
+
+def test_run_local_y_fieldless_site(tmp_path):
+    # A site with no field and no nonzero coupling carries no Y term, so its
+    # vanishing denominator at lam = 1 must not abort the run.
+    instance = tmp_path / "fieldless.json"
+    save_instance(ProblemInstance(2, ((0, 1, 0.0),), (0.0, 0.7), 1), instance)
+    assert run_cli("run", "--instance", str(instance), "--ansatz", "local-y") == 0
 
 
 def test_run_with_shots(tmp_path, capsys):
@@ -259,6 +268,7 @@ def test_validate_passes(capsys):
         "nc1-oracle",
         "trotter-scaling",
         "endpoint-gap-equality",
+        "two-local-oracle",
     ):
         assert name in out
     assert "FAIL" not in out
@@ -270,3 +280,18 @@ def test_validate_mutation_sensitivity():
     results = {r.name: r for r in run_validation_checks(nc1_fn=flipped)}
     assert not results["nc1-oracle"].passed
     assert results["local-y-oracle"].passed
+
+
+def test_validate_two_local_mutation_sensitivity(monkeypatch):
+    # A 1% scale on the compiled two-local solve must trip only its oracle.
+    solve = CompiledGauge.solve_two_local
+
+    def scaled(self, lam):
+        solution = solve(self, lam)
+        coefficients = {k: 1.01 * v for k, v in solution.coefficients.items()}
+        return dataclasses.replace(solution, coefficients=coefficients)
+
+    monkeypatch.setattr(CompiledGauge, "solve_two_local", scaled)
+    results = {r.name: r.passed for r in run_validation_checks()}
+    assert results.pop("two-local-oracle") is False
+    assert all(results.values()), results

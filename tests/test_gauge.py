@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdanneal.errors import ParameterError, ResourceCapError, SingularGaugeError
 from cdanneal.gauge import (
     Ansatz,
+    CompiledGauge,
     adiabatic_pair,
     assemble_hamiltonian,
     cd_coefficients,
@@ -286,6 +289,85 @@ def test_two_local_property_sweep():
             assert solution.residual_action >= 0.0
             count += 1
     assert count == 100
+
+
+_VALUES = st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(-2.0, -0.05))
+
+
+@st.composite
+def two_local_points(draw):
+    n = draw(st.integers(2, 6))
+    zero_fields, zero_couplings = draw(st.sampled_from(
+        [(False, False), (True, False), (False, True), (True, True)]
+    ))
+    fields = tuple(0.0 if zero_fields else draw(_VALUES) for _ in range(n))
+    couplings = tuple(
+        (i, j, 0.0 if zero_couplings else draw(_VALUES))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return ProblemInstance(n, couplings, fields, seed=0), lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_local_points())
+def test_compiled_two_local_matches_minimize_action(point):
+    # The compiled quadratic-in-lam solve against the general PauliSum solver;
+    # all-zero fields or couplings exercise the pseudo-inverse path.
+    inst, lam = point
+    basis, labels = two_local_basis(inst.n)
+    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels, lam=lam)
+    compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(lam)
+    assert compiled.labels == solved.labels
+    assert np.abs(compiled.vector() - solved.vector()).max() <= 1e-10
+    assert abs(compiled.residual_action - solved.residual_action) <= 1e-10
+    assert compiled.condition_warning == solved.condition_warning
+    assert compiled.lam == lam
+
+
+def test_compiled_two_local_pseudo_inverse_path():
+    # No fields and no couplings: H_p = 0, so every image vanishes at lam = 1.
+    inst = ProblemInstance(3, ((0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.0)), (0.0,) * 3, seed=0)
+    compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(1.0)
+    assert compiled.condition_warning
+    assert np.all(compiled.vector() == 0.0)
+
+
+def test_compiled_gauge_drive_mismatch():
+    inst = generate_instance(3, instance_seed(909, 3))
+    gauge = CompiledGauge(inst, Ansatz.NC1)
+    with pytest.raises(ParameterError):
+        cd_coefficients(gauge, Ansatz.TWO_LOCAL, 0.5, 1.0)
+    with pytest.raises(ParameterError):
+        gauge.solve_two_local(0.5)
+
+
+def test_compiled_closed_forms_bit_identical():
+    # The compiled sums must reproduce the stateless closed forms exactly.
+    for n in (1, 2, 5):
+        inst = generate_instance(n, instance_seed(909, 10 + n))
+        local_y = CompiledGauge(inst, Ansatz.LOCAL_Y)
+        nc1 = CompiledGauge(inst, Ansatz.NC1)
+        for lam, lam_dot in ((0.0, 0.3), (0.37, 1.2), (1.0, 0.8)):
+            beta = local_y_coefficients(inst, lam)
+            got = cd_coefficients(local_y, Ansatz.LOCAL_Y, lam, lam_dot)
+            assert np.array_equal(got, lam_dot * beta)
+            alpha = nc1_coefficient(inst, lam)
+            sources = list(inst.fields) + [v for _, _, v in inst.couplings for _ in (0, 1)]
+            got = cd_coefficients(nc1, Ansatz.NC1, lam, lam_dot)
+            assert np.array_equal(got, [-2.0 * lam_dot * alpha * v for v in sources])
+
+
+def test_local_y_skips_sites_without_term():
+    # Site 0 has no field and no nonzero coupling, so it carries no Y term and
+    # its denominator, which vanishes at lam = 1, is never divided by.
+    inst = ProblemInstance(2, ((0, 1, 0.0),), (0.0, 0.7), seed=1)
+    assert cd_terms(inst, Ansatz.LOCAL_Y) == [PauliString.single(2, 1, "Y")]
+    values = cd_coefficients(inst, Ansatz.LOCAL_Y, 1.0, 1.0)
+    assert values == pytest.approx(local_y_coefficients(
+        ProblemInstance(1, (), (0.7,), seed=1), 1.0
+    ))
 
 
 def test_two_local_needs_two_sites():

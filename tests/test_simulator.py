@@ -11,6 +11,7 @@ from cdanneal.errors import (
     ResourceCapError,
     SingularGaugeError,
 )
+from cdanneal import gauge
 from cdanneal.gauge import Ansatz, assemble_hamiltonian, cd_coefficients, cd_terms
 from cdanneal.pauli import PauliString, to_dense
 from cdanneal.problem import (
@@ -236,6 +237,45 @@ def test_trotter_singular_gauge_aborts_with_step():
     with pytest.raises(SingularGaugeError) as err:
         trotter_evolve(feeble, Schedule(1.0, 20), Ansatz.NC1)
     assert err.value.step == 1
+
+
+def test_trotter_local_y_fieldless_site():
+    # Site 0 has no field and no nonzero coupling, so it carries no Y term;
+    # its local-y denominator vanishes at lam = 1 but is never divided by.
+    inst = ProblemInstance(2, ((0, 1, 0.0),), (0.0, 0.7), seed=1)
+    report = trotter_evolve(inst, Schedule(1.0, 20), Ansatz.LOCAL_Y)
+    assert max(abs(v - 1.0) for v in report.step_norms) <= 1e-12
+
+
+def test_gauge_compiled_once_per_instance(monkeypatch):
+    counts = {"cd_terms": 0, "two_local": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gauge, "cd_terms", counted("cd_terms", gauge.cd_terms))
+    monkeypatch.setattr(
+        gauge.CompiledGauge,
+        "_compile_two_local",
+        counted("two_local", gauge.CompiledGauge._compile_two_local),
+    )
+    inst = generate_instance(3, instance_seed(88, 0))
+    sched = Schedule(1.0, 20)
+    for ansatz in Ansatz:
+        for run in (
+            lambda: trotter_evolve(inst, sched, ansatz),
+            lambda: gap_curve(inst, sched, ansatz, samples=5),
+        ):
+            counts.update(cd_terms=0, two_local=0)
+            run()
+            assert counts == {
+                "cd_terms": 1,
+                "two_local": int(ansatz is Ansatz.TWO_LOCAL),
+            }, ansatz
 
 
 # ------------------------------------------------------------ ode_reference
