@@ -407,13 +407,17 @@ class CompiledGauge:
         self.source_p = image_p @ source
         self.norm_dh = float(source @ source)
 
-    def solve_two_local(self, lam: float) -> GaugeSolution:
-        """The two-local action minimizer at ``lam``, as ``minimize_action`` gives it."""
+    def normal_equations(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Gram matrix and source vector of the two-local action at ``lam``."""
         if self.ansatz is not Ansatz.TWO_LOCAL:
             raise ParameterError(f"gauge compiled for {self.ansatz.value}, not two-local")
         mix = 1.0 - lam
         gram = mix**2 * self.gram_xx + lam * mix * self.gram_xp + lam**2 * self.gram_pp
-        source = mix * self.source_x + lam * self.source_p
+        return gram, mix * self.source_x + lam * self.source_p
+
+    def solve_two_local(self, lam: float) -> GaugeSolution:
+        """The two-local action minimizer at ``lam``, as ``minimize_action`` gives it."""
+        gram, source = self.normal_equations(lam)
         coefficients, warning = _solve_normal(gram, source, CONDITION_THRESHOLD)
         residual = self.norm_dh + 2.0 * coefficients @ source + coefficients @ gram @ coefficients
         return GaugeSolution(

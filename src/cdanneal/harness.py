@@ -388,7 +388,7 @@ def cost_report(
     for (n, tag), group in sorted(by_key.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         ansatz = Ansatz.parse(tag)
         totals = [r.entangling[tag] for r in group if not r.excluded]
-        total = int(totals[0]) if totals else 0
+        total = int(max(totals)) if totals else 0
         per_step = total // cfg.trotter_steps if total else 0
         if n > norm_cap:
             rows.append(CostRow(n, tag, per_step, total, None, True))

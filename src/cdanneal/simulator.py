@@ -112,6 +112,9 @@ class DrivenHamiltonian:
         strings = [PauliString.single(n, i, "X") for i in range(n)] + self.cd_strings
         self.perms = np.empty((len(strings), 1 << n), dtype=np.intp)
         self.gathered = np.empty((len(strings), 1 << n), dtype=np.complex128)
+        # i**y_count is real for an even Y count: the mixer strings are real,
+        # every CD string (exactly one Y) is purely imaginary.
+        self.real_strings = np.array([s.y_count % 2 == 0 for s in strings])
         for k, string in enumerate(strings):
             perm, amps = string_amplitudes(string)
             self.perms[k] = perm
@@ -161,16 +164,25 @@ class DrivenHamiltonian:
         return out
 
     def dense(self, lam: float, lam_dot: float) -> np.ndarray:
-        """Dense 2**n x 2**n matrix of H(lam, lam_dot); guarded by ``DENSE_CAP``."""
+        """Dense 2**n x 2**n matrix of H(lam, lam_dot); guarded by ``DENSE_CAP``.
+
+        The matrix is float64 when every nonzero coefficient sits on a real
+        string: always for ``none``, and for any drive whose CD coefficients
+        vanish, as at lam_dot = 0.  Otherwise it is complex128.
+        """
         if self.n > DENSE_CAP:
             raise ResourceCapError(f"dense matrix for n={self.n} exceeds cap {DENSE_CAP}")
         dim = 1 << self.n
         rows = np.arange(dim)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
+        values = self.coefficients(lam, lam_dot)
+        if values[~self.real_strings].any():
+            mat, gathered = np.zeros((dim, dim), dtype=np.complex128), self.gathered
+        else:
+            mat, gathered = np.zeros((dim, dim)), self.gathered.real
         mat[rows, rows] = lam * self.energies
-        for k, value in enumerate(self.coefficients(lam, lam_dot)):
+        for k, value in enumerate(values):
             # Row b of P_k has its single nonzero entry at column perms[k, b].
-            mat[rows, self.perms[k]] += value * self.gathered[k]
+            mat[rows, self.perms[k]] += value * gathered[k]
         return mat
 
 

@@ -127,6 +127,39 @@ def _check_two_local(seed: int) -> CheckResult:
     return CheckResult("two-local-oracle", passed, f"max |compiled - solver| {worst:.2e}")
 
 
+def _check_closed_form_blocks(seed: int) -> CheckResult:
+    """The local-y and nc1 closed forms against the compiled two-local action.
+
+    Both families lie inside the two-local basis.  local-y minimizes the
+    action over the Y_i sub-block; nc1 over the single direction whose
+    basis weights are its source values (h_i on Y_i, J_ij on the symmetrized
+    Y_i Z_j element, 0 on the X_i Y_j elements), where the minimizing scale
+    is the per-source coefficient -2 alpha_1.
+    """
+    worst = 0.0
+    for n in (2, 3, 4):
+        pairs = np.triu_indices(n, 1)
+        for rep in range(3):
+            inst = generate_instance(n, instance_seed(seed, 400 * n + rep))
+            gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+            direction = np.concatenate(
+                [inst.field_array(), inst.coupling_matrix()[pairs], np.zeros(len(pairs[0]))]
+            )
+            for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
+                gram, source = gauge.normal_equations(lam)
+                beta = np.linalg.solve(gram[:n, :n], -source[:n])
+                scale = -(direction @ source) / (direction @ gram @ direction)
+                worst = max(
+                    worst,
+                    float(np.abs(local_y_coefficients(inst, lam) - beta).max()),
+                    float(abs(-2.0 * nc1_coefficient(inst, lam) - scale)),
+                )
+    passed = worst <= 1e-10
+    return CheckResult(
+        "closed-form-blocks", passed, f"max |closed form - two-local blocks| {worst:.2e}"
+    )
+
+
 def _check_trotter_scaling(seed: int) -> CheckResult:
     ratios = []
     for tag in (Ansatz.NONE, Ansatz.LOCAL_Y, Ansatz.NC1):
@@ -181,6 +214,7 @@ def run_validation_checks(
         ("local-y-oracle", lambda: _check_local_y(seed)),
         ("nc1-oracle", lambda: _check_nc1(seed, nc1_fn)),
         ("two-local-oracle", lambda: _check_two_local(seed)),
+        ("closed-form-blocks", lambda: _check_closed_form_blocks(seed)),
         ("trotter-scaling", lambda: _check_trotter_scaling(seed)),
         ("endpoint-gap-equality", lambda: _check_endpoint_gaps(seed)),
         ("unitarity", lambda: _check_unitarity(seed)),

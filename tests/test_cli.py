@@ -1,6 +1,9 @@
 import dataclasses
 import json
 
+import pytest
+
+import cdanneal.gauge as gauge_mod
 from cdanneal.cli import main
 from cdanneal.gauge import CompiledGauge, nc1_coefficient
 from cdanneal.problem import ProblemInstance, save_instance
@@ -269,6 +272,7 @@ def test_validate_passes(capsys):
         "trotter-scaling",
         "endpoint-gap-equality",
         "two-local-oracle",
+        "closed-form-blocks",
     ):
         assert name in out
     assert "FAIL" not in out
@@ -294,4 +298,18 @@ def test_validate_two_local_mutation_sensitivity(monkeypatch):
     monkeypatch.setattr(CompiledGauge, "solve_two_local", scaled)
     results = {r.name: r.passed for r in run_validation_checks()}
     assert results.pop("two-local-oracle") is False
+    assert all(results.values()), results
+
+
+@pytest.mark.parametrize(
+    "helper, oracle", [("_local_y", "local-y-oracle"), ("_nc1_alpha", "nc1-oracle")]
+)
+def test_validate_closed_form_blocks_mutation_sensitivity(monkeypatch, helper, oracle):
+    # A 1% scale on a closed form must trip its own oracle and the
+    # cross-check against the two-local blocks, and nothing else.
+    closed_form = getattr(gauge_mod, helper)
+    monkeypatch.setattr(gauge_mod, helper, lambda *args: 1.01 * closed_form(*args))
+    results = {r.name: r.passed for r in run_validation_checks()}
+    assert results.pop(oracle) is False
+    assert results.pop("closed-form-blocks") is False
     assert all(results.values()), results

@@ -316,6 +316,21 @@ def test_cost_report_cap_flag():
     assert row.entangling_per_step == 6
 
 
+def test_cost_report_entangling_total_is_largest_kept():
+    # Instances with fewer nonzero couplings apply fewer entangling terms; the
+    # row reports the largest count among the records that were not excluded.
+    cfg = ExperimentConfig(master_seed=11, n_values=(4,), instances_per_n=3, ansatz=("none",))
+
+    def record(index, count, excluded=False):
+        return RunRecord(
+            index, 4, index, False, excluded, {"none": 0.5}, {"none": 1.0}, {"none": count}, {}
+        )
+
+    records = [record(0, 5 * 20), record(1, 6 * 20), record(2, 9 * 20, excluded=True)]
+    (row,) = cost_report(records, cfg, norm_cap=3)
+    assert (row.entangling_per_step, row.entangling_total) == (6, 6 * 20)
+
+
 # ------------------------------------------------------------- emit_report
 
 

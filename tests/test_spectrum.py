@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cdanneal.spectrum as spectrum_mod
-from cdanneal.errors import ParameterError, ResourceCapError
-from cdanneal.gauge import Ansatz, assemble_hamiltonian
+from cdanneal.errors import ParameterError, ResourceCapError, SingularGaugeError
+from cdanneal.gauge import Ansatz, assemble_hamiltonian, cd_coefficients
 from cdanneal.pauli import to_dense
 from cdanneal.problem import (
     ProblemInstance,
@@ -60,6 +62,81 @@ def test_spectrum_caps_and_validation():
         instantaneous_spectrum(inst, 0.5, 0.0, Ansatz.NONE, k=0)
     with pytest.raises(ParameterError):
         instantaneous_spectrum(DrivenHamiltonian(inst, Ansatz.NC1), 0.5, 0.0, Ansatz.NONE)
+
+
+# Nonzero values stay away from the 1e-12 scale at which PauliSum prunes the
+# reference's terms; zeros exercise dropped Z, ZZ and CD terms.
+_VALUES = st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(-2.0, -0.05))
+
+
+@st.composite
+def spectral_points(draw):
+    n = draw(st.integers(1, 7))
+    fields = tuple(draw(_VALUES) for _ in range(n))
+    couplings = tuple((i, j, draw(_VALUES)) for i in range(n) for j in range(i + 1, n))
+    inst = ProblemInstance(n, couplings, fields, seed=0)
+    ansatz = draw(st.sampled_from(list(Ansatz)))
+    assume(ansatz is not Ansatz.TWO_LOCAL or n >= 2)
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
+    lam_dot = draw(st.one_of(st.just(0.0), st.floats(0.05, 3.0)))
+    return inst, ansatz, lam, lam_dot
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectral_points())
+def test_dense_solves_match_reference(point):
+    inst, ansatz, lam, lam_dot = point
+    try:
+        reference = np.linalg.eigvalsh(to_dense(assemble_hamiltonian(inst, lam, lam_dot, ansatz)))
+    except SingularGaugeError:
+        assume(False)
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
+    for k in sorted({1, 2, 1 << inst.n}):
+        low = instantaneous_spectrum(hamiltonian, lam, lam_dot, ansatz, k)
+        assert np.abs(low - reference[:k]).max() <= 1e-10
+    norm = operator_norm(hamiltonian, lam, lam_dot)
+    assert norm == pytest.approx(float(np.abs(reference).max()), abs=1e-10)
+    # Real exactly when no CD string carries weight.
+    driven = cd_coefficients(inst, ansatz, lam, lam_dot).any()
+    assert hamiltonian.dense(lam, lam_dot).dtype == (np.complex128 if driven else np.float64)
+
+
+def _flip_sector_lows(inst, lam):
+    """Two lowest eigenvalues of the bare H(lam) in each global spin-flip sector.
+
+    On a zero-field instance E(b) = E(~b), and in the basis
+    (|r> +- |~r>)/sqrt(2) with r < 2**(n-1), X_i for i < n-1 maps r to
+    r ^ 2**i while X_{n-1} maps r to +-(r ^ (2**(n-1) - 1)).
+    """
+    n = inst.n
+    half = 1 << (n - 1)
+    reps = np.arange(half)
+    energies = classical_energies(inst)[:half]
+    lows = []
+    for sign in (1.0, -1.0):
+        mat = np.diag(lam * energies)
+        for i in range(n - 1):
+            mat[reps, reps ^ (1 << i)] -= 1.0 - lam
+        mat[reps, reps ^ (half - 1)] -= sign * (1.0 - lam)
+        lows.append(np.linalg.eigvalsh(mat)[:2])
+    return np.sort(np.concatenate(lows))[:2]
+
+
+def test_lanczos_sees_both_flip_sectors():
+    # A zero-field instance commutes with the global spin flip; a start
+    # vector confined to one sector misses the other one's levels.
+    n = 12
+    rng = np.random.default_rng(918)
+    couplings = tuple(
+        (i, j, float(rng.standard_normal())) for i in range(n) for j in range(i + 1, n)
+    )
+    inst = ProblemInstance(n, couplings, (0.0,) * n, seed=0)
+    hamiltonian = DrivenHamiltonian(inst, Ansatz.NONE)
+    assert n > spectrum_mod._DENSE_DIAG_LIMIT
+    end = instantaneous_spectrum(hamiltonian, 1.0, 0.0, Ansatz.NONE)
+    assert end == pytest.approx(np.sort(classical_energies(inst))[:2], abs=1e-9)
+    mid = instantaneous_spectrum(hamiltonian, 0.5, 0.0, Ansatz.NONE)
+    assert mid == pytest.approx(_flip_sector_lows(inst, 0.5), abs=1e-9)
 
 
 def test_lanczos_path_matches_dense(monkeypatch):
