@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .errors import (
@@ -202,11 +203,25 @@ def cmd_sweep(args) -> int:
 
     progress = None
     if not args.quiet:
+        total = len(cfg.n_values) * cfg.instances_per_n
+        started = time.perf_counter()
+        done = 0
+
         def progress(record):
+            nonlocal done
+            done += 1
+            rate = done / max(time.perf_counter() - started, 1e-9)
             print(
-                f"instance {record.instance_id} (n={record.n}) done",
+                f"instance {record.instance_id} (n={record.n}) done, {done}/{total}, "
+                f"{rate:.2f} instances/s, ETA {(total - done) / rate:.0f} s",
                 file=sys.stderr,
             )
+            for tag, (site, lam, step) in record.exclusions.items():
+                where = "global coefficient" if site is None else f"site {site}"
+                print(
+                    f"  excluded {tag}: singular gauge at {where}, lam={lam}, step {step}",
+                    file=sys.stderr,
+                )
 
     records = run_ensemble(cfg, progress=progress)
     summary = enhancement_metrics(records)

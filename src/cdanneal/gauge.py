@@ -237,7 +237,8 @@ def minimize_action(
     so the minimizer solves M c = -v with M_bb' = <L_b, L_b'> and
     v_b = <dH, L_b>.  A symmetric eigendecomposition handles the solve;
     eigenvalues below max(eig)/cond_threshold are truncated (pseudo-inverse
-    path) and flagged via ``condition_warning``.
+    path) and flagged via ``condition_warning``, and a direction whose
+    projected source is at rounding level gets coefficient 0.
     """
     if not basis:
         raise ParameterError("variational basis must be non-empty")
@@ -325,14 +326,21 @@ def _solve_normal(
     """Minimizer of c^T gram c + 2 c^T source, truncated as a pseudo-inverse.
 
     Eigenvalues of the symmetric ``gram`` below max(eig)/cond_threshold are
-    dropped; the flag reports whether any were.
+    dropped; the flag reports whether any were.  A kept direction whose
+    projected source is within rounding of zero (size * eps * |source|)
+    gets coefficient 0: its source is noise, which a small eigenvalue would
+    otherwise amplify into a coefficient that depends on how the Gram
+    matrix and source were summed.  Dropping it changes the action by
+    O(eps^2).
     """
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     top = float(eigenvalues.max(initial=0.0))
     cutoff = top / cond_threshold if top > 0.0 else 0.0
     keep = eigenvalues > cutoff
     projected = eigenvectors.T @ (-source)
-    scaled = np.where(keep, projected / np.where(keep, eigenvalues, 1.0), 0.0)
+    noise = len(source) * np.finfo(float).eps * float(np.linalg.norm(source))
+    resolved = keep & (np.abs(projected) > noise)
+    scaled = np.where(resolved, projected / np.where(resolved, eigenvalues, 1.0), 0.0)
     return eigenvectors @ scaled, bool((~keep).any())
 
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -182,6 +182,9 @@ class RunRecord:
     wall_ms: dict[str, float]
     entangling: dict[str, int]
     delta_min: dict[str, float | None]
+    #: Why each excluded drive was excluded: (site, lam, step) of its
+    #: ``SingularGaugeError``.  A diagnostic kept out of every emitted file.
+    exclusions: dict[str, tuple] = field(default_factory=dict, compare=False)
 
 
 @dataclass
@@ -204,14 +207,14 @@ def _run_task(args: tuple[ExperimentConfig, int, int, int]) -> RunRecord:
     wall: dict[str, float] = {}
     entangling: dict[str, int] = {}
     delta: dict[str, float | None] = {}
-    excluded = False
+    exclusions: dict[str, tuple] = {}
     for a_index, tag in enumerate(cfg.ansatz):
         ansatz = Ansatz.parse(tag)
         started = time.perf_counter()
         try:
             report = trotter_evolve(inst, sched, ansatz)
-        except SingularGaugeError:
-            excluded = True
+        except SingularGaugeError as exc:
+            exclusions[tag] = (exc.site, exc.lam, exc.step)
             ps[tag] = None
             wall[tag] = 0.0
             entangling[tag] = 0
@@ -233,11 +236,12 @@ def _run_task(args: tuple[ExperimentConfig, int, int, int]) -> RunRecord:
         n=n,
         seed=seed,
         degenerate=truth.degenerate,
-        excluded=excluded,
+        excluded=bool(exclusions),
         ps=ps,
         wall_ms=wall,
         entangling=entangling,
         delta_min=delta,
+        exclusions=exclusions,
     )
 
 

@@ -6,10 +6,12 @@ Its diagonal problem part is the classical energy vector E, so a Trotter
 step applies all Z and ZZ terms as the single phase exp(-i dt lam E).  The
 mixer and CD terms are off-diagonal Pauli strings applied exactly: every
 string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P,
-and the action of P on a state factors into an index XOR permutation plus a
-sign pattern.  No gate decomposition happens here; circuit-level costs are
-tracked symbolically, one exponential per Pauli term, in the evolution
-report.
+and -i P acting on a state is an index XOR permutation times a weight row of
++-1 and +-i.  Each rotation gathers the permuted state, multiplies it by the
+weights, and updates the state in place with BLAS ``zdscal`` (cos theta)
+and ``zaxpy`` (sin theta).  No gate decomposition happens here;
+circuit-level costs are tracked symbolically, one exponential per Pauli
+term, in the evolution report.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg.blas import zaxpy, zdscal
 
 from .errors import (
     DimensionMismatchError,
@@ -98,8 +101,11 @@ class DrivenHamiltonian:
     Built once per (instance, drive).  It holds the classical energy vector
     E, which is the diagonal problem part H_p, the drive's ``CompiledGauge``,
     and the off-diagonal strings: the n mixer X strings by site, then the CD
-    strings in ``cd_terms`` order.
-    Off-diagonal string k acts as (P_k psi)[b] = gathered[k, b] * psi[perms[k, b]].
+    strings in ``cd_terms`` order.  String k is held as an index permutation
+    and a weight row, (-i P_k psi)[b] = weights[k, b] * psi[perms[k, b]];
+    every weight is one of +-1, +-i, so the table is exact.  The rotation
+    exp(-i theta P_k) = cos(theta) I + sin(theta) (-i P_k) is then one
+    gather, one weight multiply and two in-place BLAS updates of psi.
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
@@ -111,7 +117,7 @@ class DrivenHamiltonian:
         self.cd_strings = self.gauge.terms
         strings = [PauliString.single(n, i, "X") for i in range(n)] + self.cd_strings
         self.perms = np.empty((len(strings), 1 << n), dtype=np.intp)
-        self.gathered = np.empty((len(strings), 1 << n), dtype=np.complex128)
+        self.weights = np.empty((len(strings), 1 << n), dtype=np.complex128)
         # i**y_count is real for an even Y count: the mixer strings are real,
         # every CD string (exactly one Y) is purely imaginary.
         self.real_strings = np.array([s.y_count % 2 == 0 for s in strings])
@@ -119,7 +125,7 @@ class DrivenHamiltonian:
             perm, amps = string_amplitudes(string)
             self.perms[k] = perm
             # amps indexed at b ^ x equals amps at b times (-1)**y_count.
-            self.gathered[k] = amps * (-1.0) ** string.y_count
+            np.multiply(amps, -1j * (-1.0) ** string.y_count, out=self.weights[k])
         cd_single = sum(1 for s in self.cd_strings if s.weight == 1)
         self.single_count = n + sum(1 for h in inst.fields if h != 0.0) + cd_single
         self.entangling_count = (
@@ -141,26 +147,31 @@ class DrivenHamiltonian:
 
         Canonical order: X by site, every nonzero Z and ZZ term, then CD.
         The Z and ZZ terms commute and are adjacent, so their product is
-        exactly the single phase exp(-i dt lam E).
+        exactly the single phase exp(-i dt lam E).  ``psi`` must be a
+        contiguous complex128 vector: the BLAS updates write into it.
         """
+        dim = 1 << self.n
+        if psi.dtype != np.complex128 or psi.shape != (dim,) or not psi.flags.c_contiguous:
+            raise ParameterError(f"step needs a contiguous complex128 vector of length {dim}")
         thetas = dt * self.coefficients(lam, lam_dot)
-        for k in range(self.n):
-            self._rotate(psi, k, thetas[k])
-        psi *= np.exp(-1j * dt * lam * self.energies)
-        for k in range(self.n, len(thetas)):
-            self._rotate(psi, k, thetas[k])
-
-    def _rotate(self, psi: np.ndarray, k: int, theta: float) -> None:
-        psi[:] = np.cos(theta) * psi - 1j * np.sin(theta) * (
-            self.gathered[k] * psi[self.perms[k]]
-        )
+        cosines, sines = np.cos(thetas), np.sin(thetas)
+        for k in range(len(thetas)):
+            rotated = psi[self.perms[k]]
+            rotated *= self.weights[k]
+            zdscal(cosines[k], psi, overwrite_x=1)
+            zaxpy(rotated, psi, a=sines[k])
+            if k == self.n - 1:
+                psi *= np.exp(-1j * dt * lam * self.energies)
 
     def matvec(self, psi: np.ndarray, lam: float, lam_dot: float) -> np.ndarray:
         """H(lam, lam_dot) @ psi for a complex amplitude array."""
         out = lam * self.energies * psi
         for k, value in enumerate(self.coefficients(lam, lam_dot)):
             if value != 0.0:
-                out += value * (self.gathered[k] * psi[self.perms[k]])
+                # P_k psi = i (-i P_k psi).
+                rotated = psi[self.perms[k]]
+                rotated *= self.weights[k]
+                out = zaxpy(rotated, out, a=1j * value)
         return out
 
     def dense(self, lam: float, lam_dot: float) -> np.ndarray:
@@ -175,14 +186,15 @@ class DrivenHamiltonian:
         dim = 1 << self.n
         rows = np.arange(dim)
         values = self.coefficients(lam, lam_dot)
+        # Row b of P_k = i (-i P_k) has its single nonzero entry, i weights[k, b],
+        # at column perms[k, b]; on a real string that entry is -weights[k, b].imag.
         if values[~self.real_strings].any():
-            mat, gathered = np.zeros((dim, dim), dtype=np.complex128), self.gathered
+            mat, table, scale = np.zeros((dim, dim), dtype=np.complex128), self.weights, 1j
         else:
-            mat, gathered = np.zeros((dim, dim)), self.gathered.real
+            mat, table, scale = np.zeros((dim, dim)), self.weights.imag, -1.0
         mat[rows, rows] = lam * self.energies
         for k, value in enumerate(values):
-            # Row b of P_k has its single nonzero entry at column perms[k, b].
-            mat[rows, self.perms[k]] += value * gathered[k]
+            mat[rows, self.perms[k]] += (scale * value) * table[k]
         return mat
 
 

@@ -4,9 +4,11 @@ import json
 import pytest
 
 import cdanneal.gauge as gauge_mod
+import cdanneal.harness as harness_mod
 from cdanneal.cli import main
+from cdanneal.errors import SingularGaugeError
 from cdanneal.gauge import CompiledGauge, nc1_coefficient
-from cdanneal.problem import ProblemInstance, save_instance
+from cdanneal.problem import ProblemInstance, instance_seed, save_instance
 from cdanneal.validate import run_validation_checks
 
 
@@ -144,13 +146,16 @@ def test_sweep_tiny_csv(tmp_path, capsys):
 
 
 def test_sweep_repeatable_and_jobs_invariant(tmp_path):
+    # Every drive, and at n = 6 each Trotter step runs dozens of rotations.
     config = tmp_path / "config.json"
-    write_config(config, output_dir=str(tmp_path / "out1"))
-    assert run_cli("sweep", "--config", str(config), "--quiet") == 0
-    write_config(config, output_dir=str(tmp_path / "out2"))
-    assert run_cli("sweep", "--config", str(config), "--quiet") == 0
-    write_config(config, output_dir=str(tmp_path / "out3"))
-    assert run_cli("sweep", "--config", str(config), "--quiet", "--jobs", "2") == 0
+    for label, jobs in (("out1", "1"), ("out2", "1"), ("out3", "2"), ("out4", "3")):
+        write_config(
+            config,
+            n_values=[3, 6],
+            ansatz=["none", "local-y", "nc1"],
+            output_dir=str(tmp_path / label),
+        )
+        assert run_cli("sweep", "--config", str(config), "--quiet", "--jobs", jobs) == 0
     names = [
         "records.csv",
         "summary.json",
@@ -161,14 +166,46 @@ def test_sweep_repeatable_and_jobs_invariant(tmp_path):
         "cost_report.csv",
     ]
     for name in names:
-        one = (tmp_path / "out1" / name).read_bytes()
-        two = (tmp_path / "out2" / name).read_bytes()
-        three = (tmp_path / "out3" / name).read_bytes()
+        blobs = [(tmp_path / f"out{k}" / name).read_bytes() for k in (1, 2, 3, 4)]
         # output_dir and jobs are execution details outside the protocol
         # hash, so the emitted artifacts must be byte-identical
         if name == "config.json":
             continue
-        assert one == two == three
+        assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+
+
+def test_sweep_progress_reports_rate_and_exclusions(tmp_path, capsys, monkeypatch):
+    real = harness_mod.trotter_evolve
+
+    def singular_on_first(inst, sched, ansatz, **kwargs):
+        if ansatz.value == "nc1" and inst.seed == first_seed:
+            raise SingularGaugeError("synthetic", site=2, lam=0.375, value=0.0, step=7)
+        return real(inst, sched, ansatz, **kwargs)
+
+    first_seed = instance_seed(13, 0)
+    monkeypatch.setattr(harness_mod, "trotter_evolve", singular_on_first)
+    config = tmp_path / "config.json"
+    write_config(config, output_dir=str(tmp_path / "quiet"))
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 0
+    assert capsys.readouterr().err == ""
+    write_config(config, output_dir=str(tmp_path / "loud"))
+    assert run_cli("sweep", "--config", str(config)) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("instance 0 (n=3) done, 1/2, ")
+    assert "instances/s, ETA " in lines[0]
+    assert lines[1] == "  excluded nc1: singular gauge at site 2, lam=0.375, step 7"
+    assert lines[2].startswith("instance 1 (n=3) done, 2/2, ")
+    assert lines[2].endswith("ETA 0 s")
+    assert "instances/s" not in captured.out
+    # The diagnostics reach stderr only: every emitted file is unchanged.
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    names = sorted(p.name for p in quiet.iterdir())
+    assert "records.csv" in names
+    for name in names:
+        if name != "config.json":
+            assert (quiet / name).read_bytes() == (loud / name).read_bytes()
 
 
 def test_sweep_flag_overrides(tmp_path):

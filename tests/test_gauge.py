@@ -334,6 +334,22 @@ def test_compiled_two_local_pseudo_inverse_path():
     assert np.all(compiled.vector() == 0.0)
 
 
+def test_two_local_symmetry_forbidden_coefficient_is_zero():
+    # Site 2 carries no field and no coupling, so its Y term has zero source;
+    # near lam = 1 its Gram eigenvalue is 4e-10, and a rounding-level source
+    # used to come out as a coefficient of -2e-9 (general solver) or -9e-9
+    # (compiled solve).
+    couplings = ((0, 1, 0.25), (0, 2, 0.0), (0, 3, 0.0), (1, 2, 0.0), (1, 3, 0.25), (2, 3, 0.0))
+    inst = ProblemInstance(4, couplings, (0.0,) * 4, seed=0)
+    lam = 0.99999
+    basis, labels = two_local_basis(inst.n)
+    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels, lam=lam)
+    compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(lam)
+    for solution in (solved, compiled):
+        assert abs(solution.coefficients["y2"]) <= 1e-15
+    assert np.abs(compiled.vector() - solved.vector()).max() <= 1e-10
+
+
 def test_compiled_gauge_drive_mismatch():
     inst = generate_instance(3, instance_seed(909, 3))
     gauge = CompiledGauge(inst, Ansatz.NC1)

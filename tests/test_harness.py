@@ -114,6 +114,8 @@ def test_ensemble_records_exclusions(monkeypatch):
     for record in excluded:
         assert record.ps["nc1"] is None
         assert record.ps["none"] is not None
+        assert record.exclusions == {"nc1": (None, 0.5, None)}
+    assert all(not r.exclusions for r in records if not r.excluded)
 
 
 def test_ensemble_shot_sampling_mode():

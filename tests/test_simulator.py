@@ -137,6 +137,26 @@ def random_state(n, seed):
     return psi / np.linalg.norm(psi)
 
 
+def canonical_product(inst, ansatz, psi, dt, lam, lam_dot):
+    """One step as the canonical-order product of single exponentials:
+    X by site, nonzero Z, nonzero ZZ, then CD."""
+    n = inst.n
+    state = StateVector(n, psi.copy())
+    for i in range(n):
+        apply_pauli_exponential(state, PauliString.single(n, i, "X"), -dt * (1.0 - lam))
+    for i, h in enumerate(inst.fields):
+        if h != 0.0:
+            apply_pauli_exponential(state, PauliString.single(n, i, "Z"), dt * lam * h)
+    for i, j, value in inst.couplings:
+        if value != 0.0:
+            zz = PauliString(n, 0, (1 << i) | (1 << j))
+            apply_pauli_exponential(state, zz, dt * lam * value)
+    cd_values = cd_coefficients(inst, ansatz, lam, lam_dot)
+    for string, value in zip(cd_terms(inst, ansatz), cd_values):
+        apply_pauli_exponential(state, string, dt * value)
+    return state.amplitudes
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(driven_points())
 def test_driven_hamiltonian_matches_reference(point):
@@ -150,24 +170,43 @@ def test_driven_hamiltonian_matches_reference(point):
     assert np.abs(hamiltonian.dense(lam, lam_dot) - reference).max() <= 1e-12
     assert np.abs(hamiltonian.matvec(psi, lam, lam_dot) - reference @ psi).max() <= 1e-12
 
-    # One step against the canonical-order product of single exponentials:
-    # X by site, nonzero Z, nonzero ZZ, then CD.
-    n, dt = inst.n, 0.3
-    expected = StateVector(n, psi.copy())
-    for i in range(n):
-        apply_pauli_exponential(expected, PauliString.single(n, i, "X"), -dt * (1.0 - lam))
-    for i, h in enumerate(inst.fields):
-        if h != 0.0:
-            apply_pauli_exponential(expected, PauliString.single(n, i, "Z"), dt * lam * h)
-    for i, j, value in inst.couplings:
-        if value != 0.0:
-            zz = PauliString(n, 0, (1 << i) | (1 << j))
-            apply_pauli_exponential(expected, zz, dt * lam * value)
-    cd_values = cd_coefficients(inst, ansatz, lam, lam_dot)
-    for string, value in zip(cd_terms(inst, ansatz), cd_values):
-        apply_pauli_exponential(expected, string, dt * value)
-    hamiltonian.step(psi, dt, lam, lam_dot)
-    assert np.abs(psi - expected.amplitudes).max() <= 1e-12
+    # Steps at the drawn point and at lam_dot = 0, with a small step and
+    # with one that takes the largest |theta| to 2.5 > pi/2, where cos
+    # theta turns negative.
+    for rate in (lam_dot, 0.0):
+        largest = max(
+            np.abs(hamiltonian.coefficients(lam, rate)).max(),
+            lam * np.abs(inst.field_array()).max(initial=0.0),
+            lam * max((abs(v) for _, _, v in inst.couplings), default=0.0),
+        )
+        for dt in (0.3, 2.5 / largest if largest > 0.0 else 2.5):
+            expected = canonical_product(inst, ansatz, psi, dt, lam, rate)
+            stepped = psi.copy()
+            hamiltonian.step(stepped, dt, lam, rate)
+            assert np.abs(stepped - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_trotter_evolve_matches_canonical_product(n, ansatz):
+    inst = generate_instance(n, instance_seed(616, n))
+    sched = Schedule(1.0, 8)
+    expected = plus_state(n).amplitudes
+    for point in sched.grid():
+        expected = canonical_product(inst, ansatz, expected, sched.dt, point.lam, point.lam_dot)
+    final = trotter_evolve(inst, sched, ansatz).final_state.amplitudes
+    assert np.abs(final - expected).max() <= 1e-12
+
+
+def test_step_rejects_vectors_it_cannot_update_in_place():
+    hamiltonian = DrivenHamiltonian(generate_instance(3, instance_seed(617, 0)), Ansatz.NC1)
+    for psi in (
+        np.ones(8),
+        np.ones(16, dtype=np.complex128)[::2],
+        np.ones(4, dtype=np.complex128),
+    ):
+        with pytest.raises(ParameterError):
+            hamiltonian.step(psi, 0.1, 0.5, 1.0)
 
 
 # ---------------------------------------------------------- trotter_evolve

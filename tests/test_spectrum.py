@@ -153,8 +153,19 @@ def test_operator_norm_matches_dense(monkeypatch):
     expected = float(np.abs(np.linalg.eigvalsh(dense)).max())
     hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
     assert operator_norm(hamiltonian, 0.6, 0.5) == pytest.approx(expected, abs=1e-10)
-    monkeypatch.setattr(spectrum_mod, "_DENSE_DIAG_LIMIT", 2)
+    monkeypatch.setattr(spectrum_mod, "_NORM_DENSE_LIMIT", 2)
     assert operator_norm(hamiltonian, 0.6, 0.5) == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_operator_norm_lanczos_above_crossover(n):
+    # From n = 9 on the norm is a Lanczos solve, while the spectra stay dense.
+    assert spectrum_mod._NORM_DENSE_LIMIT < n <= spectrum_mod._DENSE_DIAG_LIMIT
+    inst = generate_instance(n, instance_seed(914, n))
+    for ansatz in (Ansatz.NONE, Ansatz.NC1):
+        hamiltonian = DrivenHamiltonian(inst, ansatz)
+        expected = float(np.abs(np.linalg.eigvalsh(hamiltonian.dense(0.55, 0.9))).max())
+        assert operator_norm(hamiltonian, 0.55, 0.9) == pytest.approx(expected, rel=1e-10)
 
 
 def test_assembled_hamiltonians_hermitian():
