@@ -68,12 +68,20 @@ from .simulator import (
     success_probability,
     trotter_evolve,
 )
-from .spectrum import GapCurve, gap_curve, gap_rows, instantaneous_spectrum, operator_norm
+from .spectrum import (
+    GapCurve,
+    cd_norm,
+    gap_curve,
+    gap_rows,
+    instantaneous_spectrum,
+    operator_norm,
+)
 from .harness import (
     CostRow,
     EnsembleSummary,
     ExperimentConfig,
     RunRecord,
+    cd_cost,
     config_hash,
     cost_report,
     emit_report,

@@ -232,12 +232,12 @@ def cmd_sweep(args) -> int:
     cfg.to_file(out_dir / "config.json")
 
     costs = cost_report(records, cfg)
-    lines = ["n,ansatz,entangling_per_step,entangling_total,norm_cost,count_only"]
+    lines = ["n,ansatz,entangling_per_step,entangling_total,cd_cost,count_only"]
     for row in costs:
-        norm = "" if row.norm_cost is None else repr(row.norm_cost)
+        cost = "" if row.cd_cost is None else repr(row.cd_cost)
         lines.append(
             f"{row.n},{row.ansatz},{row.entangling_per_step},"
-            f"{row.entangling_total},{norm},{str(row.count_only).lower()}"
+            f"{row.entangling_total},{cost},{str(row.count_only).lower()}"
         )
     (out_dir / "cost_report.csv").write_text(
         f"# config_hash={config_hash(cfg)}\n" + "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ResourceCapError, SingularGaugeError
-from .pauli import PauliString, PauliSum, commutator, trace_inner
+from .pauli import PRUNE_TOLERANCE, PauliString, PauliSum, commutator, trace_inner
 from .problem import ProblemInstance, mixer_hamiltonian, problem_hamiltonian
 
 #: Denominators with magnitude below this raise ``SingularGaugeError``.
@@ -278,38 +278,25 @@ def minimize_action(
 
 def two_local_basis(n: int) -> tuple[list[PauliSum], list[str]]:
     """Symmetrized 2-local basis: {Y_i}, {Z_i Y_j + Z_j Y_i}, {X_i Y_j + X_j Y_i}."""
+    labels = _two_local_labels(n)
+    basis = [PauliSum(n, {PauliString.single(n, i, "Y"): 1.0}) for i in range(n)]
+    for first, second in (("Y", "Z"), ("X", "Y")):
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair = (_two_site(n, i, first, j, second), _two_site(n, i, second, j, first))
+                basis.append(PauliSum(n, dict.fromkeys(pair, 1.0)))
+    return basis, labels
+
+
+def _two_local_labels(n: int) -> list[str]:
     if n < 2:
         raise ParameterError(f"the 2-local family needs n >= 2, got {n}")
-    basis: list[PauliSum] = []
-    labels: list[str] = []
-    for i in range(n):
-        basis.append(PauliSum(n, {PauliString.single(n, i, "Y"): 1.0}))
-        labels.append(f"y{i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append(
-                PauliSum(
-                    n,
-                    {
-                        _two_site(n, i, "Y", j, "Z"): 1.0,
-                        _two_site(n, i, "Z", j, "Y"): 1.0,
-                    },
-                )
-            )
-            labels.append(f"zy{i},{j}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append(
-                PauliSum(
-                    n,
-                    {
-                        _two_site(n, i, "X", j, "Y"): 1.0,
-                        _two_site(n, i, "Y", j, "X"): 1.0,
-                    },
-                )
-            )
-            labels.append(f"xy{i},{j}")
-    return basis, labels
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (
+        [f"y{i}" for i in range(n)]
+        + [f"zy{i},{j}" for i, j in pairs]
+        + [f"xy{i},{j}" for i, j in pairs]
+    )
 
 
 def two_local_cd(inst: ProblemInstance, lam: float) -> tuple[PauliSum, GaugeSolution]:
@@ -383,30 +370,40 @@ class CompiledGauge:
             self._compile_two_local()
 
     def _compile_two_local(self) -> None:
-        inst, n = self.inst, self.inst.n
-        basis, labels = two_local_basis(n)
-        self.labels = tuple(labels)
+        n = self.inst.n
+        self.labels = tuple(_two_local_labels(n))
+        size = len(self.labels)
         self.string_basis = np.concatenate(
-            [np.arange(n), np.repeat(np.arange(n, len(basis)), 2)]
+            [np.arange(n), np.repeat(np.arange(n, size), 2)]
         )
-        mixer, problem = mixer_hamiltonian(n), problem_hamiltonian(inst)
-        ops = (
-            [problem - mixer]
-            + [1j * commutator(op, mixer) for op in basis]
-            + [1j * commutator(op, problem) for op in basis]
+        # H_x = -sum X_i and H_p (couplings, then fields) as (x, z, coefficient)
+        # arrays in PauliSum order, pruned as PauliSum prunes.
+        inst, zeros = self.inst, np.zeros(n, dtype=np.int64)
+        mixer = (1 << np.arange(n, dtype=np.int64), zeros, np.full(n, -1.0))
+        z_p = np.array(
+            [(1 << i) | (1 << j) for i, j, _ in inst.couplings] + [1 << i for i in range(n)],
+            dtype=np.int64,
         )
-        # One column per Pauli string met.  dH and the images of Hermitian
-        # basis operators under i[., H] are Hermitian: every coefficient is real.
-        columns: dict[PauliString, int] = {}
-        rows, cols, values = [], [], []
-        for row, op in enumerate(ops):
-            for string, value in op:
-                rows.append(row)
-                cols.append(columns.setdefault(string, len(columns)))
-                values.append(value.real)
-        table = np.zeros((len(ops), len(columns)))
-        table[rows, cols] = values
-        source, image_x, image_p = table[0], table[1 : 1 + len(basis)], table[1 + len(basis) :]
+        c_p = np.array([value for *_, value in inst.couplings] + list(inst.fields))
+        kept = np.abs(c_p) > PRUNE_TOLERANCE
+        problem = (np.zeros(kept.sum(), dtype=np.int64), z_p[kept], c_p[kept])
+        d_h = (
+            np.concatenate([problem[0], mixer[0]]),
+            np.concatenate([problem[1], zeros]),
+            np.concatenate([problem[2], np.ones(n)]),
+        )
+        # Row 0 is dH = H_p - H_x, rows 1..B the images i[B_b, H_x] and rows
+        # B+1..2B the images i[B_b, H_p], entries in the order in which the
+        # PauliSum commutators visit them.
+        x_b = np.array([s.x_mask for s in self.terms], dtype=np.int64)
+        z_b = np.array([s.z_mask for s in self.terms], dtype=np.int64)
+        parts = (
+            (np.zeros(len(d_h[0]), dtype=np.int64), *d_h),
+            _image_entries(x_b, z_b, 1 + self.string_basis, *mixer),
+            _image_entries(x_b, z_b, 1 + size + self.string_basis, *problem),
+        )
+        table = _string_table(n, 1 + 2 * size, *(np.concatenate(c) for c in zip(*parts)))
+        source, image_x, image_p = table[0], table[1 : 1 + size], table[1 + size :]
         self.gram_xx = image_x @ image_x.T
         cross = image_x @ image_p.T
         self.gram_xp = cross + cross.T
@@ -435,6 +432,50 @@ class CompiledGauge:
             condition_warning=warning,
             labels=self.labels,
         )
+
+
+def _image_entries(x_b, z_b, rows, x_h, z_h, c_h) -> tuple[np.ndarray, ...]:
+    """Real coefficients of i[B, H] for unit basis strings B against H.
+
+    Returns (row, x, z, value) per anticommuting (basis string, H string)
+    pair, basis-major as the commutator loop visits them.  For anticommuting
+    Hermitian words the product phase i**e has e odd, so the entry of
+    i * 2 c P_b P_h is -2 c Im(i**e) = (e - 2) 2 c, exact.
+    """
+    x_b, z_b, x_h, z_h = x_b[:, None], z_b[:, None], x_h[None, :], z_h[None, :]
+    anti = (np.bitwise_count(x_b & z_h) + np.bitwise_count(z_b & x_h)) % 2 == 1
+    x, z = x_b ^ x_h, z_b ^ z_h
+    exponent = (
+        np.bitwise_count(x_b & z_b).astype(np.int64)
+        + np.bitwise_count(x_h & z_h)
+        - np.bitwise_count(x & z)
+        + 2 * np.bitwise_count(z_b & x_h)
+    ) % 4
+    value = (exponent - 2) * (2.0 * c_h[None, :])
+    row = np.broadcast_to(rows[:, None], anti.shape)
+    return row[anti], x[anti], z[anti], value[anti]
+
+
+def _string_table(n: int, height: int, row, x, z, value) -> np.ndarray:
+    """Scatter (row, string, value) entries into a ``height``-row table.
+
+    Entries of one row that share a string are summed in entry order, sums
+    at or below ``PRUNE_TOLERANCE`` are dropped, and columns follow each
+    string's first surviving appearance: the table a row-by-row loop over
+    pruned ``PauliSum`` terms builds, bit for bit.
+    """
+    key = (x << n) | z
+    group, first, inverse = np.unique(
+        (row << (2 * n)) | key, return_index=True, return_inverse=True
+    )
+    sums = np.zeros(len(group))
+    np.add.at(sums, inverse, value)
+    kept = np.flatnonzero(np.abs(sums) > PRUNE_TOLERANCE)
+    kept = kept[np.argsort(first[kept])]
+    _, seen, column = np.unique(key[first[kept]], return_index=True, return_inverse=True)
+    table = np.zeros((height, len(seen)))
+    table[group[kept] >> (2 * n), np.argsort(np.argsort(seen))[column]] = sums[kept]
+    return table
 
 
 def cd_terms(inst: ProblemInstance, ansatz: Ansatz) -> list[PauliString]:

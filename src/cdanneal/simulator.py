@@ -6,10 +6,13 @@ Its diagonal problem part is the classical energy vector E, so a Trotter
 step applies all Z and ZZ terms as the single phase exp(-i dt lam E).  The
 mixer and CD terms are off-diagonal Pauli strings applied exactly: every
 string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P,
-and -i P acting on a state is an index XOR permutation times a weight row of
-+-1 and +-i.  Each rotation gathers the permuted state, multiplies it by the
-weights, and updates the state in place with BLAS ``zdscal`` (cos theta)
-and ``zaxpy`` (sin theta).  No gate decomposition happens here;
+and -i P acting on a state is an index XOR permutation, a +-1 sign pattern
+and a constant phase in {+-1, +-i}.  A permutation depends only on the
+string's X mask and a sign pattern only on its Z mask, so the compiled
+table holds one row per distinct mask, shared by the strings.  Each
+rotation gathers the permuted state, multiplies it by the sign row, and
+updates the state in place with BLAS ``zdscal`` (cos theta) and ``zaxpy``
+(sin theta times the phase).  No gate decomposition happens here;
 circuit-level costs are tracked symbolically, one exponential per Pauli
 term, in the evolution report.
 """
@@ -95,37 +98,76 @@ def apply_pauli_exponential(
     return state
 
 
+#: Bytes a ``DrivenHamiltonian`` may claim: its string table, the energy
+#: vector and the state vectors a step or matvec works on.  Above it,
+#: construction raises ``ResourceCapError`` before allocating any of them.
+MEMORY_BUDGET = 1 << 30
+
+# (-i)**k for k mod 4.
+_MINUS_I_POWERS = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
+
+
 class DrivenHamiltonian:
     """H(lam, lam_dot) = (1-lam) H_x + lam H_p + lam_dot A_CD(lam), compiled once.
 
     Built once per (instance, drive).  It holds the classical energy vector
     E, which is the diagonal problem part H_p, the drive's ``CompiledGauge``,
     and the off-diagonal strings: the n mixer X strings by site, then the CD
-    strings in ``cd_terms`` order.  String k is held as an index permutation
-    and a weight row, (-i P_k psi)[b] = weights[k, b] * psi[perms[k, b]];
-    every weight is one of +-1, +-i, so the table is exact.  The rotation
-    exp(-i theta P_k) = cos(theta) I + sin(theta) (-i P_k) is then one
-    gather, one weight multiply and two in-place BLAS updates of psi.
+    strings in ``cd_terms`` order.  String k with masks (x, z) and y_count y
+    acts as (-i P_k psi)[b] = (-i)**(y+1) * s_z[b] * psi[b ^ x], where
+    s_z[b] = (-1)**popcount(z & b).  So the table holds one XOR permutation
+    row per distinct X mask (``perms``) and one +-1 sign row per distinct
+    nonzero Z mask (``signs``), and ``rows`` gives each string its
+    (permutation, sign row or None, phase).  Every factor is exact.  The
+    rotation exp(-i theta P_k) = cos(theta) I + sin(theta) (-i P_k) is one
+    gather, at most one sign multiply and two in-place BLAS updates of psi,
+    the phase riding in the ``zaxpy`` scalar.  ``step``, ``matvec`` and
+    ``dense`` all read this one table.
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
         n = inst.n
         self.ansatz = ansatz
         self.n = n
-        self.energies = classical_energies(inst)
         self.gauge = CompiledGauge(inst, ansatz)
         self.cd_strings = self.gauge.terms
         strings = [PauliString.single(n, i, "X") for i in range(n)] + self.cd_strings
-        self.perms = np.empty((len(strings), 1 << n), dtype=np.intp)
-        self.weights = np.empty((len(strings), 1 << n), dtype=np.complex128)
+        x_masks = list(dict.fromkeys(s.x_mask for s in strings))
+        z_masks = list(dict.fromkeys(s.z_mask for s in strings if s.z_mask))
+        dim = 1 << n
+        # 8-byte rows: perms, signs, the energies and, while the table is
+        # built, one sign row per site; 16-byte vectors: psi, the gathered
+        # copy and the phase exp(-i dt lam E) of a step.
+        needed = dim * (8 * (len(x_masks) + len(z_masks) + 1 + n) + 3 * 16)
+        if needed > MEMORY_BUDGET:
+            raise ResourceCapError(
+                f"{ansatz.value} drive at n={n} needs {needed / 2**20:.0f} MiB, "
+                f"above the budget of {MEMORY_BUDGET / 2**20:.0f} MiB"
+            )
+        self.energies = classical_energies(inst)
+        index = np.arange(dim)
+        self.perms = index ^ np.array(x_masks, dtype=np.intp)[:, None]
+        self.signs = np.empty((len(z_masks), dim))
+        site_signs: dict[int, np.ndarray] = {}
+        for row, z in zip(self.signs, z_masks):
+            row.fill(1.0)
+            for site in (i for i in range(n) if z >> i & 1):
+                if site not in site_signs:
+                    site_signs[site] = 1.0 - 2.0 * ((index >> site) & 1)
+                row *= site_signs[site]
+        x_row = {x: k for k, x in enumerate(x_masks)}
+        z_row = {z: k for k, z in enumerate(z_masks)}
+        self.rows = [
+            (
+                self.perms[x_row[s.x_mask]],
+                self.signs[z_row[s.z_mask]] if s.z_mask else None,
+                _MINUS_I_POWERS[(s.y_count + 1) % 4],
+            )
+            for s in strings
+        ]
         # i**y_count is real for an even Y count: the mixer strings are real,
         # every CD string (exactly one Y) is purely imaginary.
         self.real_strings = np.array([s.y_count % 2 == 0 for s in strings])
-        for k, string in enumerate(strings):
-            perm, amps = string_amplitudes(string)
-            self.perms[k] = perm
-            # amps indexed at b ^ x equals amps at b times (-1)**y_count.
-            np.multiply(amps, -1j * (-1.0) ** string.y_count, out=self.weights[k])
         cd_single = sum(1 for s in self.cd_strings if s.weight == 1)
         self.single_count = n + sum(1 for h in inst.fields if h != 0.0) + cd_single
         self.entangling_count = (
@@ -136,7 +178,7 @@ class DrivenHamiltonian:
 
     def coefficients(self, lam: float, lam_dot: float) -> np.ndarray:
         """Off-diagonal coefficients: -(1-lam) per X string, then the CD values."""
-        values = np.empty(len(self.perms))
+        values = np.empty(len(self.rows))
         values[: self.n] = -(1.0 - lam)
         if self.cd_strings:
             values[self.n :] = cd_coefficients(self.gauge, self.ansatz, lam, lam_dot)
@@ -154,24 +196,30 @@ class DrivenHamiltonian:
         if psi.dtype != np.complex128 or psi.shape != (dim,) or not psi.flags.c_contiguous:
             raise ParameterError(f"step needs a contiguous complex128 vector of length {dim}")
         thetas = dt * self.coefficients(lam, lam_dot)
-        cosines, sines = np.cos(thetas), np.sin(thetas)
-        for k in range(len(thetas)):
-            rotated = psi[self.perms[k]]
-            rotated *= self.weights[k]
+        cosines, sines = np.cos(thetas).tolist(), np.sin(thetas).tolist()
+        for k, (perm, sign, phase) in enumerate(self.rows):
+            rotated = psi[perm]
+            if sign is not None:
+                rotated *= sign
             zdscal(cosines[k], psi, overwrite_x=1)
-            zaxpy(rotated, psi, a=sines[k])
+            zaxpy(rotated, psi, a=sines[k] * phase)
             if k == self.n - 1:
                 psi *= np.exp(-1j * dt * lam * self.energies)
 
     def matvec(self, psi: np.ndarray, lam: float, lam_dot: float) -> np.ndarray:
         """H(lam, lam_dot) @ psi for a complex amplitude array."""
-        out = lam * self.energies * psi
-        for k, value in enumerate(self.coefficients(lam, lam_dot)):
+        return self.operator_matvec(psi, lam, self.coefficients(lam, lam_dot))
+
+    def operator_matvec(self, psi: np.ndarray, diagonal: float, values: np.ndarray) -> np.ndarray:
+        """(diagonal E + sum_k values[k] P_k) @ psi, ``values`` aligned with ``rows``."""
+        out = diagonal * self.energies * psi
+        for (perm, sign, phase), value in zip(self.rows, values.tolist()):
             if value != 0.0:
                 # P_k psi = i (-i P_k psi).
-                rotated = psi[self.perms[k]]
-                rotated *= self.weights[k]
-                out = zaxpy(rotated, out, a=1j * value)
+                rotated = psi[perm]
+                if sign is not None:
+                    rotated *= sign
+                out = zaxpy(rotated, out, a=1j * value * phase)
         return out
 
     def dense(self, lam: float, lam_dot: float) -> np.ndarray:
@@ -181,20 +229,23 @@ class DrivenHamiltonian:
         string: always for ``none``, and for any drive whose CD coefficients
         vanish, as at lam_dot = 0.  Otherwise it is complex128.
         """
+        return self.operator_dense(lam, self.coefficients(lam, lam_dot))
+
+    def operator_dense(self, diagonal: float, values: np.ndarray) -> np.ndarray:
+        """Dense matrix of diagonal E + sum_k values[k] P_k; see ``dense``."""
         if self.n > DENSE_CAP:
             raise ResourceCapError(f"dense matrix for n={self.n} exceeds cap {DENSE_CAP}")
         dim = 1 << self.n
         rows = np.arange(dim)
-        values = self.coefficients(lam, lam_dot)
-        # Row b of P_k = i (-i P_k) has its single nonzero entry, i weights[k, b],
-        # at column perms[k, b]; on a real string that entry is -weights[k, b].imag.
-        if values[~self.real_strings].any():
-            mat, table, scale = np.zeros((dim, dim), dtype=np.complex128), self.weights, 1j
-        else:
-            mat, table, scale = np.zeros((dim, dim)), self.weights.imag, -1.0
-        mat[rows, rows] = lam * self.energies
-        for k, value in enumerate(values):
-            mat[rows, self.perms[k]] += (scale * value) * table[k]
+        # Row b of P_k = i (-i P_k) has its single nonzero entry,
+        # i phase_k s_z[b], at column perm[b]; on a real string it is real.
+        real = not values[~self.real_strings].any()
+        mat = np.zeros((dim, dim)) if real else np.zeros((dim, dim), dtype=np.complex128)
+        mat[rows, rows] = diagonal * self.energies
+        for (perm, sign, phase), value in zip(self.rows, values.tolist()):
+            if value != 0.0:
+                entry = (1j * phase).real * value if real else 1j * phase * value
+                mat[rows, perm] += entry if sign is None else entry * sign
         return mat
 
 

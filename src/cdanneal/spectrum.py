@@ -6,7 +6,8 @@ which is real symmetric wherever the CD coefficients vanish (always for
 ``none``, and at lam_dot = 0 for every drive) and complex Hermitian
 elsewhere.  ``instantaneous_spectrum`` asks LAPACK's MRRR solver (``evr``)
 for only the k lowest eigenvalues, and above the limit runs Lanczos on the
-operator's matvec.  ``operator_norm`` takes the full ``eigvalsh`` up to
+operator's matvec.  ``operator_norm`` (the driven Hamiltonian) and
+``cd_norm`` (its CD part alone) take the full ``eigvalsh`` up to
 ``_NORM_DENSE_LIMIT`` qubits and a largest-magnitude Lanczos solve above.
 """
 
@@ -80,7 +81,8 @@ def instantaneous_spectrum(
         raise ParameterError(f"need 1 <= k <= {dim}, got {k}")
     if hamiltonian.n <= _DENSE_DIAG_LIMIT or k > dim - 2:
         return _lowest(hamiltonian.dense(lam, lam_dot), k)
-    return np.sort(_lanczos(hamiltonian, lam, lam_dot, k, "SA"))
+    values = hamiltonian.coefficients(lam, lam_dot)
+    return np.sort(_lanczos(hamiltonian, lam, values, k, "SA"))
 
 
 def _lowest(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -90,19 +92,31 @@ def _lowest(matrix: np.ndarray, k: int) -> np.ndarray:
 
 def operator_norm(hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float) -> float:
     """Spectral norm of the driven Hamiltonian at (lam, lam_dot)."""
+    return _norm(hamiltonian, lam, hamiltonian.coefficients(lam, lam_dot))
+
+
+def cd_norm(hamiltonian: DrivenHamiltonian, cd_values: np.ndarray) -> float:
+    """Spectral norm of sum_j cd_values[j] P_j over the drive's CD strings."""
+    if not np.any(cd_values):
+        return 0.0  # Lanczos cannot start on the zero operator.
+    return _norm(hamiltonian, 0.0, np.concatenate([np.zeros(hamiltonian.n), cd_values]))
+
+
+def _norm(hamiltonian: DrivenHamiltonian, diagonal: float, values: np.ndarray) -> float:
     if hamiltonian.n <= _NORM_DENSE_LIMIT:
-        return float(np.abs(np.linalg.eigvalsh(hamiltonian.dense(lam, lam_dot))).max())
-    return float(np.abs(_lanczos(hamiltonian, lam, lam_dot, 1, "LM")).max())
+        matrix = hamiltonian.operator_dense(diagonal, values)
+        return float(np.abs(np.linalg.eigvalsh(matrix)).max())
+    return float(np.abs(_lanczos(hamiltonian, diagonal, values, 1, "LM")).max())
 
 
 def _lanczos(
-    hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float, k: int, which: str
+    hamiltonian: DrivenHamiltonian, diagonal: float, values: np.ndarray, k: int, which: str
 ) -> np.ndarray:
     dim = 1 << hamiltonian.n
 
     def matvec(v: np.ndarray) -> np.ndarray:
         psi = np.asarray(v, dtype=np.complex128).reshape(-1)
-        return hamiltonian.matvec(psi, lam, lam_dot)
+        return hamiltonian.operator_matvec(psi, diagonal, values)
 
     linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
     # A fixed-seed start keeps the iteration, and hence emitted files,

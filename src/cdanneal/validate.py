@@ -19,6 +19,9 @@ from .gauge import (
     Ansatz,
     CompiledGauge,
     adiabatic_pair,
+    assemble_hamiltonian,
+    cd_coefficients,
+    cd_terms,
     local_y_coefficients,
     minimize_action,
     nc1_coefficient,
@@ -28,7 +31,13 @@ from .gauge import (
 from .pauli import PauliString, PauliSum, commutator, multiply, to_dense, trace_inner
 from .problem import generate_instance, instance_seed
 from .schedule import Schedule
-from .simulator import ode_reference, trotter_evolve
+from .simulator import (
+    DrivenHamiltonian,
+    StateVector,
+    apply_pauli_exponential,
+    ode_reference,
+    trotter_evolve,
+)
 from .spectrum import gap_curve
 
 
@@ -160,6 +169,45 @@ def _check_closed_form_blocks(seed: int) -> CheckResult:
     )
 
 
+def _check_compiled_table(seed: int) -> CheckResult:
+    """The compiled string table against the Pauli algebra it replaces.
+
+    For every drive at n = 2, 3, 4, ``DrivenHamiltonian.dense`` against
+    ``to_dense(assemble_hamiltonian(...))`` and one ``step`` against the
+    canonical-order product of ``apply_pauli_exponential``: X by site,
+    nonzero Z and ZZ terms, then the CD strings.
+    """
+    worst = 0.0
+    dt = 0.3
+    for n in (2, 3, 4):
+        inst = generate_instance(n, instance_seed(seed, 500 + n))
+        rng = np.random.default_rng(instance_seed(seed, 600 + n))
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        psi /= np.linalg.norm(psi)
+        for ansatz in Ansatz:
+            hamiltonian = DrivenHamiltonian(inst, ansatz)
+            for lam, lam_dot in ((0.3, 0.8), (0.6, 1.7)):
+                reference = to_dense(assemble_hamiltonian(inst, lam, lam_dot, ansatz))
+                worst = max(worst, float(np.abs(hamiltonian.dense(lam, lam_dot) - reference).max()))
+                terms = [(PauliString.single(n, i, "X"), -(1.0 - lam)) for i in range(n)]
+                terms += [(PauliString.single(n, i, "Z"), lam * h) for i, h in enumerate(inst.fields)]
+                terms += [
+                    (PauliString(n, 0, (1 << i) | (1 << j)), lam * value)
+                    for i, j, value in inst.couplings
+                ]
+                terms += zip(cd_terms(inst, ansatz), cd_coefficients(inst, ansatz, lam, lam_dot))
+                expected = StateVector(n, psi.copy())
+                for string, value in terms:
+                    if value != 0.0:
+                        apply_pauli_exponential(expected, string, dt * value)
+                stepped = psi.copy()
+                hamiltonian.step(stepped, dt, lam, lam_dot)
+                worst = max(worst, float(np.abs(stepped - expected.amplitudes).max()))
+    return CheckResult(
+        "compiled-table", worst <= 1e-12, f"max |compiled - Pauli algebra| {worst:.2e}"
+    )
+
+
 def _check_trotter_scaling(seed: int) -> CheckResult:
     ratios = []
     for tag in (Ansatz.NONE, Ansatz.LOCAL_Y, Ansatz.NC1):
@@ -215,6 +263,7 @@ def run_validation_checks(
         ("nc1-oracle", lambda: _check_nc1(seed, nc1_fn)),
         ("two-local-oracle", lambda: _check_two_local(seed)),
         ("closed-form-blocks", lambda: _check_closed_form_blocks(seed)),
+        ("compiled-table", lambda: _check_compiled_table(seed)),
         ("trotter-scaling", lambda: _check_trotter_scaling(seed)),
         ("endpoint-gap-equality", lambda: _check_endpoint_gaps(seed)),
         ("unitarity", lambda: _check_unitarity(seed)),

@@ -5,10 +5,11 @@ import pytest
 
 import cdanneal.gauge as gauge_mod
 import cdanneal.harness as harness_mod
+import cdanneal.simulator as simulator_mod
 from cdanneal.cli import main
 from cdanneal.errors import SingularGaugeError
 from cdanneal.gauge import CompiledGauge, nc1_coefficient
-from cdanneal.problem import ProblemInstance, instance_seed, save_instance
+from cdanneal.problem import ProblemInstance, generate_instance, instance_seed, save_instance
 from cdanneal.validate import run_validation_checks
 
 
@@ -84,6 +85,15 @@ def test_run_local_y_fieldless_site(tmp_path):
     instance = tmp_path / "fieldless.json"
     save_instance(ProblemInstance(2, ((0, 1, 0.0),), (0.0, 0.7), 1), instance)
     assert run_cli("run", "--instance", str(instance), "--ansatz", "local-y") == 0
+
+
+def test_run_over_memory_budget_exit_code(tmp_path, capsys, monkeypatch):
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(10, 3), instance)
+    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", 1 << 16)
+    code = run_cli("run", "--instance", str(instance), "--ansatz", "nc1")
+    assert code == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_run_with_shots(tmp_path, capsys):
@@ -310,6 +320,7 @@ def test_validate_passes(capsys):
         "endpoint-gap-equality",
         "two-local-oracle",
         "closed-form-blocks",
+        "compiled-table",
     ):
         assert name in out
     assert "FAIL" not in out
@@ -349,4 +360,19 @@ def test_validate_closed_form_blocks_mutation_sensitivity(monkeypatch, helper, o
     results = {r.name: r.passed for r in run_validation_checks()}
     assert results.pop(oracle) is False
     assert results.pop("closed-form-blocks") is False
+    assert all(results.values()), results
+
+
+def test_validate_compiled_table_mutation_sensitivity(monkeypatch):
+    # One flipped sign row in the compiled table must trip only compiled-table.
+    build = simulator_mod.DrivenHamiltonian.__init__
+
+    def flipped(self, inst, ansatz):
+        build(self, inst, ansatz)
+        if len(self.signs):
+            self.signs[0] *= -1.0
+
+    monkeypatch.setattr(simulator_mod.DrivenHamiltonian, "__init__", flipped)
+    results = {r.name: r.passed for r in run_validation_checks()}
+    assert results.pop("compiled-table") is False
     assert all(results.values()), results

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdanneal.errors import ParameterError, ResourceCapError, SingularGaugeError
@@ -348,6 +348,86 @@ def test_two_local_symmetry_forbidden_coefficient_is_zero():
     for solution in (solved, compiled):
         assert abs(solution.coefficients["y2"]) <= 1e-15
     assert np.abs(compiled.vector() - solved.vector()).max() <= 1e-10
+
+
+def pauli_sum_two_local_blocks(inst):
+    """The two-local action blocks from PauliSum commutators, as the oracle.
+
+    Row 0 of the table is dH = H_p - H_x, then the images i[B_b, H_x] and
+    i[B_b, H_p]; one column per Pauli string in order of first appearance.
+    """
+    n = inst.n
+    basis, _ = two_local_basis(n)
+    mixer, problem = mixer_hamiltonian(n), problem_hamiltonian(inst)
+    ops = (
+        [problem - mixer]
+        + [1j * commutator(op, mixer) for op in basis]
+        + [1j * commutator(op, problem) for op in basis]
+    )
+    columns = {}
+    rows, cols, values = [], [], []
+    for row, op in enumerate(ops):
+        for string, value in op:
+            rows.append(row)
+            cols.append(columns.setdefault(string, len(columns)))
+            values.append(value.real)
+    table = np.zeros((len(ops), len(columns)))
+    table[rows, cols] = values
+    source, image_x, image_p = table[0], table[1 : 1 + len(basis)], table[1 + len(basis) :]
+    cross = image_x @ image_p.T
+    return {
+        "gram_xx": image_x @ image_x.T,
+        "gram_xp": cross + cross.T,
+        "gram_pp": image_p @ image_p.T,
+        "source_x": image_x @ source,
+        "source_p": image_p @ source,
+        "norm_dh": float(source @ source),
+    }
+
+
+# Values at and around the 1e-12 prune tolerance (2e-12 and -1.8e-12 sum
+# to an image entry below it), and pairs that cancel.
+_COMPILE_VALUES = st.one_of(
+    _VALUES,
+    st.sampled_from([5e-13, -7e-13, 2e-12, -1.8e-12, 0.5, -0.5]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def two_local_instances(draw):
+    n = draw(st.integers(2, 7))
+    zero_fields, zero_couplings = draw(st.sampled_from(
+        [(False, False), (True, False), (False, True), (True, True)]
+    ))
+    fields = tuple(0.0 if zero_fields else draw(_COMPILE_VALUES) for _ in range(n))
+    couplings = tuple(
+        (i, j, 0.0 if zero_couplings else draw(_COMPILE_VALUES))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    return ProblemInstance(n, couplings, fields, seed=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_local_instances())
+@example(ProblemInstance(3, ((0, 1, 0.4), (0, 2, 0.0), (1, 2, -0.7)), (2e-12, -1.8e-12, 0.3), 0))
+def test_compiled_two_local_blocks_match_pauli_sum_oracle(inst):
+    # The array compile must give the oracle's blocks bit for bit.  In the
+    # example, h_0 and h_1 meet in one X_0 X_1 image entry of 4e-13, which
+    # the oracle prunes.
+    gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+    for name, expected in pauli_sum_two_local_blocks(inst).items():
+        assert np.array_equal(getattr(gauge, name), expected), name
+
+
+def test_compiled_two_local_blocks_match_on_generated_instances():
+    for n in range(2, 9):
+        for rep in range(3):
+            inst = generate_instance(n, instance_seed(910, 10 * n + rep))
+            gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+            for name, expected in pauli_sum_two_local_blocks(inst).items():
+                assert np.array_equal(getattr(gauge, name), expected), (n, rep, name)
 
 
 def test_compiled_gauge_drive_mismatch():

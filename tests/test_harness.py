@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 import cdanneal.harness as harness_mod
 from cdanneal.errors import ParameterError, SingularGaugeError
+from cdanneal.gauge import Ansatz, cd_operator
 from cdanneal.harness import (
     ExperimentConfig,
     RunRecord,
+    cd_cost,
     config_hash,
     cost_report,
     emit_report,
@@ -16,6 +19,10 @@ from cdanneal.harness import (
     run_ensemble,
     summary_to_dict,
 )
+from cdanneal.pauli import to_dense
+from cdanneal.problem import ProblemInstance, generate_instance, instance_seed
+from cdanneal.schedule import Schedule
+from cdanneal.simulator import DrivenHamiltonian
 
 TINY = dict(
     master_seed=7,
@@ -291,7 +298,7 @@ def test_more_steps_never_hurt_beyond_trotter_scale():
 
 def test_cost_report_counts():
     cfg = ExperimentConfig(
-        master_seed=11, n_values=(6,), instances_per_n=2, ansatz=("none", "nc1")
+        master_seed=11, n_values=(6,), instances_per_n=2, ansatz=("none", "local-y", "nc1")
     )
     records = run_ensemble(cfg)
     rows = {(r.n, r.ansatz): r for r in cost_report(records, cfg, norm_samples=1)}
@@ -302,9 +309,47 @@ def test_cost_report_counts():
     assert driven.entangling_per_step == 45
     assert driven.entangling_per_step <= 3 * bare.entangling_per_step
     assert not bare.count_only
-    assert bare.norm_cost is not None and bare.norm_cost > 0.0
-    # the CD terms can only add weight at interior grid points
-    assert driven.norm_cost >= bare.norm_cost - 1e-12
+    # The bare drive carries no CD term; the two CD drives carry different ones.
+    assert bare.cd_cost == 0.0
+    assert driven.cd_cost > 0.0
+    assert rows[(6, "local-y")].cd_cost > 0.0
+    assert abs(driven.cd_cost - rows[(6, "local-y")].cd_cost) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "n, ansatz", [(4, "none"), (4, "local-y"), (4, "nc1"), (4, "two-local"), (9, "nc1")]
+)
+def test_cd_cost_matches_dense_cd_norms(n, ansatz):
+    # Each structured form (sum |beta_i|, one nc1 norm scaled per point, one
+    # solve per point) against the dense spectral norm of cd_operator; n = 9
+    # takes the Lanczos norm.
+    inst = generate_instance(n, instance_seed(515, n))
+    drive = Ansatz.parse(ansatz)
+    sched = Schedule(1.0, 20)
+    expected = sum(
+        sched.dt * np.linalg.norm(to_dense(cd_operator(inst, drive, p.lam, p.lam_dot)), 2)
+        for p in sched.grid()
+    )
+    got = cd_cost(DrivenHamiltonian(inst, drive), sched)
+    assert got == pytest.approx(expected, rel=1e-10, abs=1e-14)
+    assert (got > 0.0) == (drive is not Ansatz.NONE)
+
+
+def test_cost_report_skips_excluded_drives(monkeypatch):
+    # Site 0's field is 1e-7 and it has no coupling, so its local-y
+    # denominator is 2e-14 at lam = 1: the drive is excluded at the last
+    # step, and the cost report must not evaluate it there again.
+    singular = ProblemInstance(2, ((0, 1, 0.0),), (1e-7, 0.7), seed=5)
+    monkeypatch.setattr(harness_mod, "generate_instance", lambda n, seed: singular)
+    cfg = ExperimentConfig(
+        master_seed=11, n_values=(2,), instances_per_n=1, ansatz=("none", "local-y", "nc1")
+    )
+    records = run_ensemble(cfg)
+    assert records[0].ps["local-y"] is None
+    rows = {r.ansatz: r for r in cost_report(records, cfg)}
+    assert rows["local-y"].cd_cost is None and not rows["local-y"].count_only
+    assert rows["none"].cd_cost == 0.0
+    assert rows["nc1"].cd_cost > 0.0
 
 
 def test_cost_report_cap_flag():
@@ -314,7 +359,7 @@ def test_cost_report_cap_flag():
     records = run_ensemble(cfg)
     (row,) = cost_report(records, cfg, norm_cap=3)
     assert row.count_only
-    assert row.norm_cost is None
+    assert row.cd_cost is None
     assert row.entangling_per_step == 6
 
 

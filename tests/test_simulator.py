@@ -11,9 +11,9 @@ from cdanneal.errors import (
     ResourceCapError,
     SingularGaugeError,
 )
-from cdanneal import gauge
+from cdanneal import gauge, simulator
 from cdanneal.gauge import Ansatz, assemble_hamiltonian, cd_coefficients, cd_terms
-from cdanneal.pauli import PauliString, to_dense
+from cdanneal.pauli import PauliString, string_amplitudes, to_dense
 from cdanneal.problem import (
     GroundTruth,
     ProblemInstance,
@@ -207,6 +207,61 @@ def test_step_rejects_vectors_it_cannot_update_in_place():
     ):
         with pytest.raises(ParameterError):
             hamiltonian.step(psi, 0.1, 0.5, 1.0)
+
+
+@st.composite
+def table_instances(draw):
+    n = draw(st.integers(1, 8))
+    fields = tuple(draw(_VALUES) for _ in range(n))
+    couplings = tuple(
+        (i, j, draw(_VALUES)) for i in range(n) for j in range(i + 1, n)
+    )
+    ansatz = draw(st.sampled_from(list(Ansatz)))
+    assume(ansatz is not Ansatz.TWO_LOCAL or n >= 2)
+    return ProblemInstance(n, couplings, fields, seed=0), ansatz
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(table_instances())
+def test_string_table_reproduces_string_amplitudes(point):
+    # Each string's (perm, sign, phase) row is exactly its basis action:
+    # P|b> = amps[b] |perm[b]>, i.e. P[b, perm[b]] = amps[perm[b]], and
+    # (-i P psi)[b] = phase * sign[b] * psi[perm[b]].
+    inst, ansatz = point
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
+    n = inst.n
+    strings = [PauliString.single(n, i, "X") for i in range(n)] + cd_terms(inst, ansatz)
+    assert len(hamiltonian.rows) == len(strings)
+    for string, (perm, sign, phase) in zip(strings, hamiltonian.rows):
+        expected_perm, amps = string_amplitudes(string)
+        assert np.array_equal(perm, expected_perm)
+        assert (sign is None) == (string.z_mask == 0)
+        row = np.ones(1 << n) if sign is None else sign
+        assert np.array_equal(1j * phase * row, amps[perm])
+    assert len(hamiltonian.perms) == len({s.x_mask for s in strings})
+    assert len(hamiltonian.signs) == len({s.z_mask for s in strings} - {0})
+
+
+def test_memory_budget_refuses_before_allocating(monkeypatch):
+    inst = generate_instance(10, instance_seed(618, 0))
+
+    def no_energies(_inst):
+        raise AssertionError("energies allocated before the budget check")
+
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1 << 16)
+    monkeypatch.setattr(simulator, "classical_energies", no_energies)
+    for ansatz in Ansatz:
+        with pytest.raises(ResourceCapError, match="budget"):
+            DrivenHamiltonian(inst, ansatz)
+    # nc1 at n = 10 holds 10 X rows and 55 sign rows: 65 rows of 8 KiB, plus
+    # the energies, 10 single-site sign rows and three state vectors.
+    needed = 1024 * (8 * (10 + 55 + 1 + 10) + 3 * 16)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed)
+    with pytest.raises(AssertionError):
+        DrivenHamiltonian(inst, Ansatz.NC1)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed - 1)
+    with pytest.raises(ResourceCapError):
+        DrivenHamiltonian(inst, Ansatz.NC1)
 
 
 # ---------------------------------------------------------- trotter_evolve

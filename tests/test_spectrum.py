@@ -18,6 +18,7 @@ from cdanneal.problem import (
 from cdanneal.schedule import Schedule
 from cdanneal.simulator import DrivenHamiltonian
 from cdanneal.spectrum import (
+    cd_norm,
     gap_curve,
     gap_rows,
     instantaneous_spectrum,
@@ -166,6 +167,13 @@ def test_operator_norm_lanczos_above_crossover(n):
         hamiltonian = DrivenHamiltonian(inst, ansatz)
         expected = float(np.abs(np.linalg.eigvalsh(hamiltonian.dense(0.55, 0.9))).max())
         assert operator_norm(hamiltonian, 0.55, 0.9) == pytest.approx(expected, rel=1e-10)
+
+
+def test_cd_norm_of_zero_coefficients_on_lanczos_path():
+    # A two-local solve can return all-zero coefficients; above the dense
+    # norm limit that must read 0, not start Lanczos on the zero operator.
+    hamiltonian = DrivenHamiltonian(generate_instance(9, instance_seed(915, 0)), Ansatz.NC1)
+    assert cd_norm(hamiltonian, np.zeros(len(hamiltonian.cd_strings))) == 0.0
 
 
 def test_assembled_hamiltonians_hermitian():
