@@ -48,14 +48,12 @@ from .gauge import (
     adiabatic_pair,
     assemble_hamiltonian,
     cd_coefficients,
-    cd_operator,
     cd_terms,
     local_y_coefficients,
     minimize_action,
     nc1_coefficient,
-    nc_ansatz_terms,
+    nc1_operator,
     two_local_basis,
-    two_local_cd,
 )
 from .simulator import (
     DrivenHamiltonian,
@@ -74,7 +72,6 @@ from .spectrum import (
     gap_curve,
     gap_rows,
     instantaneous_spectrum,
-    operator_norm,
 )
 from .harness import (
     CostRow,

@@ -7,7 +7,7 @@ Three constructions are provided on top of the same driven Hamiltonian
   quadratic action minimization exactly (the normal equations decouple site
   by site),
 * the first-order nested-commutator family, a single global coefficient on
-  the fixed operator i[H, dH], again in closed form,
+  the fixed operator i[H, dH] (``nc1_operator``), again in closed form,
 * a general 2-local variational family spanning {Y_i}, symmetrized {Z_i Y_j},
   and symmetrized {X_i Y_j}, solved by least squares.
 
@@ -21,7 +21,9 @@ off-diagonals: the driving is deliberately non-stoquastic.
 instance sums of the closed forms, and for the 2-local family the Gram
 matrix and source vector of the action as polynomials of degree two in lam,
 so each coefficient evaluation is one small eigensolve.  ``minimize_action``
-stays the general PauliSum solver that the compiled solve is checked against.
+stays the general PauliSum solver that the compiled solve is checked against,
+and ``assemble_hamiltonian`` the PauliSum driven Hamiltonian that the
+compiled operator is checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, ResourceCapError, SingularGaugeError
+from .errors import ParameterError, SingularGaugeError
 from .pauli import PRUNE_TOLERANCE, PauliString, PauliSum, commutator, trace_inner
 from .problem import ProblemInstance, mixer_hamiltonian, problem_hamiltonian
 
@@ -40,13 +42,6 @@ SINGULAR_FLOOR = 1e-10
 
 #: Relative condition threshold that switches the solver to a pseudo-inverse.
 CONDITION_THRESHOLD = 1e12
-
-#: Default cap on generated nested-commutator strings per term.
-NC_STRING_CAP = 10**6
-
-#: Default cap on the nested-commutator expansion order; raise explicitly to
-#: generate deeper terms (term count grows steeply with order).
-NC_ORDER_CAP = 2
 
 
 class Ansatz(str, Enum):
@@ -72,7 +67,6 @@ class GaugeSolution:
 
     coefficients: dict[str, float]
     residual_action: float
-    lam: float | None = None
     condition_warning: bool = False
     labels: tuple[str, ...] = field(default=(), repr=False)
 
@@ -87,18 +81,14 @@ def adiabatic_pair(inst: ProblemInstance, lam: float) -> tuple[PauliSum, PauliSu
     return (1.0 - lam) * mixer + lam * problem, problem - mixer
 
 
-def local_y_coefficients(
-    inst: ProblemInstance, lam: float, *, floor: float = SINGULAR_FLOOR
-) -> np.ndarray:
+def local_y_coefficients(inst: ProblemInstance, lam: float) -> np.ndarray:
     """Closed-form per-site coefficients of the single-site Y family.
 
     beta_i = h_i / (2 [ (lam-1)^2 + lam^2 (h_i^2 + sum_{j != i} J_ij^2) ]).
     The joint least-squares problem over {Y_i} has a diagonal normal matrix,
     so this site-wise form is the exact joint minimizer.
     """
-    return _local_y(
-        inst.field_array(), _local_y_weights(inst), np.arange(inst.n), lam, floor
-    )
+    return _local_y(inst.field_array(), _local_y_weights(inst), np.arange(inst.n), lam)
 
 
 def _local_y_weights(inst: ProblemInstance) -> np.ndarray:
@@ -107,16 +97,16 @@ def _local_y_weights(inst: ProblemInstance) -> np.ndarray:
 
 
 def _local_y(
-    fields: np.ndarray, weights: np.ndarray, sites: np.ndarray, lam: float, floor: float
+    fields: np.ndarray, weights: np.ndarray, sites: np.ndarray, lam: float
 ) -> np.ndarray:
     denominator = 2.0 * ((lam - 1.0) ** 2 + lam**2 * weights)
-    small = np.flatnonzero(np.abs(denominator) < floor)
+    small = np.flatnonzero(np.abs(denominator) < SINGULAR_FLOOR)
     if small.size:
         site = int(sites[small[0]])
         value = float(denominator[small[0]])
         raise SingularGaugeError(
             f"single-site Y denominator {value:.3e} below floor "
-            f"{floor:.0e} at site {site}, lam={lam}",
+            f"{SINGULAR_FLOOR:.0e} at site {site}, lam={lam}",
             site=site,
             lam=lam,
             value=value,
@@ -124,9 +114,7 @@ def _local_y(
     return fields / denominator
 
 
-def nc1_coefficient(
-    inst: ProblemInstance, lam: float, *, floor: float = SINGULAR_FLOOR
-) -> float:
+def nc1_coefficient(inst: ProblemInstance, lam: float) -> float:
     """Closed-form global coefficient of the first-order nested-commutator family.
 
     alpha_1 = -(1/4) [sum h_i^2 + 2 sum_{i<j} J_ij^2] / R(lam) with
@@ -142,7 +130,7 @@ def nc1_coefficient(
     the single nested-commutator basis operator is the authoritative oracle
     and the validation suite checks the two against each other.
     """
-    return _nc1_alpha(_nc1_sums(inst), lam, floor)
+    return _nc1_alpha(_nc1_sums(inst), lam)
 
 
 def _nc1_sums(inst: ProblemInstance) -> tuple[float, float, float]:
@@ -170,56 +158,28 @@ def _nc1_sums(inst: ProblemInstance) -> tuple[float, float, float]:
     return sum_h2 + 2.0 * sum_j2, quadratic, quartic
 
 
-def _nc1_alpha(sums: tuple[float, float, float], lam: float, floor: float) -> float:
+def _nc1_alpha(sums: tuple[float, float, float], lam: float) -> float:
     numerator, quadratic, quartic = sums
     denominator = (1.0 - 2.0 * lam) * quadratic + lam**2 * quartic
-    if abs(denominator) < floor:
+    if abs(denominator) < SINGULAR_FLOOR:
         raise SingularGaugeError(
             f"nested-commutator denominator {denominator:.3e} below floor "
-            f"{floor:.0e} at lam={lam}",
+            f"{SINGULAR_FLOOR:.0e} at lam={lam}",
             lam=lam,
             value=float(denominator),
         )
     return -0.25 * numerator / denominator
 
 
-def nc_ansatz_terms(
-    H: PauliSum,
-    dH: PauliSum,
-    order: int,
-    *,
-    string_cap: int = NC_STRING_CAP,
-    order_cap: int = NC_ORDER_CAP,
-) -> list[PauliSum]:
-    """Nested-commutator basis operators up to ``order``.
+def nc1_operator(H: PauliSum, dH: PauliSum) -> PauliSum:
+    """The first-order nested-commutator basis operator i[H, dH].
 
-    Term k is i times the (2k-1)-fold nested commutator of H with dH; odd
-    depth makes each term Hermitian, and every generated string carries an
-    odd number of Y factors because H and dH are real.
+    It is Hermitian, and every string carries an odd number of Y factors
+    because H and dH are real.
     """
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
-    if order > order_cap:
-        raise ResourceCapError(
-            f"expansion order {order} exceeds cap {order_cap}; pass order_cap "
-            f"explicitly to go deeper"
-        )
     if not H.is_hermitian() or not dH.is_hermitian():
         raise ParameterError("nested-commutator generation requires Hermitian inputs")
-    terms: list[PauliSum] = []
-    current = dH
-    depth = 0
-    for k in range(1, order + 1):
-        while depth < 2 * k - 1:
-            current = commutator(H, current)
-            depth += 1
-            if len(current) > string_cap:
-                raise ResourceCapError(
-                    f"nested commutator at depth {depth} has {len(current)} "
-                    f"strings, cap {string_cap}"
-                )
-        terms.append(1j * current)
-    return terms
+    return 1j * commutator(H, dH)
 
 
 def minimize_action(
@@ -228,15 +188,13 @@ def minimize_action(
     dH: PauliSum,
     *,
     labels: tuple[str, ...] | list[str] | None = None,
-    lam: float | None = None,
-    cond_threshold: float = CONDITION_THRESHOLD,
 ) -> GaugeSolution:
     """Least-squares coefficients minimizing S = Tr[(dH + i[A, H])^2] / 2^n.
 
     With A = sum_b c_b B_b and L_b = i[B_b, H], the action is quadratic in c,
     so the minimizer solves M c = -v with M_bb' = <L_b, L_b'> and
     v_b = <dH, L_b>.  A symmetric eigendecomposition handles the solve;
-    eigenvalues below max(eig)/cond_threshold are truncated (pseudo-inverse
+    eigenvalues below max(eig)/CONDITION_THRESHOLD are truncated (pseudo-inverse
     path) and flagged via ``condition_warning``, and a direction whose
     projected source is at rounding level gets coefficient 0.
     """
@@ -260,7 +218,7 @@ def minimize_action(
             gram[a, b] = gram[b, a] = value
     source = np.array([trace_inner(dH, img).real for img in images])
 
-    coefficients, condition_warning = _solve_normal(gram, source, cond_threshold)
+    coefficients, condition_warning = _solve_normal(gram, source)
 
     residual_op = dH
     for c, img in zip(coefficients, images):
@@ -270,7 +228,6 @@ def minimize_action(
     return GaugeSolution(
         coefficients={lbl: float(c) for lbl, c in zip(labels, coefficients)},
         residual_action=residual,
-        lam=lam,
         condition_warning=condition_warning,
         labels=labels,
     )
@@ -299,20 +256,10 @@ def _two_local_labels(n: int) -> list[str]:
     )
 
 
-def two_local_cd(inst: ProblemInstance, lam: float) -> tuple[PauliSum, GaugeSolution]:
-    """Variationally optimal 2-local CD operator (rate factor applied later)."""
-    gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
-    solution = gauge.solve_two_local(lam)
-    values = solution.vector()[gauge.string_basis]
-    return PauliSum(inst.n, zip(gauge.terms, values)), solution
-
-
-def _solve_normal(
-    gram: np.ndarray, source: np.ndarray, cond_threshold: float
-) -> tuple[np.ndarray, bool]:
+def _solve_normal(gram: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimizer of c^T gram c + 2 c^T source, truncated as a pseudo-inverse.
 
-    Eigenvalues of the symmetric ``gram`` below max(eig)/cond_threshold are
+    Eigenvalues of the symmetric ``gram`` below max(eig)/CONDITION_THRESHOLD are
     dropped; the flag reports whether any were.  A kept direction whose
     projected source is within rounding of zero (size * eps * |source|)
     gets coefficient 0: its source is noise, which a small eigenvalue would
@@ -322,7 +269,7 @@ def _solve_normal(
     """
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     top = float(eigenvalues.max(initial=0.0))
-    cutoff = top / cond_threshold if top > 0.0 else 0.0
+    cutoff = top / CONDITION_THRESHOLD if top > 0.0 else 0.0
     keep = eigenvalues > cutoff
     projected = eigenvectors.T @ (-source)
     noise = len(source) * np.finfo(float).eps * float(np.linalg.norm(source))
@@ -423,12 +370,11 @@ class CompiledGauge:
     def solve_two_local(self, lam: float) -> GaugeSolution:
         """The two-local action minimizer at ``lam``, as ``minimize_action`` gives it."""
         gram, source = self.normal_equations(lam)
-        coefficients, warning = _solve_normal(gram, source, CONDITION_THRESHOLD)
+        coefficients, warning = _solve_normal(gram, source)
         residual = self.norm_dh + 2.0 * coefficients @ source + coefficients @ gram @ coefficients
         return GaugeSolution(
             coefficients={lbl: float(c) for lbl, c in zip(self.labels, coefficients)},
             residual_action=max(0.0, float(residual)),
-            lam=lam,
             condition_warning=warning,
             labels=self.labels,
         )
@@ -539,29 +485,22 @@ def cd_coefficients(
     if not gauge.terms or lam_dot == 0.0:
         return np.zeros(len(gauge.terms))
     if ansatz is Ansatz.LOCAL_Y:
-        beta = _local_y(gauge.fields, gauge.weights, gauge.sites, lam, SINGULAR_FLOOR)
+        beta = _local_y(gauge.fields, gauge.weights, gauge.sites, lam)
         return lam_dot * beta
     if ansatz is Ansatz.NC1:
-        alpha = _nc1_alpha(gauge.nc1_sums, lam, SINGULAR_FLOOR)
+        alpha = _nc1_alpha(gauge.nc1_sums, lam)
         return -2.0 * lam_dot * alpha * gauge.sources
     if ansatz is Ansatz.TWO_LOCAL:
         return lam_dot * gauge.solve_two_local(lam).vector()[gauge.string_basis]
     raise ParameterError(f"unknown ansatz {ansatz!r}")
 
 
-def cd_operator(
-    inst: ProblemInstance, ansatz: Ansatz, lam: float, lam_dot: float
-) -> PauliSum:
-    """The CD contribution lam_dot * A(lam) as an operator sum."""
-    gauge = CompiledGauge(inst, ansatz)
-    return PauliSum(inst.n, zip(gauge.terms, cd_coefficients(gauge, ansatz, lam, lam_dot)))
-
-
 def assemble_hamiltonian(
     inst: ProblemInstance, lam: float, lam_dot: float, ansatz: Ansatz
 ) -> PauliSum:
-    """(1-lam) * mixer + lam * problem + CD contribution.
+    """(1-lam) * mixer + lam * problem + CD contribution, as an operator sum.
 
+    The CD contribution is lam_dot * A(lam) on the strings of ``cd_terms``.
     With ``lam_dot = 0`` the result is exactly the undriven interpolation for
     every ansatz choice.
     """
@@ -571,7 +510,8 @@ def assemble_hamiltonian(
     base = (1.0 - lam) * mixer_hamiltonian(inst.n) + lam * problem_hamiltonian(inst)
     if ansatz is Ansatz.NONE or lam_dot == 0.0:
         return base
-    return base + cd_operator(inst, ansatz, lam, lam_dot)
+    gauge = CompiledGauge(inst, ansatz)
+    return base + PauliSum(inst.n, zip(gauge.terms, cd_coefficients(gauge, ansatz, lam, lam_dot)))
 
 
 def _two_site(n: int, i: int, axis_i: str, j: int, axis_j: str) -> PauliString:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -104,8 +105,8 @@ class ExperimentConfig:
             )
         if self.trotter_steps < 1:
             raise ParameterError("trotter_steps must be >= 1")
-        if self.total_time <= 0.0:
-            raise ParameterError("total_time must be positive")
+        if not (math.isfinite(self.total_time) and self.total_time > 0.0):
+            raise ParameterError("total_time must be positive and finite")
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
         if self.shots is not None and self.shots < 1:
@@ -461,6 +462,12 @@ def records_to_csv(records: Iterable[RunRecord], cfg_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
 def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
     """Parse the records CSV back into RunRecord objects.
 
@@ -499,6 +506,7 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
         ) = parts
         try:
             rid, n, seed, entangling = int(rid), int(n), int(seed), int(entangling)
+            degenerate, excluded = _parse_bool(degenerate), _parse_bool(excluded)
             ps = float(ps) if ps else None
             wall = float(wall) if wall else 0.0
             delta = float(delta) if delta else None
@@ -510,8 +518,8 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
                 instance_id=rid,
                 n=n,
                 seed=seed,
-                degenerate=degenerate == "true",
-                excluded=excluded == "true",
+                degenerate=degenerate,
+                excluded=excluded,
                 ps={},
                 wall_ms={},
                 entangling={},

@@ -113,8 +113,20 @@ def save_instance(inst: ProblemInstance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def load_instance(path: str | Path) -> ProblemInstance:
-    """Read the instance JSON format; unknown fields are rejected."""
+    """Read the instance JSON format; unknown fields and mistyped values are rejected."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -125,12 +137,12 @@ def load_instance(path: str | Path) -> ProblemInstance:
     if unknown:
         raise ParameterError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        couplings = tuple((int(i), int(j), float(v)) for i, j, v in payload["J"])
+        couplings = tuple((_integer(i), _integer(j), _number(v)) for i, j, v in payload["J"])
         return ProblemInstance(
-            n=int(payload["n"]),
+            n=_integer(payload["n"]),
             couplings=couplings,
-            fields=tuple(float(v) for v in payload["h"]),
-            seed=int(payload["seed"]),
+            fields=tuple(_number(v) for v in payload["h"]),
+            seed=_integer(payload["seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: malformed instance file ({exc})")

@@ -31,8 +31,8 @@ class Schedule:
     steps: int = 20
 
     def __post_init__(self):
-        if self.total_time <= 0.0:
-            raise ParameterError(f"total time must be positive, got {self.total_time}")
+        if not (math.isfinite(self.total_time) and self.total_time > 0.0):
+            raise ParameterError(f"total time must be positive and finite, got {self.total_time}")
         if self.steps < 1:
             raise ParameterError(f"step count must be >= 1, got {self.steps}")
 

@@ -19,6 +19,7 @@ term, in the evolution report.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -52,9 +53,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amplitudes.copy())
-
 
 @dataclass
 class EvolutionReport:
@@ -65,17 +63,16 @@ class EvolutionReport:
     operator_applications: int
     single_per_step: int
     entangling_per_step: int
-    single_total: int
     entangling_total: int
     wall_seconds: float
 
 
-def plus_state(n: int, cap: int = STATEVECTOR_CAP) -> StateVector:
+def plus_state(n: int) -> StateVector:
     """Uniform superposition with real amplitudes 2**(-n/2)."""
     if n < 1:
         raise ParameterError(f"qubit count must be >= 1, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"state vector for n={n} exceeds cap {cap}")
+    if n > STATEVECTOR_CAP:
+        raise ResourceCapError(f"state vector for n={n} exceeds cap {STATEVECTOR_CAP}")
     return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 
@@ -249,25 +246,17 @@ class DrivenHamiltonian:
         return mat
 
 
-def trotter_evolve(
-    inst: ProblemInstance,
-    sched: Schedule,
-    ansatz: Ansatz,
-    *,
-    cap: int = STATEVECTOR_CAP,
-) -> EvolutionReport:
+def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> EvolutionReport:
     """First-order digitized evolution from the uniform superposition.
 
     Each grid step k applies exp(-i dt c_j(t_k) P_j) for every term P_j of
     the driven Hamiltonian, coefficients evaluated at the step's grid point,
     in the fixed canonical term order (see ``DrivenHamiltonian.step``).  A
     gauge singularity at any grid point aborts with the offending step index
-    attached.
+    attached, and so does a step that leaves a non-finite norm.
     """
-    if inst.n > cap:
-        raise ResourceCapError(f"state vector for n={inst.n} exceeds cap {cap}")
+    state = plus_state(inst.n)
     hamiltonian = DrivenHamiltonian(inst, ansatz)
-    state = plus_state(inst.n, cap=cap)
     psi = state.amplitudes
     dt = sched.dt
     norms: list[float] = []
@@ -284,6 +273,8 @@ def trotter_evolve(
                 step=step,
             ) from exc
         norms.append(float(np.linalg.norm(psi)))
+        if not math.isfinite(norms[-1]):
+            raise IntegratorError(f"state norm {norms[-1]} after grid step {step}/{sched.steps}")
     wall = time.perf_counter() - started
     steps = sched.steps
     single, entangling = hamiltonian.single_count, hamiltonian.entangling_count
@@ -293,7 +284,6 @@ def trotter_evolve(
         operator_applications=(single + entangling) * steps,
         single_per_step=single,
         entangling_per_step=entangling,
-        single_total=single * steps,
         entangling_total=entangling * steps,
         wall_seconds=wall,
     )
@@ -304,8 +294,6 @@ def ode_reference(
     sched: Schedule,
     ansatz: Ansatz,
     tolerance: float = 1e-10,
-    *,
-    cap: int = STATEVECTOR_CAP,
 ) -> StateVector:
     """Adaptive high-order integration of the exact time-dependent flow.
 
@@ -313,8 +301,7 @@ def ode_reference(
     continuously evaluated Hamiltonian is integrated without renormalization,
     so norm drift doubles as an accuracy diagnostic.  Intended for small n.
     """
-    if inst.n > cap:
-        raise ResourceCapError(f"state vector for n={inst.n} exceeds cap {cap}")
+    initial = plus_state(inst.n).amplitudes
     hamiltonian = DrivenHamiltonian(inst, ansatz)
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
@@ -323,7 +310,7 @@ def ode_reference(
     solution = solve_ivp(
         rhs,
         (0.0, sched.total_time),
-        plus_state(inst.n, cap=cap).amplitudes,
+        initial,
         method="DOP853",
         rtol=tolerance,
         atol=tolerance,

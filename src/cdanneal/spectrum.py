@@ -6,9 +6,9 @@ which is real symmetric wherever the CD coefficients vanish (always for
 ``none``, and at lam_dot = 0 for every drive) and complex Hermitian
 elsewhere.  ``instantaneous_spectrum`` asks LAPACK's MRRR solver (``evr``)
 for only the k lowest eigenvalues, and above the limit runs Lanczos on the
-operator's matvec.  ``operator_norm`` (the driven Hamiltonian) and
-``cd_norm`` (its CD part alone) take the full ``eigvalsh`` up to
-``_NORM_DENSE_LIMIT`` qubits and a largest-magnitude Lanczos solve above.
+operator's matvec.  ``cd_norm``, the spectral norm of the CD part alone,
+takes the full ``eigvalsh`` up to ``_NORM_DENSE_LIMIT`` qubits and a
+largest-magnitude Lanczos solve above.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .pauli import to_dense  # noqa: F401
 #: Above this qubit count, low-lying eigenvalues come from a Lanczos solver.
 _DENSE_DIAG_LIMIT = 11
 
-#: Above this qubit count, the operator norm comes from a Lanczos solver:
+#: Above this qubit count, the CD norm comes from a Lanczos solver:
 #: from n = 9 on, the largest-magnitude Lanczos solve beats the full dense
 #: ``eigvalsh`` (one n = 10 ``none`` solve on a 2-core machine: 0.17 s
 #: dense, 0.015 s Lanczos); at n = 8 the dense solve is still the faster.
@@ -55,27 +55,13 @@ class GapCurve:
 
 
 def instantaneous_spectrum(
-    inst: ProblemInstance | DrivenHamiltonian,
-    lam: float,
-    lam_dot: float,
-    ansatz: Ansatz,
-    k: int = 2,
+    hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float, k: int = 2
 ) -> np.ndarray:
-    """Lowest k eigenvalues of the driven Hamiltonian, ascending.
+    """Lowest k eigenvalues of the compiled driven Hamiltonian, ascending.
 
-    ``inst`` may be the ``DrivenHamiltonian`` already compiled for
-    (instance, ``ansatz``), so that callers solving many points compile once.
     A dense solve serves small n and requests for all but the top two
     eigenvalues; only that solve is bound by the dense-matrix cap.
     """
-    if isinstance(inst, DrivenHamiltonian):
-        hamiltonian = inst
-        if hamiltonian.ansatz is not ansatz:
-            raise ParameterError(
-                f"operator compiled for {hamiltonian.ansatz.value}, asked for {ansatz.value}"
-            )
-    else:
-        hamiltonian = DrivenHamiltonian(inst, ansatz)
     dim = 1 << hamiltonian.n
     if not 1 <= k <= dim:
         raise ParameterError(f"need 1 <= k <= {dim}, got {k}")
@@ -90,23 +76,15 @@ def _lowest(matrix: np.ndarray, k: int) -> np.ndarray:
     return eigh(matrix, eigvals_only=True, subset_by_index=(0, k - 1), driver="evr")
 
 
-def operator_norm(hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float) -> float:
-    """Spectral norm of the driven Hamiltonian at (lam, lam_dot)."""
-    return _norm(hamiltonian, lam, hamiltonian.coefficients(lam, lam_dot))
-
-
 def cd_norm(hamiltonian: DrivenHamiltonian, cd_values: np.ndarray) -> float:
     """Spectral norm of sum_j cd_values[j] P_j over the drive's CD strings."""
     if not np.any(cd_values):
         return 0.0  # Lanczos cannot start on the zero operator.
-    return _norm(hamiltonian, 0.0, np.concatenate([np.zeros(hamiltonian.n), cd_values]))
-
-
-def _norm(hamiltonian: DrivenHamiltonian, diagonal: float, values: np.ndarray) -> float:
+    values = np.concatenate([np.zeros(hamiltonian.n), cd_values])
     if hamiltonian.n <= _NORM_DENSE_LIMIT:
-        matrix = hamiltonian.operator_dense(diagonal, values)
+        matrix = hamiltonian.operator_dense(0.0, values)
         return float(np.abs(np.linalg.eigvalsh(matrix)).max())
-    return float(np.abs(_lanczos(hamiltonian, diagonal, values, 1, "LM")).max())
+    return float(np.abs(_lanczos(hamiltonian, 0.0, values, 1, "LM")).max())
 
 
 def _lanczos(
@@ -146,7 +124,7 @@ def gap_curve(
     hamiltonian = DrivenHamiltonian(inst, ansatz)
 
     def gap_at(t: float) -> float:
-        low = instantaneous_spectrum(hamiltonian, sched.lam(t), sched.lam_dot(t), ansatz, 2)
+        low = instantaneous_spectrum(hamiltonian, sched.lam(t), sched.lam_dot(t), 2)
         return float(low[1] - low[0])
 
     times = np.linspace(0.0, sched.total_time, samples)

@@ -25,7 +25,7 @@ from .gauge import (
     local_y_coefficients,
     minimize_action,
     nc1_coefficient,
-    nc_ansatz_terms,
+    nc1_operator,
     two_local_basis,
 )
 from .pauli import PauliString, PauliSum, commutator, multiply, to_dense, trace_inner
@@ -89,7 +89,7 @@ def _check_local_y(seed: int) -> CheckResult:
             for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
                 beta = local_y_coefficients(inst, lam)
                 H, dH = adiabatic_pair(inst, lam)
-                solved = minimize_action(basis, H, dH, lam=lam)
+                solved = minimize_action(basis, H, dH)
                 reference = np.array([solved.coefficients[f"b{i}"] for i in range(n)])
                 worst = max(worst, float(np.abs(beta - reference).max()))
     passed = worst <= 1e-10
@@ -104,8 +104,7 @@ def _check_nc1(seed: int, nc1_fn: Callable | None) -> CheckResult:
             inst = generate_instance(n, instance_seed(seed, 200 * n + rep))
             for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
                 H, dH = adiabatic_pair(inst, lam)
-                basis_op = nc_ansatz_terms(H, dH, 1)[0]
-                solved = minimize_action([basis_op], H, dH, lam=lam)
+                solved = minimize_action([nc1_operator(H, dH)], H, dH)
                 worst = max(
                     worst, abs(fn(inst, lam) - solved.coefficients["b0"])
                 )

@@ -18,7 +18,7 @@ from cdanneal.gauge import (
     local_y_coefficients,
     minimize_action,
     nc1_coefficient,
-    nc_ansatz_terms,
+    nc1_operator,
 )
 from cdanneal.harness import ExperimentConfig, enhancement_metrics, run_ensemble
 from cdanneal.pauli import PauliString, PauliSum, to_dense
@@ -69,7 +69,7 @@ def test_criterion_1_nc1_closed_form_equivalence():
             inst = generate_instance(n, instance_seed(MASTER_SEED, 1000 * n + rep))
             for lam in LAM_GRID:
                 H, dH = adiabatic_pair(inst, lam)
-                basis_op = nc_ansatz_terms(H, dH, 1)[0]
+                basis_op = nc1_operator(H, dH)
                 solved = minimize_action([basis_op], H, dH)
                 deviation = abs(nc1_coefficient(inst, lam) - solved.coefficients["b0"])
                 worst = max(worst, deviation)

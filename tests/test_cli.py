@@ -123,6 +123,26 @@ def test_run_malformed_instance(tmp_path):
     assert run_cli("run", "--instance", str(path)) == 2
     path.write_text('{"n": 2, "seed": 0, "h": [0, 0], "J": [[0, 1, 1.0], [0, 1, 1.3]]}')
     assert run_cli("run", "--instance", str(path)) == 2
+    # A non-integer index or count and a boolean value are refused, not truncated.
+    for payload in (
+        '{"n": 2, "seed": 0, "h": [0, 0], "J": [[0.9, 1, 1.0]]}',
+        '{"n": 2.7, "seed": 0, "h": [0, 0], "J": [[0, 1, 1.0]]}',
+        '{"n": 2, "seed": 0, "h": [0.5, true], "J": [[0, 1, 1.0]]}',
+    ):
+        path.write_text(payload)
+        assert run_cli("run", "--instance", str(path)) == 2
+
+
+def test_run_non_finite_total_time(tmp_path, capsys):
+    # T = 1e308 is finite, but pi t overflows in the schedule: the evolution
+    # stops at the first non-finite norm instead of printing P_s nan.
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(3, 9), instance)
+    for total_time in ("inf", "nan"):
+        assert run_cli("run", "--instance", str(instance), "--T", total_time) == 2
+        assert "finite" in capsys.readouterr().err
+    assert run_cli("run", "--instance", str(instance), "--T", "1e308") == 4
+    assert "norm" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -235,7 +255,12 @@ def test_sweep_flag_overrides(tmp_path):
 
 def test_sweep_bad_config_exit(tmp_path):
     config = tmp_path / "config.json"
-    for payload in ({"unknown_field": 1}, {"jobs": "4"}, {"n_values": "4"}):
+    for payload in (
+        {"unknown_field": 1},
+        {"jobs": "4"},
+        {"n_values": "4"},
+        {"total_time": float("inf")},  # written as Infinity
+    ):
         config.write_text(json.dumps(payload))
         assert run_cli("sweep", "--config", str(config)) == 2
 

@@ -3,21 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdanneal.errors import ParameterError, ResourceCapError, SingularGaugeError
+from cdanneal.errors import ParameterError, SingularGaugeError
 from cdanneal.gauge import (
     Ansatz,
     CompiledGauge,
     adiabatic_pair,
     assemble_hamiltonian,
     cd_coefficients,
-    cd_operator,
     cd_terms,
     local_y_coefficients,
     minimize_action,
     nc1_coefficient,
-    nc_ansatz_terms,
+    nc1_operator,
     two_local_basis,
-    two_local_cd,
 )
 from cdanneal.pauli import (
     PauliString,
@@ -40,6 +38,13 @@ LAM_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 def single_site(n, i, axis):
     return PauliSum(n, {PauliString.single(n, i, axis): 1.0})
+
+
+def cd_part(inst, ansatz, lam, lam_dot):
+    """lam_dot * A(lam) as an operator sum: the driven minus the undriven Hamiltonian."""
+    return assemble_hamiltonian(inst, lam, lam_dot, ansatz) - assemble_hamiltonian(
+        inst, lam, 0.0, ansatz
+    )
 
 
 # ------------------------------------------------------ closed-form local Y
@@ -97,8 +102,7 @@ def test_nc1_matches_action_minimization():
             inst = generate_instance(n, instance_seed(202, 10 * n + rep))
             for lam in LAM_GRID:
                 H, dH = adiabatic_pair(inst, lam)
-                basis_op = nc_ansatz_terms(H, dH, 1)[0]
-                solved = minimize_action([basis_op], H, dH)
+                solved = minimize_action([nc1_operator(H, dH)], H, dH)
                 worst = max(
                     worst, abs(nc1_coefficient(inst, lam) - solved.coefficients["b0"])
                 )
@@ -115,8 +119,7 @@ def test_nc1_denominator_equals_normal_equation_diagonal():
         j2 = sum(v * v for _, _, v in inst.couplings)
         for lam in LAM_GRID:
             H, dH = adiabatic_pair(inst, lam)
-            basis_op = nc_ansatz_terms(H, dH, 1)[0]
-            image = 1j * commutator(basis_op, H)
+            image = 1j * commutator(nc1_operator(H, dH), H)
             gram_diag = trace_inner(image, image).real
             r_value = -0.25 * (h2 + 2.0 * j2) / nc1_coefficient(inst, lam)
             assert gram_diag == pytest.approx(16.0 * r_value, rel=1e-9)
@@ -137,7 +140,7 @@ def test_nc_term_single_spin_oracle():
     for lam in LAM_GRID:
         H = PauliSum.from_labels({"Z": lam, "X": -(1.0 - lam)})
         dH = PauliSum.from_labels({"Z": 1.0, "X": 1.0})
-        (term,) = nc_ansatz_terms(H, dH, 1)
+        term = nc1_operator(H, dH)
         assert term.approx_eq(PauliSum.from_labels({"Y": -2.0}))
         dense_h, dense_dh = to_dense(H), to_dense(dH)
         oracle = 1j * (dense_h @ dense_dh - dense_dh @ dense_h)
@@ -151,7 +154,7 @@ def test_nc_term_operator_content():
         inst = generate_instance(n, instance_seed(303, n))
         for lam in (0.2, 0.8):
             H, dH = adiabatic_pair(inst, lam)
-            (term,) = nc_ansatz_terms(H, dH, 1)
+            term = nc1_operator(H, dH)
             coupled = {(i, j): v for i, j, v in inst.couplings}
             for string, coeff in term:
                 assert string.y_count == 1
@@ -174,30 +177,24 @@ def test_nc_term_operator_content():
 def test_nc_terms_commuting_input_empty():
     H = PauliSum.from_labels({"ZZ": 1.0})
     dH = PauliSum.from_labels({"ZI": 0.5, "IZ": -0.25})
-    terms = nc_ansatz_terms(H, dH, 2)
-    assert all(len(t) == 0 for t in terms)
+    assert len(nc1_operator(H, dH)) == 0
 
 
 def test_nc_terms_odd_y_count():
     inst = generate_instance(3, instance_seed(404, 1))
     H, dH = adiabatic_pair(inst, 0.37)
-    for term in nc_ansatz_terms(H, dH, 2):
-        assert term.is_hermitian()
-        assert all(s.y_count % 2 == 1 for s, _ in term)
+    term = nc1_operator(H, dH)
+    assert len(term) > 0 and term.is_hermitian()
+    assert all(s.y_count % 2 == 1 for s, _ in term)
 
 
-def test_nc_terms_cap_and_validation():
+def test_nc_terms_validation():
     inst = generate_instance(4, instance_seed(404, 2))
     H, dH = adiabatic_pair(inst, 0.5)
-    with pytest.raises(ResourceCapError):
-        nc_ansatz_terms(H, dH, 2, string_cap=5)
-    with pytest.raises(ResourceCapError):
-        nc_ansatz_terms(H, dH, 3)
-    assert len(nc_ansatz_terms(H, dH, 3, order_cap=3)) == 3
     with pytest.raises(ParameterError):
-        nc_ansatz_terms(H, dH, 0)
+        nc1_operator(1j * H, dH)
     with pytest.raises(ParameterError):
-        nc_ansatz_terms(1j * H, dH, 1)
+        nc1_operator(H, 1j * dH)
 
 
 # --------------------------------------------------------- action minimizer
@@ -207,11 +204,10 @@ def test_minimize_action_reproduces_local_y():
     inst = ProblemInstance(1, (), (0.8,), seed=0)
     for lam in LAM_GRID:
         H, dH = adiabatic_pair(inst, lam)
-        solved = minimize_action([single_site(1, 0, "Y")], H, dH, lam=lam)
+        solved = minimize_action([single_site(1, 0, "Y")], H, dH)
         assert solved.coefficients["b0"] == pytest.approx(
             local_y_coefficients(inst, lam)[0], abs=1e-10
         )
-        assert solved.lam == lam
         assert solved.residual_action >= 0.0
 
 
@@ -231,7 +227,7 @@ def test_minimize_action_dense_scan_oracle():
     inst = generate_instance(2, instance_seed(505, 3))
     lam = 0.5
     H, dH = adiabatic_pair(inst, lam)
-    basis_op = nc_ansatz_terms(H, dH, 1)[0]
+    basis_op = nc1_operator(H, dH)
     solved = minimize_action([basis_op], H, dH)
     best = solved.coefficients["b0"]
 
@@ -263,18 +259,17 @@ def test_two_local_residual_below_nc1():
         inst = generate_instance(n, instance_seed(606, n))
         for lam in (0.3, 0.5, 0.7):
             H, dH = adiabatic_pair(inst, lam)
-            nc_basis = nc_ansatz_terms(H, dH, 1)
-            nc_res = minimize_action(nc_basis, H, dH).residual_action
-            _, solution = two_local_cd(inst, lam)
+            nc_res = minimize_action([nc1_operator(H, dH)], H, dH).residual_action
+            solution = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(lam)
             assert solution.residual_action <= nc_res + 1e-10
 
 
 def test_two_local_zero_fields_kill_single_sites():
     inst = ProblemInstance(2, ((0, 1, 0.9),), (0.0, 0.0), seed=0)
-    operator, solution = two_local_cd(inst, 0.5)
+    solution = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(0.5)
     assert abs(solution.coefficients["y0"]) <= 1e-10
     assert abs(solution.coefficients["y1"]) <= 1e-10
-    assert operator.is_hermitian()
+    assert cd_part(inst, Ansatz.TWO_LOCAL, 0.5, 1.0).is_hermitian()
 
 
 def test_two_local_property_sweep():
@@ -282,10 +277,10 @@ def test_two_local_property_sweep():
     for n in (2, 3, 4, 5, 6):
         for rep in range(20):
             inst = generate_instance(n, instance_seed(707, 100 * n + rep))
-            operator, solution = two_local_cd(inst, 0.5)
+            solution = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(0.5)
             values = np.array(list(solution.coefficients.values()))
             assert np.all(np.isfinite(values))
-            assert operator.is_hermitian()
+            assert cd_part(inst, Ansatz.TWO_LOCAL, 0.5, 1.0).is_hermitian()
             assert solution.residual_action >= 0.0
             count += 1
     assert count == 100
@@ -317,13 +312,12 @@ def test_compiled_two_local_matches_minimize_action(point):
     # all-zero fields or couplings exercise the pseudo-inverse path.
     inst, lam = point
     basis, labels = two_local_basis(inst.n)
-    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels, lam=lam)
+    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels)
     compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(lam)
     assert compiled.labels == solved.labels
     assert np.abs(compiled.vector() - solved.vector()).max() <= 1e-10
     assert abs(compiled.residual_action - solved.residual_action) <= 1e-10
     assert compiled.condition_warning == solved.condition_warning
-    assert compiled.lam == lam
 
 
 def test_compiled_two_local_pseudo_inverse_path():
@@ -343,7 +337,7 @@ def test_two_local_symmetry_forbidden_coefficient_is_zero():
     inst = ProblemInstance(4, couplings, (0.0,) * 4, seed=0)
     lam = 0.99999
     basis, labels = two_local_basis(inst.n)
-    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels, lam=lam)
+    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels)
     compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(lam)
     for solution in (solved, compiled):
         assert abs(solution.coefficients["y2"]) <= 1e-15
@@ -496,16 +490,16 @@ def test_exact_gauge_single_site_improvement():
 # ----------------------------------------------------- CD operator assembly
 
 
-def test_cd_operator_none_empty():
+def test_cd_part_none_empty():
     inst = generate_instance(3, 1)
-    assert len(cd_operator(inst, Ansatz.NONE, 0.5, 1.0)) == 0
+    assert len(cd_part(inst, Ansatz.NONE, 0.5, 1.0)) == 0
     assert cd_terms(inst, Ansatz.NONE) == []
 
 
-def test_cd_operator_hermitian_and_nonstoquastic():
+def test_cd_part_hermitian_and_nonstoquastic():
     inst = generate_instance(3, instance_seed(909, 0))
     for ansatz in (Ansatz.LOCAL_Y, Ansatz.NC1, Ansatz.TWO_LOCAL):
-        operator = cd_operator(inst, ansatz, 0.5, 1.7)
+        operator = cd_part(inst, ansatz, 0.5, 1.7)
         assert operator.is_hermitian()
         assert len(operator) > 0
         assert not is_stoquastic(operator)
@@ -532,7 +526,7 @@ def test_nc1_operator_matches_eq5_structure():
     inst = generate_instance(3, instance_seed(909, 2))
     lam, lam_dot = 0.6, 1.1
     alpha = nc1_coefficient(inst, lam)
-    operator = cd_operator(inst, Ansatz.NC1, lam, lam_dot)
+    operator = cd_part(inst, Ansatz.NC1, lam, lam_dot)
     for i in range(3):
         expected = -2.0 * lam_dot * alpha * inst.fields[i]
         assert operator.coefficient(PauliString.single(3, i, "Y")) == pytest.approx(expected)

@@ -5,7 +5,7 @@ import pytest
 
 import cdanneal.harness as harness_mod
 from cdanneal.errors import ParameterError, SingularGaugeError
-from cdanneal.gauge import Ansatz, cd_operator
+from cdanneal.gauge import Ansatz, assemble_hamiltonian
 from cdanneal.harness import (
     ExperimentConfig,
     RunRecord,
@@ -260,8 +260,9 @@ def test_records_csv_rejects_malformed():
     with pytest.raises(ParameterError):
         records_from_csv(good + "1,2\n")
     row = ["0", "4", "17", "false", "false", "none", "0.5", "0.0", "120", ""]
-    for field in (6, 2, 8):  # P_s, seed, entangling_count
-        bad = row[:field] + ["abc"] + row[field + 1:]
+    for field, value in ((6, "abc"), (2, "abc"), (8, "abc"), (3, "TRUE"), (4, "TRUE")):
+        # P_s, seed, entangling_count, degenerate, excluded
+        bad = row[:field] + [value] + row[field + 1:]
         with pytest.raises(ParameterError, match="line 3"):
             records_from_csv(good + ",".join(bad) + "\n")
 
@@ -321,15 +322,17 @@ def test_cost_report_counts():
 )
 def test_cd_cost_matches_dense_cd_norms(n, ansatz):
     # Each structured form (sum |beta_i|, one nc1 norm scaled per point, one
-    # solve per point) against the dense spectral norm of cd_operator; n = 9
-    # takes the Lanczos norm.
+    # solve per point) against the dense spectral norm of the CD part of the
+    # assembled Hamiltonian; n = 9 takes the Lanczos norm.
     inst = generate_instance(n, instance_seed(515, n))
     drive = Ansatz.parse(ansatz)
     sched = Schedule(1.0, 20)
-    expected = sum(
-        sched.dt * np.linalg.norm(to_dense(cd_operator(inst, drive, p.lam, p.lam_dot)), 2)
-        for p in sched.grid()
-    )
+
+    def cd_part(p):
+        driven = assemble_hamiltonian(inst, p.lam, p.lam_dot, drive)
+        return to_dense(driven - assemble_hamiltonian(inst, p.lam, 0.0, drive))
+
+    expected = sum(sched.dt * np.linalg.norm(cd_part(p), 2) for p in sched.grid())
     got = cd_cost(DrivenHamiltonian(inst, drive), sched)
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-14)
     assert (got > 0.0) == (drive is not Ansatz.NONE)

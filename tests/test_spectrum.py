@@ -22,19 +22,26 @@ from cdanneal.spectrum import (
     gap_curve,
     gap_rows,
     instantaneous_spectrum,
-    operator_norm,
 )
+
+
+def cd_dense_norm(inst, ansatz, lam, lam_dot):
+    """Spectral norm of lam_dot * A(lam), the driven minus the undriven Hamiltonian."""
+    cd_part = assemble_hamiltonian(inst, lam, lam_dot, ansatz) - assemble_hamiltonian(
+        inst, lam, 0.0, ansatz
+    )
+    return float(np.abs(np.linalg.eigvalsh(to_dense(cd_part))).max())
 
 
 def test_spectrum_mixer_limit():
     inst = ProblemInstance(1, (), (0.3,), seed=0)
-    eigenvalues = instantaneous_spectrum(inst, 0.0, 0.0, Ansatz.NONE, k=2)
+    eigenvalues = instantaneous_spectrum(DrivenHamiltonian(inst, Ansatz.NONE), 0.0, 0.0, k=2)
     assert eigenvalues == pytest.approx([-1.0, 1.0])
 
 
 def test_spectrum_half_way_single_site():
     inst = ProblemInstance(1, (), (1.0,), seed=0)
-    eigenvalues = instantaneous_spectrum(inst, 0.5, 0.0, Ansatz.NONE, k=2)
+    eigenvalues = instantaneous_spectrum(DrivenHamiltonian(inst, Ansatz.NONE), 0.5, 0.0, k=2)
     assert eigenvalues[1] - eigenvalues[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
@@ -43,7 +50,8 @@ def test_spectrum_final_time_matches_classical_gap():
         inst = generate_instance(5, instance_seed(911, seed))
         energies = np.sort(np.unique(np.round(classical_energies(inst), 12)))
         for ansatz in (Ansatz.NONE, Ansatz.NC1):
-            eigenvalues = instantaneous_spectrum(inst, 1.0, 0.0, ansatz, k=2)
+            hamiltonian = DrivenHamiltonian(inst, ansatz)
+            eigenvalues = instantaneous_spectrum(hamiltonian, 1.0, 0.0, k=2)
             assert eigenvalues[1] - eigenvalues[0] == pytest.approx(
                 energies[1] - energies[0], abs=1e-9
             )
@@ -52,17 +60,16 @@ def test_spectrum_final_time_matches_classical_gap():
 def test_spectrum_caps_and_validation():
     # Above the dense cap the Lanczos path still serves the low end.
     big = generate_instance(15, 1)
-    low = instantaneous_spectrum(big, 0.5, 0.0, Ansatz.NONE)
+    hamiltonian = DrivenHamiltonian(big, Ansatz.NONE)
+    low = instantaneous_spectrum(hamiltonian, 0.5, 0.0)
     assert low.shape == (2,) and low[0] <= low[1]
     # Rayleigh bound from the classical ground state, where <b|H|b> = lam E(b).
     assert low[0] <= 0.5 * classical_energies(big).min() + 1e-9
     with pytest.raises(ResourceCapError):
-        instantaneous_spectrum(big, 0.5, 0.0, Ansatz.NONE, k=(1 << 15) - 1)
-    inst = generate_instance(5, 1)
+        instantaneous_spectrum(hamiltonian, 0.5, 0.0, k=(1 << 15) - 1)
+    small = DrivenHamiltonian(generate_instance(5, 1), Ansatz.NONE)
     with pytest.raises(ParameterError):
-        instantaneous_spectrum(inst, 0.5, 0.0, Ansatz.NONE, k=0)
-    with pytest.raises(ParameterError):
-        instantaneous_spectrum(DrivenHamiltonian(inst, Ansatz.NC1), 0.5, 0.0, Ansatz.NONE)
+        instantaneous_spectrum(small, 0.5, 0.0, k=0)
 
 
 # Nonzero values stay away from the 1e-12 scale at which PauliSum prunes the
@@ -93,12 +100,13 @@ def test_dense_solves_match_reference(point):
         assume(False)
     hamiltonian = DrivenHamiltonian(inst, ansatz)
     for k in sorted({1, 2, 1 << inst.n}):
-        low = instantaneous_spectrum(hamiltonian, lam, lam_dot, ansatz, k)
+        low = instantaneous_spectrum(hamiltonian, lam, lam_dot, k)
         assert np.abs(low - reference[:k]).max() <= 1e-10
-    norm = operator_norm(hamiltonian, lam, lam_dot)
-    assert norm == pytest.approx(float(np.abs(reference).max()), abs=1e-10)
+    cd_values = cd_coefficients(inst, ansatz, lam, lam_dot)
+    norm = cd_norm(hamiltonian, cd_values)
+    assert norm == pytest.approx(cd_dense_norm(inst, ansatz, lam, lam_dot), abs=1e-10)
     # Real exactly when no CD string carries weight.
-    driven = cd_coefficients(inst, ansatz, lam, lam_dot).any()
+    driven = cd_values.any()
     assert hamiltonian.dense(lam, lam_dot).dtype == (np.complex128 if driven else np.float64)
 
 
@@ -134,39 +142,47 @@ def test_lanczos_sees_both_flip_sectors():
     inst = ProblemInstance(n, couplings, (0.0,) * n, seed=0)
     hamiltonian = DrivenHamiltonian(inst, Ansatz.NONE)
     assert n > spectrum_mod._DENSE_DIAG_LIMIT
-    end = instantaneous_spectrum(hamiltonian, 1.0, 0.0, Ansatz.NONE)
+    end = instantaneous_spectrum(hamiltonian, 1.0, 0.0)
     assert end == pytest.approx(np.sort(classical_energies(inst))[:2], abs=1e-9)
-    mid = instantaneous_spectrum(hamiltonian, 0.5, 0.0, Ansatz.NONE)
+    mid = instantaneous_spectrum(hamiltonian, 0.5, 0.0)
     assert mid == pytest.approx(_flip_sector_lows(inst, 0.5), abs=1e-9)
 
 
 def test_lanczos_path_matches_dense(monkeypatch):
-    inst = generate_instance(5, instance_seed(912, 0))
-    dense_values = instantaneous_spectrum(inst, 0.43, 0.8, Ansatz.NC1, k=3)
+    hamiltonian = DrivenHamiltonian(generate_instance(5, instance_seed(912, 0)), Ansatz.NC1)
+    dense_values = instantaneous_spectrum(hamiltonian, 0.43, 0.8, k=3)
     monkeypatch.setattr(spectrum_mod, "_DENSE_DIAG_LIMIT", 2)
-    lanczos_values = instantaneous_spectrum(inst, 0.43, 0.8, Ansatz.NC1, k=3)
+    lanczos_values = instantaneous_spectrum(hamiltonian, 0.43, 0.8, k=3)
     assert lanczos_values == pytest.approx(dense_values, abs=1e-8)
 
 
-def test_operator_norm_matches_dense(monkeypatch):
+def test_cd_norm_matches_dense(monkeypatch):
     inst = generate_instance(4, instance_seed(913, 0))
-    dense = to_dense(assemble_hamiltonian(inst, 0.6, 0.5, Ansatz.NC1))
-    expected = float(np.abs(np.linalg.eigvalsh(dense)).max())
-    hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
-    assert operator_norm(hamiltonian, 0.6, 0.5) == pytest.approx(expected, abs=1e-10)
+    cases = [
+        (
+            DrivenHamiltonian(inst, ansatz),
+            cd_coefficients(inst, ansatz, 0.6, 0.5),
+            cd_dense_norm(inst, ansatz, 0.6, 0.5),
+        )
+        for ansatz in (Ansatz.NC1, Ansatz.TWO_LOCAL)
+    ]
+    for hamiltonian, values, expected in cases:
+        assert cd_norm(hamiltonian, values) == pytest.approx(expected, abs=1e-10)
     monkeypatch.setattr(spectrum_mod, "_NORM_DENSE_LIMIT", 2)
-    assert operator_norm(hamiltonian, 0.6, 0.5) == pytest.approx(expected, abs=1e-8)
+    for hamiltonian, values, expected in cases:
+        assert cd_norm(hamiltonian, values) == pytest.approx(expected, abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_operator_norm_lanczos_above_crossover(n):
+def test_cd_norm_lanczos_above_crossover(n):
     # From n = 9 on the norm is a Lanczos solve, while the spectra stay dense.
     assert spectrum_mod._NORM_DENSE_LIMIT < n <= spectrum_mod._DENSE_DIAG_LIMIT
     inst = generate_instance(n, instance_seed(914, n))
-    for ansatz in (Ansatz.NONE, Ansatz.NC1):
+    for ansatz in (Ansatz.NC1, Ansatz.TWO_LOCAL):
         hamiltonian = DrivenHamiltonian(inst, ansatz)
-        expected = float(np.abs(np.linalg.eigvalsh(hamiltonian.dense(0.55, 0.9))).max())
-        assert operator_norm(hamiltonian, 0.55, 0.9) == pytest.approx(expected, rel=1e-10)
+        values = cd_coefficients(inst, ansatz, 0.55, 0.9)
+        expected = cd_dense_norm(inst, ansatz, 0.55, 0.9)
+        assert cd_norm(hamiltonian, values) == pytest.approx(expected, rel=1e-10)
 
 
 def test_cd_norm_of_zero_coefficients_on_lanczos_path():
