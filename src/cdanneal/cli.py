@@ -173,33 +173,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _print_avg_ps(n: int, data: dict) -> None:
+    avg = ", ".join(
+        f"{tag}={value:.4f}" for tag, value in data["avg_ps"].items() if value is not None
+    )
+    print(f"n={n}: avg P_s {avg}")
+
+
 def cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    overrides = {}
-    for name in (
-        "master_seed",
-        "instances_per_n",
-        "total_time",
-        "trotter_steps",
-        "shots",
-        "jobs",
-        "gap_samples",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.n_values is not None:
-        overrides["n_values"] = tuple(args.n_values)
-    if args.ansatz is not None:
-        overrides["ansatz"] = tuple(args.ansatz)
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if args.compute_gaps is not None:
-        overrides["compute_gaps"] = True
-    if args.record_timings is not None:
-        overrides["record_timings"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    # Every sweep flag's dest is the config field it overrides.
+    names = (f.name for f in dataclasses.fields(ExperimentConfig))
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    cfg = ExperimentConfig.from_dict(ExperimentConfig.from_file(args.config).to_dict() | overrides)
 
     progress = None
     if not args.quiet:
@@ -232,22 +217,18 @@ def cmd_sweep(args) -> int:
     cfg.to_file(out_dir / "config.json")
 
     costs = cost_report(records, cfg)
-    lines = ["n,ansatz,entangling_per_step,entangling_total,cd_cost,count_only"]
+    lines = ["n,ansatz,entangling_per_step,entangling_total,cd_cost"]
     for row in costs:
         cost = "" if row.cd_cost is None else repr(row.cd_cost)
         lines.append(
-            f"{row.n},{row.ansatz},{row.entangling_per_step},"
-            f"{row.entangling_total},{cost},{str(row.count_only).lower()}"
+            f"{row.n},{row.ansatz},{row.entangling_per_step},{row.entangling_total},{cost}"
         )
     (out_dir / "cost_report.csv").write_text(
         f"# config_hash={config_hash(cfg)}\n" + "\n".join(lines) + "\n"
     )
 
     for n, data in sorted(summary.per_n.items()):
-        avg = ", ".join(
-            f"{tag}={value:.4f}" for tag, value in data["avg_ps"].items() if value is not None
-        )
-        print(f"n={n}: avg P_s {avg}")
+        _print_avg_ps(n, data)
         for tag, value in data["r_enh"].items():
             enh = data["p_enh_avg"][tag]
             enh_text = "n/a" if enh is None else f"{enh:.3f}"
@@ -285,10 +266,7 @@ def cmd_report(args) -> int:
     out = out_dir / "summary.json"
     out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     for n, data in sorted(summary.per_n.items()):
-        avg = ", ".join(
-            f"{tag}={value:.4f}" for tag, value in data["avg_ps"].items() if value is not None
-        )
-        print(f"n={n}: avg P_s {avg}")
+        _print_avg_ps(n, data)
     print(f"wrote {out}")
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,6 +45,9 @@ ZERO_BASELINE_FLOOR = 1e-12
 
 #: Histogram binning for success-probability distributions.
 HISTOGRAM_BINS = 50
+
+#: Regenerated instances per (size, drive) that the cost report averages.
+COST_SAMPLES = 5
 
 _CSV_HEADER = (
     "instance_id,n,seed,degenerate,excluded,ansatz,P_s,wall_ms,"
@@ -103,10 +105,7 @@ class ExperimentConfig:
             raise ParameterError(
                 f"n_values exceed the state-vector cap {STATEVECTOR_CAP}"
             )
-        if self.trotter_steps < 1:
-            raise ParameterError("trotter_steps must be >= 1")
-        if not (math.isfinite(self.total_time) and self.total_time > 0.0):
-            raise ParameterError("total_time must be positive and finite")
+        Schedule(self.total_time, self.trotter_steps)
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
         if self.shots is not None and self.shots < 1:
@@ -280,17 +279,15 @@ def run_ensemble(
     return records
 
 
-def enhancement_metrics(
-    records: Iterable[RunRecord], baseline: str = "none"
-) -> EnsembleSummary:
+def enhancement_metrics(records: Iterable[RunRecord]) -> EnsembleSummary:
     """Per-size averages, enhancement ratios, and success histograms.
 
-    The enhanced fraction counts strict improvement over the baseline (ties
-    do not count).  Ratio means skip records whose baseline probability is
+    The enhanced fraction counts strict improvement over ``none`` (ties do
+    not count).  Ratio means skip records whose baseline probability is
     below ``ZERO_BASELINE_FLOOR``; those skips are tallied separately.
     Excluded records are omitted throughout.
     """
-    records = [r for r in records]
+    baseline = "none"
     by_n: dict[int, list[RunRecord]] = {}
     for record in records:
         by_n.setdefault(record.n, []).append(record)
@@ -367,7 +364,6 @@ class CostRow:
     entangling_per_step: int
     entangling_total: int
     cd_cost: float | None
-    count_only: bool
 
 
 def cd_cost(hamiltonian: DrivenHamiltonian, sched: Schedule) -> float:
@@ -399,18 +395,11 @@ def cd_cost(hamiltonian: DrivenHamiltonian, sched: Schedule) -> float:
     return sched.dt * float(np.sum(norms))
 
 
-def cost_report(
-    records: Iterable[RunRecord],
-    cfg: ExperimentConfig,
-    *,
-    norm_samples: int = 5,
-    norm_cap: int = STATEVECTOR_CAP,
-) -> list[CostRow]:
+def cost_report(records: Iterable[RunRecord], cfg: ExperimentConfig) -> list[CostRow]:
     """Entangling-exponential counts and the time-integrated CD cost.
 
-    The CD cost is ``cd_cost`` averaged over up to ``norm_samples``
-    regenerated instances on which the drive was not excluded; above
-    ``norm_cap`` it is skipped and the row is marked count-only.
+    The CD cost is ``cd_cost`` averaged over up to ``COST_SAMPLES``
+    regenerated instances on which the drive was not excluded.
     """
     sched = Schedule(cfg.total_time, cfg.trotter_steps)
     by_key: dict[tuple[int, str], list[RunRecord]] = {}
@@ -423,15 +412,12 @@ def cost_report(
         totals = [r.entangling[tag] for r in group if not r.excluded]
         total = int(max(totals)) if totals else 0
         per_step = total // cfg.trotter_steps if total else 0
-        if n > norm_cap:
-            rows.append(CostRow(n, tag, per_step, total, None, True))
-            continue
         # A drive excluded on an instance is singular somewhere on this grid.
-        kept = [r for r in group if r.ps[tag] is not None][:norm_samples]
+        kept = [r for r in group if r.ps[tag] is not None][:COST_SAMPLES]
         costs = [
             cd_cost(DrivenHamiltonian(generate_instance(n, r.seed), ansatz), sched) for r in kept
         ]
-        rows.append(CostRow(n, tag, per_step, total, float(np.mean(costs)) if costs else None, False))
+        rows.append(CostRow(n, tag, per_step, total, float(np.mean(costs)) if costs else None))
     return rows
 
 

@@ -156,7 +156,7 @@ def string_amplitudes(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
 class PauliSum:
     """Immutable complex-weighted sum of Pauli strings on a fixed qubit count.
 
-    Coefficients with magnitude below ``prune_tol`` are dropped at
+    Coefficients with magnitude at most ``PRUNE_TOLERANCE`` are dropped at
     construction, so algebraic results stay sparse.  Because every stored
     string is itself Hermitian, the sum is Hermitian exactly when all
     coefficients are real.
@@ -168,8 +168,6 @@ class PauliSum:
         self,
         n: int,
         terms: Mapping[PauliString, complex] | Iterable[tuple[PauliString, complex]] = (),
-        *,
-        prune_tol: float = PRUNE_TOLERANCE,
     ):
         if n < 1:
             raise ParameterError(f"qubit count must be >= 1, got {n}")
@@ -179,7 +177,7 @@ class PauliSum:
             _check_dims(n, string.n)
             acc[string] = acc.get(string, 0.0) + complex(coeff)
         self.n = n
-        self._terms = {s: c for s, c in acc.items() if abs(c) > prune_tol}
+        self._terms = {s: c for s, c in acc.items() if abs(c) > PRUNE_TOLERANCE}
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
@@ -240,14 +238,14 @@ class PauliSum:
                 acc[s] = acc.get(s, 0.0) + ca * cb * phase
         return PauliSum(self.n, acc)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= 1e-10 for c in self._terms.values())
 
-    def approx_eq(self, other: "PauliSum", tol: float = 1e-10) -> bool:
+    def approx_eq(self, other: "PauliSum") -> bool:
         _check_dims(self.n, other.n)
         keys = set(self._terms) | set(other._terms)
         return all(
-            abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol
+            abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= 1e-10
             for k in keys
         )
 
@@ -292,10 +290,10 @@ def trace_inner(a: PauliSum, b: PauliSum) -> complex:
     return total
 
 
-def to_dense(a: PauliSum, cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense 2**n x 2**n matrix of the operator; guarded by ``cap``."""
-    if a.n > cap:
-        raise ResourceCapError(f"dense matrix for n={a.n} exceeds cap {cap}")
+def to_dense(a: PauliSum) -> np.ndarray:
+    """Dense 2**n x 2**n matrix of the operator; guarded by ``DENSE_CAP``."""
+    if a.n > DENSE_CAP:
+        raise ResourceCapError(f"dense matrix for n={a.n} exceeds cap {DENSE_CAP}")
     dim = 1 << a.n
     mat = np.zeros((dim, dim), dtype=np.complex128)
     idx = np.arange(dim)
@@ -307,16 +305,16 @@ def to_dense(a: PauliSum, cap: int = DENSE_CAP) -> np.ndarray:
     return mat
 
 
-def is_stoquastic(a: PauliSum, tol: float = 1e-9, cap: int = DENSE_CAP) -> bool:
-    """True when all computational-basis off-diagonals are real and <= +tol.
+def is_stoquastic(a: PauliSum) -> bool:
+    """True when all computational-basis off-diagonals are real and <= +1e-9.
 
     Requires a Hermitian input and small n (the check is dense).
     """
     if not a.is_hermitian():
         raise ParameterError("stoquasticity is only defined for Hermitian operators")
-    mat = to_dense(a, cap=cap)
+    mat = to_dense(a)
     off = mat[~np.eye(mat.shape[0], dtype=bool)]
-    return bool(np.all(np.abs(off.imag) <= tol) and np.all(off.real <= tol))
+    return bool(np.all(np.abs(off.imag) <= 1e-9) and np.all(off.real <= 1e-9))
 
 
 def _check_dims(n_a: int, n_b: int) -> None:

@@ -184,21 +184,16 @@ def classical_energies(inst: ProblemInstance) -> np.ndarray:
     return energy
 
 
-def ground_state(
-    inst: ProblemInstance,
-    *,
-    cap: int = STATEVECTOR_CAP,
-    tol: float = DEGENERACY_TOL,
-) -> GroundTruth:
+def ground_state(inst: ProblemInstance) -> GroundTruth:
     """Exhaustive minimum of the classical energy over all configurations.
 
-    Returns every basis index within ``tol`` of the minimum; with continuous
-    couplings ties are measure-zero, so ``degenerate`` flags the rare
-    floating-point near-ties rather than a generic expectation.
+    Returns every basis index within ``DEGENERACY_TOL`` of the minimum;
+    with continuous couplings ties are measure-zero, so ``degenerate`` flags
+    the rare floating-point near-ties rather than a generic expectation.
     """
-    if inst.n > cap:
-        raise ResourceCapError(f"enumeration for n={inst.n} exceeds cap {cap}")
+    if inst.n > STATEVECTOR_CAP:
+        raise ResourceCapError(f"enumeration for n={inst.n} exceeds cap {STATEVECTOR_CAP}")
     energy = classical_energies(inst)
     minimum = float(energy.min())
-    states = tuple(int(s) for s in np.flatnonzero(energy <= minimum + tol))
+    states = tuple(int(s) for s in np.flatnonzero(energy <= minimum + DEGENERACY_TOL))
     return GroundTruth(minimum, states, len(states) > 1)

@@ -31,8 +31,12 @@ class Schedule:
     steps: int = 20
 
     def __post_init__(self):
-        if not (math.isfinite(self.total_time) and self.total_time > 0.0):
-            raise ParameterError(f"total time must be positive and finite, got {self.total_time}")
+        # lam computes pi t / 2T and lam_dot pi^2 / 4T: both must stay finite.
+        T = self.total_time
+        if not (T > 0.0 and math.isfinite(math.pi * T) and math.isfinite(math.pi**2 / (4.0 * T))):
+            raise ParameterError(
+                f"total time must be positive, with pi T and pi^2/4T finite, got {T}"
+            )
         if self.steps < 1:
             raise ParameterError(f"step count must be >= 1, got {self.steps}")
 

@@ -5,7 +5,7 @@ Every solve reads the operator compiled by ``DrivenHamiltonian``.  Up to
 which is real symmetric wherever the CD coefficients vanish (always for
 ``none``, and at lam_dot = 0 for every drive) and complex Hermitian
 elsewhere.  ``instantaneous_spectrum`` asks LAPACK's MRRR solver (``evr``)
-for only the k lowest eigenvalues, and above the limit runs Lanczos on the
+for only the two lowest eigenvalues, and above the limit runs Lanczos on the
 operator's matvec.  ``cd_norm``, the spectral norm of the CD part alone,
 takes the full ``eigvalsh`` up to ``_NORM_DENSE_LIMIT`` qubits and a
 largest-magnitude Lanczos solve above.
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ParameterError
+from .errors import IntegratorError, ParameterError
 from .gauge import Ansatz
 from .problem import ProblemInstance
 from .schedule import Schedule
@@ -55,25 +55,20 @@ class GapCurve:
 
 
 def instantaneous_spectrum(
-    hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float, k: int = 2
+    hamiltonian: DrivenHamiltonian, lam: float, lam_dot: float
 ) -> np.ndarray:
-    """Lowest k eigenvalues of the compiled driven Hamiltonian, ascending.
+    """The two lowest eigenvalues of the compiled driven Hamiltonian, ascending.
 
-    A dense solve serves small n and requests for all but the top two
-    eigenvalues; only that solve is bound by the dense-matrix cap.
+    A coefficient or classical energy that overflowed to inf or NaN raises
+    ``IntegratorError``: no solver takes such a matrix.
     """
-    dim = 1 << hamiltonian.n
-    if not 1 <= k <= dim:
-        raise ParameterError(f"need 1 <= k <= {dim}, got {k}")
-    if hamiltonian.n <= _DENSE_DIAG_LIMIT or k > dim - 2:
-        return _lowest(hamiltonian.dense(lam, lam_dot), k)
     values = hamiltonian.coefficients(lam, lam_dot)
-    return np.sort(_lanczos(hamiltonian, lam, values, k, "SA"))
-
-
-def _lowest(matrix: np.ndarray, k: int) -> np.ndarray:
-    """The k lowest eigenvalues of a dense real symmetric or Hermitian matrix."""
-    return eigh(matrix, eigvals_only=True, subset_by_index=(0, k - 1), driver="evr")
+    if not (np.isfinite(values).all() and np.isfinite(hamiltonian.energies).all()):
+        raise IntegratorError(f"non-finite coefficient or energy at lam={lam}, lam_dot={lam_dot}")
+    if hamiltonian.n > _DENSE_DIAG_LIMIT:
+        return np.sort(_lanczos(hamiltonian, lam, values, 2, "SA"))
+    matrix = hamiltonian.operator_dense(lam, values)
+    return eigh(matrix, eigvals_only=True, subset_by_index=(0, 1), driver="evr")
 
 
 def cd_norm(hamiltonian: DrivenHamiltonian, cd_values: np.ndarray) -> float:
@@ -110,21 +105,19 @@ def gap_curve(
     sched: Schedule,
     ansatz: Ansatz,
     samples: int = GAP_SAMPLES,
-    *,
-    refine: bool = True,
 ) -> GapCurve:
     """|E1 - E0| on a uniform time grid including both endpoints.
 
-    The reported minimum is refined by a golden-section search around the
-    grid argmin, so it can dip slightly below the coarsest grid sample; the
-    stored curve keeps exactly ``samples`` uniform points.
+    The reported minimum is refined by a golden-section search within one
+    grid step of the grid argmin, so ``delta_min`` is at most the smallest
+    stored gap; the stored curve keeps exactly ``samples`` uniform points.
     """
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
     hamiltonian = DrivenHamiltonian(inst, ansatz)
 
     def gap_at(t: float) -> float:
-        low = instantaneous_spectrum(hamiltonian, sched.lam(t), sched.lam_dot(t), 2)
+        low = instantaneous_spectrum(hamiltonian, sched.lam(t), sched.lam_dot(t))
         return float(low[1] - low[0])
 
     times = np.linspace(0.0, sched.total_time, samples)
@@ -132,13 +125,11 @@ def gap_curve(
     grid_arg = int(np.argmin(gaps))
     delta_min = float(gaps[grid_arg])
     argmin_time = float(times[grid_arg])
-
-    if refine:
-        lo = float(times[max(grid_arg - 1, 0)])
-        hi = float(times[min(grid_arg + 1, samples - 1)])
-        t_star, g_star = _golden_section(gap_at, lo, hi, tol=sched.total_time * 1e-6)
-        if g_star < delta_min:
-            delta_min, argmin_time = g_star, t_star
+    lo = float(times[max(grid_arg - 1, 0)])
+    hi = float(times[min(grid_arg + 1, samples - 1)])
+    t_star, g_star = _golden_section(gap_at, lo, hi, tol=sched.total_time * 1e-6)
+    if g_star < delta_min:
+        delta_min, argmin_time = g_star, t_star
 
     return GapCurve(
         times=tuple(float(t) for t in times),

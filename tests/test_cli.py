@@ -6,6 +6,7 @@ import pytest
 import cdanneal.gauge as gauge_mod
 import cdanneal.harness as harness_mod
 import cdanneal.simulator as simulator_mod
+import cdanneal.validate as validate_mod
 from cdanneal.cli import main
 from cdanneal.errors import SingularGaugeError
 from cdanneal.gauge import CompiledGauge, nc1_coefficient
@@ -134,14 +135,17 @@ def test_run_malformed_instance(tmp_path):
 
 
 def test_run_non_finite_total_time(tmp_path, capsys):
-    # T = 1e308 is finite, but pi t overflows in the schedule: the evolution
-    # stops at the first non-finite norm instead of printing P_s nan.
+    # T = 1e308 and 1e-310 are finite, but pi T and pi^2/4T overflow in the
+    # schedule: both are refused as usage errors.
     instance = tmp_path / "inst.json"
     save_instance(generate_instance(3, 9), instance)
-    for total_time in ("inf", "nan"):
+    for total_time in ("inf", "nan", "1e308", "1e-310"):
         assert run_cli("run", "--instance", str(instance), "--T", total_time) == 2
         assert "finite" in capsys.readouterr().err
-    assert run_cli("run", "--instance", str(instance), "--T", "1e308") == 4
+    # Energies that overflow stop the evolution at the first non-finite norm
+    # instead of printing P_s nan.
+    save_instance(ProblemInstance(2, ((0, 1, 1e308),), (1e308, 1e308), seed=0), instance)
+    assert run_cli("run", "--instance", str(instance)) == 4
     assert "norm" in capsys.readouterr().err
 
 
@@ -253,6 +257,26 @@ def test_sweep_flag_overrides(tmp_path):
     assert written["n_values"] == [4]
 
 
+def test_sweep_record_timings(tmp_path):
+    # Timings fill only wall_ms: every other records.csv column and the
+    # summary match a default run byte for byte.
+    config = tmp_path / "config.json"
+    for label, timed in (("plain", False), ("timed", True)):
+        write_config(config, record_timings=timed, output_dir=str(tmp_path / label))
+        assert run_cli("sweep", "--config", str(config), "--quiet") == 0
+    plain, timed = (
+        [line.split(",") for line in (tmp_path / label / "records.csv").read_text().splitlines()]
+        for label in ("plain", "timed")
+    )
+    wall = plain[1].index("wall_ms")
+    assert len(plain) == len(timed) == 2 + 4  # hash, header, two records x two drives
+    for row, timed_row in zip(plain[2:], timed[2:]):
+        assert float(row[wall]) == 0.0 and float(timed_row[wall]) > 0.0
+        assert row[:wall] + row[wall + 1 :] == timed_row[:wall] + timed_row[wall + 1 :]
+    summary = [(tmp_path / label / "summary.json").read_bytes() for label in ("plain", "timed")]
+    assert summary[0] == summary[1]
+
+
 def test_sweep_bad_config_exit(tmp_path):
     config = tmp_path / "config.json"
     for payload in (
@@ -307,6 +331,27 @@ def test_gap_pairs_baseline_and_endpoints(tmp_path):
         assert abs(by_tag["nc1"][idx][1] - by_tag["none"][idx][1]) <= 1e-10
 
 
+def test_gap_overflow_exit_codes(tmp_path, capsys):
+    # An overflowing schedule is a usage error; overflowing energies or nc1
+    # sums are a numerical failure.  None of them ends in a traceback.
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(3, 9), instance)
+    for total_time in ("1e308", "1e-310"):
+        args = ("gap", "--instance", str(instance), "--T", total_time, "--samples", "5")
+        assert run_cli(*args, "--out", str(tmp_path / "gap.csv")) == 2
+        assert "finite" in capsys.readouterr().err
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for inst, ansatz in (
+        (ProblemInstance(2, ((0, 1, 1e308),), (1e308, 1e308), seed=0), "none"),
+        (ProblemInstance(3, tuple((i, j, 1e77) for i, j in pairs), (1e77,) * 3, seed=0), "nc1"),
+    ):
+        save_instance(inst, instance)
+        args = ("gap", "--instance", str(instance), "--ansatz", ansatz, "--samples", "5")
+        assert run_cli(*args, "--out", str(tmp_path / "gap.csv")) == 4
+        assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "gap.csv").exists()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -351,10 +396,11 @@ def test_validate_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_validate_mutation_sensitivity():
+def test_validate_mutation_sensitivity(monkeypatch):
     # A sign flip in the closed-form coefficient must trip the oracle check.
     flipped = lambda inst, lam: -nc1_coefficient(inst, lam)
-    results = {r.name: r for r in run_validation_checks(nc1_fn=flipped)}
+    monkeypatch.setattr(validate_mod, "nc1_coefficient", flipped)
+    results = {r.name: r for r in run_validation_checks()}
     assert not results["nc1-oracle"].passed
     assert results["local-y-oracle"].passed
 

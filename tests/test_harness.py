@@ -60,6 +60,11 @@ def test_config_validation():
         ExperimentConfig(ansatz=("flux",))
     with pytest.raises(ParameterError):
         ExperimentConfig(jobs=0)
+    # The schedule's own checks: pi T overflows, and no Trotter step.
+    with pytest.raises(ParameterError, match="finite"):
+        ExperimentConfig(total_time=1e308)
+    with pytest.raises(ParameterError):
+        ExperimentConfig(trotter_steps=0)
 
 
 def test_config_defaults_partial_file(tmp_path):
@@ -302,14 +307,13 @@ def test_cost_report_counts():
         master_seed=11, n_values=(6,), instances_per_n=2, ansatz=("none", "local-y", "nc1")
     )
     records = run_ensemble(cfg)
-    rows = {(r.n, r.ansatz): r for r in cost_report(records, cfg, norm_samples=1)}
+    rows = {(r.n, r.ansatz): r for r in cost_report(records, cfg)}
     bare = rows[(6, "none")]
     driven = rows[(6, "nc1")]
     assert bare.entangling_per_step == 15
     assert bare.entangling_total == 15 * 20
     assert driven.entangling_per_step == 45
     assert driven.entangling_per_step <= 3 * bare.entangling_per_step
-    assert not bare.count_only
     # The bare drive carries no CD term; the two CD drives carry different ones.
     assert bare.cd_cost == 0.0
     assert driven.cd_cost > 0.0
@@ -350,20 +354,9 @@ def test_cost_report_skips_excluded_drives(monkeypatch):
     records = run_ensemble(cfg)
     assert records[0].ps["local-y"] is None
     rows = {r.ansatz: r for r in cost_report(records, cfg)}
-    assert rows["local-y"].cd_cost is None and not rows["local-y"].count_only
+    assert rows["local-y"].cd_cost is None
     assert rows["none"].cd_cost == 0.0
     assert rows["nc1"].cd_cost > 0.0
-
-
-def test_cost_report_cap_flag():
-    cfg = ExperimentConfig(
-        master_seed=11, n_values=(4,), instances_per_n=1, ansatz=("none",)
-    )
-    records = run_ensemble(cfg)
-    (row,) = cost_report(records, cfg, norm_cap=3)
-    assert row.count_only
-    assert row.cd_cost is None
-    assert row.entangling_per_step == 6
 
 
 def test_cost_report_entangling_total_is_largest_kept():
@@ -377,7 +370,7 @@ def test_cost_report_entangling_total_is_largest_kept():
         )
 
     records = [record(0, 5 * 20), record(1, 6 * 20), record(2, 9 * 20, excluded=True)]
-    (row,) = cost_report(records, cfg, norm_cap=3)
+    (row,) = cost_report(records, cfg)
     assert (row.entangling_per_step, row.entangling_total) == (6, 6 * 20)
 
 

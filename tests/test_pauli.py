@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cdanneal.errors import DimensionMismatchError, ParameterError, ResourceCapError
 from cdanneal.pauli import (
+    DENSE_CAP,
     PauliString,
     PauliSum,
     commutator,
@@ -207,10 +208,9 @@ def test_to_dense_matches_kron():
 
 
 def test_to_dense_cap():
+    # Refused before the 2^n x 2^n matrix is allocated.
     with pytest.raises(ResourceCapError):
-        to_dense(PauliSum.zero(15))
-    with pytest.raises(ResourceCapError):
-        to_dense(PauliSum.zero(4), cap=3)
+        to_dense(PauliSum.zero(DENSE_CAP + 1))
 
 
 # ------------------------------------------------------------ is_stoquastic

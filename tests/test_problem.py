@@ -4,6 +4,7 @@ import pytest
 from cdanneal.errors import ParameterError, ResourceCapError
 from cdanneal.pauli import PauliSum, is_stoquastic, to_dense
 from cdanneal.problem import (
+    STATEVECTOR_CAP,
     ProblemInstance,
     classical_energies,
     generate_instance,
@@ -146,9 +147,10 @@ def test_ground_state_matches_dense_diagonal():
 
 
 def test_ground_state_cap():
-    inst = generate_instance(4, 3)
+    # Refused before the 2^n energy vector is allocated.
+    inst = generate_instance(STATEVECTOR_CAP + 1, 3)
     with pytest.raises(ResourceCapError):
-        ground_state(inst, cap=3)
+        ground_state(inst)
 
 
 def test_gaussian_instances_rarely_degenerate():

@@ -80,3 +80,14 @@ def test_domain_validation():
         Schedule(1.0, 0)
     with pytest.raises(ParameterError):
         Schedule(0.0, 5)
+
+
+def test_total_time_range():
+    # lam computes pi t / 2T and lam_dot pi^2 / 4T; a T at which either
+    # overflows is refused, while T just inside the range keeps both finite.
+    for total in (1e308, 1e-310, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            Schedule(total, 5)
+    for total in (5e307, 1e-307):
+        for point in Schedule(total, 5).grid():
+            assert math.isfinite(point.lam) and math.isfinite(point.lam_dot)
