@@ -334,6 +334,7 @@ class CompiledGauge:
         c_p = np.array([value for *_, value in inst.couplings] + list(inst.fields))
         kept = np.abs(c_p) > PRUNE_TOLERANCE
         problem = (np.zeros(kept.sum(), dtype=np.int64), z_p[kept], c_p[kept])
+        self.problem_scale = float(np.abs(problem[2]).max(initial=0.0))
         d_h = (
             np.concatenate([problem[0], mixer[0]]),
             np.concatenate([problem[1], zeros]),
@@ -360,10 +361,18 @@ class CompiledGauge:
         self.norm_dh = float(source @ source)
 
     def normal_equations(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Gram matrix and source vector of the two-local action at ``lam``."""
+        """Gram matrix and source vector of the two-local action at ``lam``.
+
+        H = (1-lam) H_x + lam H_p as ``adiabatic_pair`` builds it: a part
+        whose every coefficient is at or below ``PRUNE_TOLERANCE`` is the
+        zero operator, as ``PauliSum`` prunes it.  So within 1e-12 of
+        lam = 1 on an instance without fields or couplings, H is zero and
+        the solve takes the pseudo-inverse path, as ``minimize_action`` does.
+        """
         if self.ansatz is not Ansatz.TWO_LOCAL:
             raise ParameterError(f"gauge compiled for {self.ansatz.value}, not two-local")
-        mix = 1.0 - lam
+        mix = 1.0 - lam if abs(1.0 - lam) > PRUNE_TOLERANCE else 0.0
+        lam = lam if abs(lam) * self.problem_scale > PRUNE_TOLERANCE else 0.0
         gram = mix**2 * self.gram_xx + lam * mix * self.gram_xp + lam**2 * self.gram_pp
         return gram, mix * self.source_x + lam * self.source_p
 

@@ -5,14 +5,15 @@ Hamiltonian from one ``DrivenHamiltonian`` compiled per (instance, drive).
 Its diagonal problem part is the classical energy vector E, so a Trotter
 step applies all Z and ZZ terms as the single phase exp(-i dt lam E).  The
 mixer and CD terms are off-diagonal Pauli strings applied exactly: every
-string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P,
-and -i P acting on a state is an index XOR permutation, a +-1 sign pattern
-and a constant phase in {+-1, +-i}.  A permutation depends only on the
-string's X mask and a sign pattern only on its Z mask, so the compiled
-table holds one row per distinct mask, shared by the strings.  Each
-rotation gathers the permuted state, multiplies it by the sign row, and
-updates the state in place with BLAS ``zdscal`` (cos theta) and ``zaxpy``
-(sin theta times the phase).  No gate decomposition happens here;
+string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P.
+A Trotter step runs a ``_StepPlan`` compiled from the string masks: it cuts
+the strings, in canonical order, into runs on at most ``BLOCK_QUBITS``
+qubits and applies each run as one small block unitary in one GEMM, after
+at most one gather that brings the run's qubits to the leading axes.
+``matvec`` and ``dense`` read a string table instead: -i P acting on a state
+is an index XOR permutation, a +-1 sign pattern and a constant phase in
+{+-1, +-i}, and the table holds one permutation row per distinct X mask and
+one sign row per distinct Z mask.  No gate decomposition happens here;
 circuit-level costs are tracked symbolically, one exponential per Pauli
 term, in the evolution report.
 """
@@ -22,10 +23,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg.blas import zaxpy, zdscal
+from scipy.linalg.blas import zaxpy
 
 from .errors import (
     DimensionMismatchError,
@@ -95,13 +97,226 @@ def apply_pauli_exponential(
     return state
 
 
-#: Bytes a ``DrivenHamiltonian`` may claim: its string table, the energy
-#: vector and the state vectors a step or matvec works on.  Above it,
-#: construction raises ``ResourceCapError`` before allocating any of them.
+#: Bytes a ``DrivenHamiltonian`` may claim: its step plan, its string table,
+#: the energy vectors and the state vectors a step or matvec works on.  Above
+#: it, construction raises ``ResourceCapError`` before allocating any of them.
 MEMORY_BUDGET = 1 << 30
+
+#: Most qubits one fused block of a Trotter step acts on (see ``_StepPlan``).
+BLOCK_QUBITS = 4
 
 # (-i)**k for k mod 4.
 _MINUS_I_POWERS = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
+
+# What each operation of a step plan does to the state buffers.
+_GATHER, _LEADING, _TRAILING, _PHASE, _COPY = range(5)
+
+# Most string slots of a run whose product expands into one sum of terms.
+_CHUNK = 4
+
+# 1 and 0: cos and sin of a padding slot's angle 0; 1 also stands in for
+# the factors of the slots a narrow chunk lacks.
+_UNIT = np.array([1.0, 0.0])
+
+
+class _StepPlan:
+    """One Trotter step as a sequence of few-qubit block unitaries.
+
+    The step's strings, the n mixer X strings by site and then the CD
+    strings, are cut greedily and in order into runs whose combined support
+    spans at most ``BLOCK_QUBITS`` qubits; the phase exp(-i dt lam E), which
+    follows the mixer, always ends a run.  A run of strings P_k with angles
+    theta_k applies U = prod_k (cos theta_k I + sin theta_k (-i P_k)), the
+    product of its rotations in order, so the step stays the canonical
+    product and only rounding changes.
+
+    The state is held in a layout, an order of the qubits over the bit
+    positions of the index, most significant first.  A run whose q qubits
+    lead the layout applies its 2**q x 2**q unitary U to the state viewed
+    as a (2**q, 2**n / 2**q) matrix in one GEMM; when every -i P_k of the
+    run is real, as for every CD string, so is U, and the GEMM runs on the
+    float64 view of the state.  A run whose qubits trail the layout
+    multiplies the state viewed as a (2**n / 2**q, 2**q) matrix by U^T.
+    Before any other run, one gather moves its qubits to the front,
+    keeping the order of the rest.  On each step the unitaries of all runs
+    of one shape are formed together, so the Python work of a step grows
+    with the number of runs, not of strings.
+
+    The plan depends only on the string masks, so instances with the same
+    strings share it (``_step_plan``), and it holds no reference to any
+    Hamiltonian.  Its arrays are built on first use and read-only.
+    """
+
+    def __init__(self, n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]):
+        self.n = n
+        self.x_masks, self.z_masks = x_masks, z_masks
+        runs, start, support = [], 0, 0
+        for k, string in enumerate(x | z for x, z in zip(x_masks, z_masks)):
+            if k > start and (k == n or (support | string).bit_count() > BLOCK_QUBITS):
+                runs.append((start, k, support))
+                start, support = k, 0
+            support |= string
+        runs.append((start, len(x_masks), support))
+
+        natural = tuple(range(n - 1, -1, -1))
+        layout = natural
+        self.gathers: list[tuple[int, ...]] = []  # transpose axes, old layout -> new
+        self.runs: list[tuple[int, int, tuple[int, ...]]] = []  # start, stop, its qubits
+        steps = []
+        for start, stop, support in runs:
+            sites = tuple(q for q in layout if support >> q & 1)
+            if set(layout[: len(sites)]) == set(sites):
+                steps.append(_LEADING)
+            elif set(layout[n - len(sites) :]) == set(sites):
+                steps.append(_TRAILING)
+            else:
+                moved = sites + tuple(q for q in layout if not support >> q & 1)
+                self.gathers.append(tuple(layout.index(q) for q in moved))
+                steps += [_GATHER, _LEADING]
+                layout = moved
+            self.runs.append((start, stop, sites))
+            if stop == n:
+                # E in the layout the state is in at the phase.
+                self.phase_axes = tuple(n - 1 - q for q in layout)
+                steps.append(_PHASE)
+        if layout != natural:
+            self.gathers.append(tuple(layout.index(q) for q in natural))
+            steps.append(_GATHER)
+
+        # Runs of one shape (qubit count, realness, and string count padded
+        # to a power of two) form their unitaries together: run r is member
+        # b of group g.  A run is real when all its strings have odd Y counts.
+        keys: dict[tuple[int, bool, int], list[int]] = {}
+        members = []
+        for r, (start, stop, sites) in enumerate(self.runs):
+            strings = zip(x_masks[start:stop], z_masks[start:stop])
+            real = all((x & z).bit_count() % 2 for x, z in strings)
+            key = (len(sites), real, 1 << (stop - start - 1).bit_length())
+            group = keys.setdefault(key, [])
+            members.append((list(keys).index(key), len(group)))
+            group.append(r)
+        self.groups = [(*key, runs) for key, runs in keys.items()]
+
+        # Buffers: 0 is the caller's psi, 1 and 2 scratch.  Each gather or GEMM
+        # writes a buffer other than the one it reads; the last writes psi.
+        writes = sum(kind != _PHASE for kind in steps)
+        self.ops: list[tuple[int, int, int, int, int]] = []
+        current, gathers, blocks = 0, 0, 0
+        for kind in steps:
+            if kind == _PHASE:
+                self.ops.append((_PHASE, current, current, 0, 0))
+                continue
+            writes -= 1
+            target = 0 if writes == 0 and current != 0 else (2 if current == 1 else 1)
+            if kind == _GATHER:
+                self.ops.append((_GATHER, current, target, gathers, 0))
+                gathers += 1
+            else:
+                self.ops.append((kind, current, target, *members[blocks]))
+                blocks += 1
+            current = target
+        if current != 0:
+            self.ops.append((_COPY, current, 0, 0, 0))
+
+        # The bytes of ``arrays``: gathers, then per term its weight factors
+        # and its 2**q x 2**q matrix.
+        self.nbytes = 8 * (1 << n) * len(self.gathers)
+        for q, real, slots, runs in self.groups:
+            terms = len(runs) * slots // min(slots, _CHUNK) * (1 << min(slots, _CHUNK))
+            self.nbytes += terms * (8 * _CHUNK + 4**q * (8 if real else 16))
+
+    @cached_property
+    def arrays(self) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+        """Gather indices, weight factors and, per group, the expanded chunks.
+
+        Gather i reads new[j] = old[index[j]].  -i P_k maps |r ^ x> to
+        (-i)**(y+1) s_z(r) |r>, so on the run's qubits it is the matrix M_k
+        with that phase times the sign at row r, column r ^ x (zero in
+        padding slots).  The slots of a run fall into chunks of
+        w = min(slots, 4), and the product over a chunk expands into 2**w
+        terms: for each subset S of its slots, the product of M_t over t in
+        S, later slots on the left.  Every term is exact.  Term S weighs
+        sin theta_t for t in S times cos theta_t for the chunk's other
+        slots; ``factors`` holds, per term of every group in turn, where its
+        four factors sit in (cos thetas, sin thetas, 1, 0): a padding slot
+        has the angle 0, so cos 1 and sin 0, and a chunk narrower than four
+        slots has factors 1 for the slots it lacks.
+        """
+        n, count = self.n, len(self.x_masks)
+        index = np.arange(1 << n).reshape((2,) * n)
+        gathers = [index.transpose(axes).ravel() for axes in self.gathers]
+        x_all = np.array(self.x_masks, dtype=np.int64)
+        z_all = np.array(self.z_masks, dtype=np.int64)
+        phases = np.append(
+            np.array(_MINUS_I_POWERS)[(np.bitwise_count(x_all & z_all) + 1) % 4], 0.0
+        )
+        one, zero = 2 * count, 2 * count + 1
+        factors, expansions = [], []
+        for q, real, slots, runs in self.groups:
+            dim = 1 << q
+            bits = 1 << np.arange(q - 1, -1, -1)
+            position = np.full((len(runs), slots), count)
+            x_local = np.zeros((len(runs), slots), dtype=np.int64)
+            z_local = np.zeros_like(x_local)
+            for b, r in enumerate(runs):
+                start, stop, sites = self.runs[r]
+                sites = np.array(sites)
+                position[b, : stop - start] = np.arange(start, stop)
+                x_local[b, : stop - start] = ((x_all[start:stop, None] >> sites) & 1) @ bits
+                z_local[b, : stop - start] = ((z_all[start:stop, None] >> sites) & 1) @ bits
+            position, x_local, z_local = position.ravel(), x_local.ravel(), z_local.ravel()
+            rows = np.arange(dim)
+            values = phases[position][:, None] * (
+                1.0 - 2.0 * (np.bitwise_count(z_local[:, None] & rows) % 2)
+            )
+            dtype = float if real else complex
+            generators = np.zeros((len(position), dim, dim), dtype=dtype)
+            generators[np.arange(len(position))[:, None], rows, rows ^ x_local[:, None]] = (
+                values.real if real else values
+            )
+            width = min(slots, _CHUNK)
+            chunks = generators.reshape(-1, width, dim, dim)
+            terms = np.broadcast_to(np.eye(dim, dtype=dtype), (len(chunks), 1, dim, dim))
+            for t in range(width):
+                terms = np.concatenate([terms, chunks[:, t, None] @ terms], axis=1)
+            expansions.append(terms.reshape(len(chunks), 1 << width, dim * dim))
+            subsets = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+            position = position.reshape(-1, 1, width)
+            factor = np.full((len(chunks), 1 << width, _CHUNK), one)
+            factor[..., :width] = np.where(
+                position == count, np.where(subsets, zero, one), position + count * subsets
+            )
+            factors.append(factor.reshape(-1, _CHUNK))
+        factors = np.concatenate(factors)
+        for array in gathers + expansions + [factors]:
+            array.flags.writeable = False
+        return gathers, factors, expansions
+
+    def unitaries(self, thetas: np.ndarray) -> list[np.ndarray]:
+        """Per group, the (runs, 2**q, 2**q) run unitaries at the strings' angles.
+
+        A chunk's product is the weighted sum of its terms; the chunks of a
+        run then multiply pairwise, later chunks on the left.  Padding slots
+        weigh in as the identity, exactly.
+        """
+        _, factors, expansions = self.arrays
+        weights = np.concatenate((np.cos(thetas), np.sin(thetas), _UNIT))[factors].prod(axis=1)
+        result, offset = [], 0
+        for (q, _, slots, runs), terms in zip(self.groups, expansions):
+            stop = offset + terms.shape[0] * terms.shape[1]
+            rotations = weights[offset:stop].reshape(len(terms), 1, -1) @ terms
+            rotations = rotations.reshape(len(runs), -1, 1 << q, 1 << q)
+            while rotations.shape[1] > 1:
+                rotations = rotations[:, 1::2] @ rotations[:, 0::2]
+            result.append(rotations[:, 0])
+            offset = stop
+        return result
+
+
+@lru_cache(maxsize=16)
+def _step_plan(n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]) -> _StepPlan:
+    """The step plan for these strings, shared while it stays among the last 16 used."""
+    return _StepPlan(n, x_masks, z_masks)
 
 
 class DrivenHamiltonian:
@@ -110,16 +325,15 @@ class DrivenHamiltonian:
     Built once per (instance, drive).  It holds the classical energy vector
     E, which is the diagonal problem part H_p, the drive's ``CompiledGauge``,
     and the off-diagonal strings: the n mixer X strings by site, then the CD
-    strings in ``cd_terms`` order.  String k with masks (x, z) and y_count y
-    acts as (-i P_k psi)[b] = (-i)**(y+1) * s_z[b] * psi[b ^ x], where
-    s_z[b] = (-1)**popcount(z & b).  So the table holds one XOR permutation
-    row per distinct X mask (``perms``) and one +-1 sign row per distinct
-    nonzero Z mask (``signs``), and ``rows`` gives each string its
-    (permutation, sign row or None, phase).  Every factor is exact.  The
-    rotation exp(-i theta P_k) = cos(theta) I + sin(theta) (-i P_k) is one
-    gather, at most one sign multiply and two in-place BLAS updates of psi,
-    the phase riding in the ``zaxpy`` scalar.  ``step``, ``matvec`` and
-    ``dense`` all read this one table.
+    strings in ``cd_terms`` order.  ``step`` runs the strings' shared
+    ``_StepPlan``.  ``matvec``, ``dense`` and the ``operator_*`` forms read
+    the string table instead, built on first use: string k with masks (x, z)
+    and y_count y acts as (-i P_k psi)[b] = (-i)**(y+1) * s_z[b] *
+    psi[b ^ x], where s_z[b] = (-1)**popcount(z & b).  So the table holds
+    one XOR permutation row per distinct X mask (``perms``) and one +-1 sign
+    row per distinct nonzero Z mask (``signs``), and ``rows`` gives each
+    string its (permutation, sign row or None, phase).  Every factor is
+    exact.
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
@@ -129,39 +343,22 @@ class DrivenHamiltonian:
         self.gauge = CompiledGauge(inst, ansatz)
         self.cd_strings = self.gauge.terms
         strings = [PauliString.single(n, i, "X") for i in range(n)] + self.cd_strings
-        x_masks = list(dict.fromkeys(s.x_mask for s in strings))
-        z_masks = list(dict.fromkeys(s.z_mask for s in strings if s.z_mask))
+        self.x_masks = tuple(s.x_mask for s in strings)
+        self.z_masks = tuple(s.z_mask for s in strings)
+        self.plan = _step_plan(n, self.x_masks, self.z_masks)
+        distinct = len(set(self.x_masks)) + len(set(self.z_masks) - {0})
         dim = 1 << n
-        # 8-byte rows: perms, signs, the energies and, while the table is
-        # built, one sign row per site; 16-byte vectors: psi, the gathered
-        # copy and the phase exp(-i dt lam E) of a step.
-        needed = dim * (8 * (len(x_masks) + len(z_masks) + 1 + n) + 3 * 16)
+        # The plan; 8-byte rows: the table's perms and signs, one sign row
+        # per site while it is built, the energies in the natural and in the
+        # phase layout; 16-byte vectors: psi, two scratch states and the
+        # phase exp(-i dt lam E) of a step.
+        needed = self.plan.nbytes + dim * (8 * (distinct + n + 2) + 4 * 16)
         if needed > MEMORY_BUDGET:
             raise ResourceCapError(
                 f"{ansatz.value} drive at n={n} needs {needed / 2**20:.0f} MiB, "
                 f"above the budget of {MEMORY_BUDGET / 2**20:.0f} MiB"
             )
         self.energies = classical_energies(inst)
-        index = np.arange(dim)
-        self.perms = index ^ np.array(x_masks, dtype=np.intp)[:, None]
-        self.signs = np.empty((len(z_masks), dim))
-        site_signs: dict[int, np.ndarray] = {}
-        for row, z in zip(self.signs, z_masks):
-            row.fill(1.0)
-            for site in (i for i in range(n) if z >> i & 1):
-                if site not in site_signs:
-                    site_signs[site] = 1.0 - 2.0 * ((index >> site) & 1)
-                row *= site_signs[site]
-        x_row = {x: k for k, x in enumerate(x_masks)}
-        z_row = {z: k for k, z in enumerate(z_masks)}
-        self.rows = [
-            (
-                self.perms[x_row[s.x_mask]],
-                self.signs[z_row[s.z_mask]] if s.z_mask else None,
-                _MINUS_I_POWERS[(s.y_count + 1) % 4],
-            )
-            for s in strings
-        ]
         # i**y_count is real for an even Y count: the mixer strings are real,
         # every CD string (exactly one Y) is purely imaginary.
         self.real_strings = np.array([s.y_count % 2 == 0 for s in strings])
@@ -173,9 +370,49 @@ class DrivenHamiltonian:
             - cd_single
         )
 
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """One XOR permutation row per distinct X mask, in order of first use."""
+        x_masks = np.array(list(dict.fromkeys(self.x_masks)), dtype=np.intp)
+        return np.arange(1 << self.n) ^ x_masks[:, None]
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """One +-1 row s_z per distinct nonzero Z mask, in order of first use."""
+        index = np.arange(1 << self.n)
+        z_masks = [z for z in dict.fromkeys(self.z_masks) if z]
+        signs = np.empty((len(z_masks), 1 << self.n))
+        site_signs: dict[int, np.ndarray] = {}
+        for row, z in zip(signs, z_masks):
+            row.fill(1.0)
+            for site in (i for i in range(self.n) if z >> i & 1):
+                if site not in site_signs:
+                    site_signs[site] = 1.0 - 2.0 * ((index >> site) & 1)
+                row *= site_signs[site]
+        return signs
+
+    @cached_property
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray | None, complex]]:
+        """Per string: its ``perms`` row, its ``signs`` row or None, and (-i)**(y+1)."""
+        x_row = {x: k for k, x in enumerate(dict.fromkeys(self.x_masks))}
+        z_row = {z: k for k, z in enumerate(z for z in dict.fromkeys(self.z_masks) if z)}
+        return [
+            (
+                self.perms[x_row[x]],
+                self.signs[z_row[z]] if z else None,
+                _MINUS_I_POWERS[((x & z).bit_count() + 1) % 4],
+            )
+            for x, z in zip(self.x_masks, self.z_masks)
+        ]
+
+    @cached_property
+    def _phase_energies(self) -> np.ndarray:
+        """E in the layout the plan's state is in at the phase."""
+        return self.energies.reshape((2,) * self.n).transpose(self.plan.phase_axes).ravel()
+
     def coefficients(self, lam: float, lam_dot: float) -> np.ndarray:
         """Off-diagonal coefficients: -(1-lam) per X string, then the CD values."""
-        values = np.empty(len(self.rows))
+        values = np.empty(len(self.x_masks))
         values[: self.n] = -(1.0 - lam)
         if self.cd_strings:
             values[self.n :] = cd_coefficients(self.gauge, self.ansatz, lam, lam_dot)
@@ -186,22 +423,42 @@ class DrivenHamiltonian:
 
         Canonical order: X by site, every nonzero Z and ZZ term, then CD.
         The Z and ZZ terms commute and are adjacent, so their product is
-        exactly the single phase exp(-i dt lam E).  ``psi`` must be a
-        contiguous complex128 vector: the BLAS updates write into it.
+        exactly the single phase exp(-i dt lam E).  The plan applies the
+        rotations fused into block unitaries (see ``_StepPlan``) and leaves
+        the result in ``psi``, which must be a contiguous complex128 vector.
         """
         dim = 1 << self.n
         if psi.dtype != np.complex128 or psi.shape != (dim,) or not psi.flags.c_contiguous:
             raise ParameterError(f"step needs a contiguous complex128 vector of length {dim}")
-        thetas = dt * self.coefficients(lam, lam_dot)
-        cosines, sines = np.cos(thetas).tolist(), np.sin(thetas).tolist()
-        for k, (perm, sign, phase) in enumerate(self.rows):
-            rotated = psi[perm]
-            if sign is not None:
-                rotated *= sign
-            zdscal(cosines[k], psi, overwrite_x=1)
-            zaxpy(rotated, psi, a=sines[k] * phase)
-            if k == self.n - 1:
-                psi *= np.exp(-1j * dt * lam * self.energies)
+        plan = self.plan
+        gathers = plan.arrays[0]
+        unitaries = plan.unitaries(dt * self.coefficients(lam, lam_dot))
+        buffers = (psi, np.empty_like(psi), np.empty_like(psi))
+        for kind, source, target, item, member in plan.ops:
+            if kind == _LEADING:
+                unitary = unitaries[item][member]
+                state = buffers[source].reshape(len(unitary), -1)
+                out = buffers[target].reshape(len(unitary), -1)
+                if unitary.dtype == np.float64:
+                    state, out = state.view(np.float64), out.view(np.float64)
+                np.matmul(unitary, state, out=out)
+            elif kind == _TRAILING:
+                unitary = unitaries[item][member]
+                state = buffers[source].reshape(-1, len(unitary))
+                np.matmul(state, unitary.T, out=buffers[target].reshape(-1, len(unitary)))
+            elif kind == _GATHER:
+                # The indices are in range, so "wrap" only skips the bounds check.
+                np.take(buffers[source], gathers[item], out=buffers[target], mode="wrap")
+            elif kind == _PHASE:
+                # exp(-i dt lam E), as cos + i sin of one real angle.
+                angle = (-dt * lam) * self._phase_energies
+                phase = np.empty_like(psi)
+                np.cos(angle, out=phase.real)
+                np.sin(angle, out=phase.imag)
+                state = buffers[source]
+                state *= phase
+            else:
+                buffers[target][:] = buffers[source]
 
     def matvec(self, psi: np.ndarray, lam: float, lam_dot: float) -> np.ndarray:
         """H(lam, lam_dot) @ psi for a complex amplitude array."""

@@ -167,16 +167,18 @@ def _check_closed_form_blocks(seed: int) -> CheckResult:
 
 
 def _check_compiled_table(seed: int) -> CheckResult:
-    """The compiled string table against the Pauli algebra it replaces.
+    """The compiled operators against the Pauli algebra they replace.
 
-    For every drive at n = 2, 3, 4, ``DrivenHamiltonian.dense`` against
-    ``to_dense(assemble_hamiltonian(...))`` and one ``step`` against the
-    canonical-order product of ``apply_pauli_exponential``: X by site,
-    nonzero Z and ZZ terms, then the CD strings.
+    For every drive at n = 2 to 6, the string table's
+    ``DrivenHamiltonian.dense`` against ``to_dense(assemble_hamiltonian(...))``
+    and one fused ``step`` against the canonical-order product of
+    ``apply_pauli_exponential``: X by site, nonzero Z and ZZ terms, then the
+    CD strings.  At n = 5 and 6 the nc1 and two-local steps move the state
+    through several layouts.
     """
     worst = 0.0
     dt = 0.3
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         inst = generate_instance(n, instance_seed(seed, 500 + n))
         rng = np.random.default_rng(instance_seed(seed, 600 + n))
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)

@@ -307,6 +307,9 @@ def two_local_points(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(two_local_points())
+# 1 - lam = 1.1e-16 scales the whole H below PRUNE_TOLERANCE: both solves
+# must treat it as the zero operator and flag the pseudo-inverse path.
+@example((ProblemInstance(2, ((0, 1, 0.0),), (0.0, 0.0), seed=0), 0.9999999999999999))
 def test_compiled_two_local_matches_minimize_action(point):
     # The compiled quadratic-in-lam solve against the general PauliSum solver;
     # all-zero fields or couplings exercise the pseudo-inverse path.

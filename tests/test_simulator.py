@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -210,6 +212,41 @@ def test_step_rejects_vectors_it_cannot_update_in_place():
 
 
 @st.composite
+def step_points(draw):
+    n = draw(st.integers(1, 7))
+    fields = tuple(draw(_VALUES) for _ in range(n))
+    couplings = tuple(
+        (i, j, draw(_VALUES)) for i in range(n) for j in range(i + 1, n)
+    )
+    inst = ProblemInstance(n, couplings, fields, seed=0)
+    ansatz = draw(st.sampled_from(list(Ansatz)))
+    assume(ansatz is not Ansatz.TWO_LOCAL or n >= 2)
+    lam = draw(st.floats(0.01, 0.99))
+    lam_dot = draw(st.one_of(st.just(0.0), st.floats(0.05, 3.0)))
+    return inst, ansatz, lam, lam_dot, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(step_points())
+def test_fused_step_matches_canonical_product(point):
+    # Zero fields and couplings drop strings, which moves the run cuts; the
+    # second step takes the largest |theta| to 2.5 > pi/2.
+    inst, ansatz, lam, lam_dot, seed = point
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
+    psi = random_state(inst.n, seed)
+    largest = max(
+        np.abs(hamiltonian.coefficients(lam, lam_dot)).max(),
+        lam * np.abs(inst.field_array()).max(initial=0.0),
+        lam * max((abs(v) for _, _, v in inst.couplings), default=0.0),
+    )
+    for dt in (0.3, 2.5 / largest):
+        expected = canonical_product(inst, ansatz, psi, dt, lam, lam_dot)
+        stepped = psi.copy()
+        hamiltonian.step(stepped, dt, lam, lam_dot)
+        assert np.abs(stepped - expected).max() <= 1e-12
+
+
+@st.composite
 def table_instances(draw):
     n = draw(st.integers(1, 8))
     fields = tuple(draw(_VALUES) for _ in range(n))
@@ -242,6 +279,70 @@ def test_string_table_reproduces_string_amplitudes(point):
     assert len(hamiltonian.signs) == len({s.z_mask for s in strings} - {0})
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(table_instances())
+def test_step_plan_structure(point):
+    inst, ansatz = point
+    n = inst.n
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
+    plan = hamiltonian.plan
+    count = len(hamiltonian.x_masks)
+    # Every string exactly once, in canonical order, in runs on at most
+    # BLOCK_QUBITS qubits; one run ends where the phase goes.
+    starts, stops, _ = zip(*plan.runs)
+    assert starts == (0,) + stops[:-1] and stops[-1] == count
+    assert n in stops
+    for start, stop, sites in plan.runs:
+        support = 0
+        for x, z in zip(hamiltonian.x_masks[start:stop], hamiltonian.z_masks[start:stop]):
+            support |= x | z
+        assert sorted(sites) == [q for q in range(n) if support >> q & 1]
+        assert len(sites) <= simulator.BLOCK_QUBITS
+    # The weight factors of the expanded terms read each string's angle.
+    _, factors, _ = plan.arrays
+    assert set(factors[factors < 2 * count].ravel() % count) == set(range(count))
+    # Replaying the operations: each run finds its qubits leading or
+    # trailing, the phase follows the run that ends at n, and psi ends in
+    # the natural layout, written last.
+    natural = tuple(range(n - 1, -1, -1))
+    layout, done, written = natural, 0, []
+    for kind, source, target, item, member in plan.ops:
+        if kind == simulator._GATHER:
+            layout = tuple(layout[axis] for axis in plan.gathers[item])
+        elif kind in (simulator._LEADING, simulator._TRAILING):
+            start, stop, sites = plan.runs[done]
+            window = slice(0, len(sites)) if kind == simulator._LEADING else slice(n - len(sites), n)
+            assert layout[window] == sites
+            assert plan.groups[item][3][member] == done
+            done += 1
+        elif kind == simulator._PHASE:
+            assert plan.runs[done - 1][1] == n
+            assert layout == tuple(natural[axis] for axis in plan.phase_axes)
+        if kind != simulator._PHASE:
+            assert source != target
+            written.append(target)
+    assert done == len(plan.runs)
+    assert layout == natural and written[-1] == 0 and 0 not in written[:-1]
+    # Instances with the same strings share the plan.
+    assert DrivenHamiltonian(inst, ansatz).plan is plan
+
+
+def test_hamiltonian_is_freed_without_the_cycle_collector():
+    # The shared plan must not point back at a Hamiltonian: with no
+    # reference cycle, dropping the last reference frees it and its arrays.
+    hamiltonian = DrivenHamiltonian(generate_instance(5, instance_seed(619, 0)), Ansatz.NC1)
+    psi = plus_state(5).amplitudes
+    hamiltonian.step(psi, 0.1, 0.5, 1.0)
+    hamiltonian.matvec(psi, 0.5, 1.0)
+    freed = weakref.ref(hamiltonian)
+    gc.disable()
+    try:
+        del hamiltonian
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_memory_budget_refuses_before_allocating(monkeypatch):
     inst = generate_instance(10, instance_seed(618, 0))
 
@@ -253,9 +354,17 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     for ansatz in Ansatz:
         with pytest.raises(ResourceCapError, match="budget"):
             DrivenHamiltonian(inst, ansatz)
-    # nc1 at n = 10 holds 10 X rows and 55 sign rows: 65 rows of 8 KiB, plus
-    # the energies, 10 single-site sign rows and three state vectors.
-    needed = 1024 * (8 * (10 + 55 + 1 + 10) + 3 * 16)
+    # nc1 at n = 10 (K = 4).  Its step plan: 20 gathers of 1024 intp
+    # indices, and 532 expanded terms, each with four 8-byte factor indices
+    # and a matrix: 16x16 in 2 complex and 27 real chunks of 16 terms, 8x8
+    # in 4 real chunks of 16 terms, 4x4 in 1 complex chunk of 4 terms.  Its
+    # deferred table: 10 X rows and 55 sign rows of 8 KiB, plus 10
+    # single-site sign rows while it is built.  Then the energies in two
+    # layouts and four state vectors: psi, two scratch states and the phase.
+    plan = 20 * 8 * 1024 + 532 * 4 * 8
+    plan += 16 * 256 * (2 * 16 + 27 * 8) + 4 * 16 * 64 * 8 + 4 * 16 * 16
+    needed = plan + 1024 * (8 * (10 + 55 + 10 + 2) + 4 * 16)
+    assert needed == 1_926_784
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed)
     with pytest.raises(AssertionError):
         DrivenHamiltonian(inst, Ansatz.NC1)
