@@ -139,6 +139,8 @@ def cmd_run(args) -> int:
     truth = ground_state(inst)
     report = trotter_evolve(inst, sched, ansatz)
     ps = success_probability(report.final_state, truth)
+    if args.shots is not None:
+        counts = sample_shots(report.final_state, args.shots, args.shot_seed)
     print(f"P_s {ps!r}")
     print(
         f"entangling exponentials {report.entangling_per_step}/step, "
@@ -159,7 +161,6 @@ def cmd_run(args) -> int:
         "degenerate": truth.degenerate,
     }
     if args.shots is not None:
-        counts = sample_shots(report.final_state, args.shots, args.shot_seed)
         estimate = sum(counts.get(s, 0) for s in truth.states) / args.shots
         payload["shots"] = args.shots
         payload["P_s_sampled"] = estimate

@@ -133,6 +133,7 @@ def nc1_coefficient(inst: ProblemInstance, lam: float) -> float:
     return _nc1_alpha(_nc1_sums(inst), lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # callers check the coefficients
 def _nc1_sums(inst: ProblemInstance) -> tuple[float, float, float]:
     """The instance sums of the nc1 closed form: numerator, quadratic, quartic."""
     h = inst.field_array()

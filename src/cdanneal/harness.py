@@ -97,6 +97,8 @@ class ExperimentConfig:
         wrong = [name for name, ok in _FIELD_TYPES.items() if not ok(getattr(self, name))]
         if wrong:
             raise ParameterError(f"wrongly typed config fields {wrong}")
+        if self.master_seed < 0:
+            raise ParameterError("master_seed must be >= 0")
         if self.instances_per_n < 1:
             raise ParameterError("instances_per_n must be >= 1")
         if not self.n_values or any(n < 1 for n in self.n_values):

@@ -87,6 +87,8 @@ def generate_instance(n: int, seed: int) -> ProblemInstance:
     """
     if n < 1:
         raise ParameterError(f"qubit count must be >= 1, got {n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     couplings = tuple(
         (i, j, float(rng.standard_normal()))
@@ -99,6 +101,8 @@ def generate_instance(n: int, seed: int) -> ProblemInstance:
 
 def instance_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit per-instance seed derived from (master seed, index)."""
+    if master_seed < 0 or index < 0:
+        raise ParameterError(f"seed and index must be >= 0, got {master_seed}, {index}")
     ss = np.random.SeedSequence((int(master_seed), int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -166,6 +170,7 @@ def mixer_hamiltonian(n: int) -> PauliSum:
     return PauliSum(n, {PauliString(n, 1 << i, 0): -1.0 for i in range(n)})
 
 
+@np.errstate(over="ignore")  # callers check the energies
 def classical_energies(inst: ProblemInstance) -> np.ndarray:
     """E(s) for every basis index, vectorized over all 2**n configurations."""
     dim = 1 << inst.n

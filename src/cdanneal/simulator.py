@@ -10,10 +10,9 @@ A Trotter step runs a ``_StepPlan`` compiled from the string masks: it cuts
 the strings, in canonical order, into runs on at most ``BLOCK_QUBITS``
 qubits and applies each run as one small block unitary in one GEMM, after
 at most one gather that brings the run's qubits to the leading axes.
-``matvec`` and ``dense`` read a string table instead: -i P acting on a state
-is an index XOR permutation, a +-1 sign pattern and a constant phase in
-{+-1, +-i}, and the table holds one permutation row per distinct X mask and
-one sign row per distinct Z mask.  No gate decomposition happens here;
+``matvec`` and ``dense`` read the strings grouped by X mask instead: for a
+coefficient vector, sum_k c_k P_k = sum_x diag(d_x) X^x with one row d_x per
+distinct X mask, formed from the masks.  No gate decomposition happens here;
 circuit-level costs are tracked symbolically, one exponential per Pauli
 term, in the evolution report.
 """
@@ -24,10 +23,10 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg.blas import zaxpy
 
 from .errors import (
     DimensionMismatchError,
@@ -97,7 +96,7 @@ def apply_pauli_exponential(
     return state
 
 
-#: Bytes a ``DrivenHamiltonian`` may claim: its step plan, its string table,
+#: Bytes a ``DrivenHamiltonian`` may claim: its step plan, ``operator_rows``,
 #: the energy vectors and the state vectors a step or matvec works on.  Above
 #: it, construction raises ``ResourceCapError`` before allocating any of them.
 MEMORY_BUDGET = 1 << 30
@@ -117,6 +116,16 @@ _CHUNK = 4
 # 1 and 0: cos and sin of a padding slot's angle 0; 1 also stands in for
 # the factors of the slots a narrow chunk lacks.
 _UNIT = np.array([1.0, 0.0])
+
+
+def _string_phases(x_masks: np.ndarray, z_masks: np.ndarray, power: int = 0) -> np.ndarray:
+    """(-i)**(y + power) per string, where y = popcount(x & z) is its Y count.
+
+    This is the phase convention of every compiled form: the string with
+    masks (x, z) is P = (-i)**y Z^z X^x, since Y = -i Z X on each site, so
+    P |b ^ x> = (-i)**y s_z(b) |b> with s_z(b) = (-1)**popcount(z & b).
+    """
+    return np.array(_MINUS_I_POWERS)[(np.bitwise_count(x_masks & z_masks) + power) % 4]
 
 
 class _StepPlan:
@@ -247,9 +256,7 @@ class _StepPlan:
         gathers = [index.transpose(axes).ravel() for axes in self.gathers]
         x_all = np.array(self.x_masks, dtype=np.int64)
         z_all = np.array(self.z_masks, dtype=np.int64)
-        phases = np.append(
-            np.array(_MINUS_I_POWERS)[(np.bitwise_count(x_all & z_all) + 1) % 4], 0.0
-        )
+        phases = np.append(_string_phases(x_all, z_all, 1), 0.0)
         one, zero = 2 * count, 2 * count + 1
         factors, expansions = [], []
         for q, real, slots, runs in self.groups:
@@ -326,14 +333,10 @@ class DrivenHamiltonian:
     E, which is the diagonal problem part H_p, the drive's ``CompiledGauge``,
     and the off-diagonal strings: the n mixer X strings by site, then the CD
     strings in ``cd_terms`` order.  ``step`` runs the strings' shared
-    ``_StepPlan``.  ``matvec``, ``dense`` and the ``operator_*`` forms read
-    the string table instead, built on first use: string k with masks (x, z)
-    and y_count y acts as (-i P_k psi)[b] = (-i)**(y+1) * s_z[b] *
-    psi[b ^ x], where s_z[b] = (-1)**popcount(z & b).  So the table holds
-    one XOR permutation row per distinct X mask (``perms``) and one +-1 sign
-    row per distinct nonzero Z mask (``signs``), and ``rows`` gives each
-    string its (permutation, sign row or None, phase).  Every factor is
-    exact.
+    ``_StepPlan``.  ``matvec``, ``dense`` and the ``operator_*`` forms group
+    the strings by X mask instead (see ``_string_phases``): for coefficients
+    c, sum_k c_k P_k = sum_x diag(d_x) X^x, with one row d_x per distinct X
+    mask in ``row_masks`` (see ``operator_rows``).
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
@@ -346,22 +349,27 @@ class DrivenHamiltonian:
         self.x_masks = tuple(s.x_mask for s in strings)
         self.z_masks = tuple(s.z_mask for s in strings)
         self.plan = _step_plan(n, self.x_masks, self.z_masks)
-        distinct = len(set(self.x_masks)) + len(set(self.z_masks) - {0})
+        groups: dict[int, list[int]] = {}
+        for k, x in enumerate(self.x_masks):
+            groups.setdefault(x, []).append(k)
+        self.row_masks = tuple(groups)
         dim = 1 << n
-        # The plan; 8-byte rows: the table's perms and signs, one sign row
-        # per site while it is built, the energies in the natural and in the
-        # phase layout; 16-byte vectors: psi, two scratch states and the
-        # phase exp(-i dt lam E) of a step.
-        needed = self.plan.nbytes + dim * (8 * (distinct + n + 2) + 4 * 16)
+        # The plan; 8-byte vectors: the energies in two layouts; 16-byte
+        # vectors: psi, two scratch states and the phase of a step; per row
+        # of ``operator_rows`` 40 bytes an entry: the complex row and, while
+        # it is formed, a complex term and an int64 mask.
+        needed = self.plan.nbytes + dim * (8 * 2 + 4 * 16 + 40 * len(groups))
         if needed > MEMORY_BUDGET:
             raise ResourceCapError(
                 f"{ansatz.value} drive at n={n} needs {needed / 2**20:.0f} MiB, "
                 f"above the budget of {MEMORY_BUDGET / 2**20:.0f} MiB"
             )
         self.energies = classical_energies(inst)
-        # i**y_count is real for an even Y count: the mixer strings are real,
-        # every CD string (exactly one Y) is purely imaginary.
-        self.real_strings = np.array([s.y_count % 2 == 0 for s in strings])
+        self.phases = _string_phases(np.array(self.x_masks), np.array(self.z_masks))
+        # Member p of row r is string slots[p, r]; a row with fewer members
+        # pads with the index past the last string, whose weight is 0.
+        self._slots = np.array(list(zip_longest(*groups.values(), fillvalue=len(strings))))
+        self._slot_z = np.append(self.z_masks, 0)[self._slots][..., None]
         cd_single = sum(1 for s in self.cd_strings if s.weight == 1)
         self.single_count = n + sum(1 for h in inst.fields if h != 0.0) + cd_single
         self.entangling_count = (
@@ -369,41 +377,6 @@ class DrivenHamiltonian:
             + len(self.cd_strings)
             - cd_single
         )
-
-    @cached_property
-    def perms(self) -> np.ndarray:
-        """One XOR permutation row per distinct X mask, in order of first use."""
-        x_masks = np.array(list(dict.fromkeys(self.x_masks)), dtype=np.intp)
-        return np.arange(1 << self.n) ^ x_masks[:, None]
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """One +-1 row s_z per distinct nonzero Z mask, in order of first use."""
-        index = np.arange(1 << self.n)
-        z_masks = [z for z in dict.fromkeys(self.z_masks) if z]
-        signs = np.empty((len(z_masks), 1 << self.n))
-        site_signs: dict[int, np.ndarray] = {}
-        for row, z in zip(signs, z_masks):
-            row.fill(1.0)
-            for site in (i for i in range(self.n) if z >> i & 1):
-                if site not in site_signs:
-                    site_signs[site] = 1.0 - 2.0 * ((index >> site) & 1)
-                row *= site_signs[site]
-        return signs
-
-    @cached_property
-    def rows(self) -> list[tuple[np.ndarray, np.ndarray | None, complex]]:
-        """Per string: its ``perms`` row, its ``signs`` row or None, and (-i)**(y+1)."""
-        x_row = {x: k for k, x in enumerate(dict.fromkeys(self.x_masks))}
-        z_row = {z: k for k, z in enumerate(z for z in dict.fromkeys(self.z_masks) if z)}
-        return [
-            (
-                self.perms[x_row[x]],
-                self.signs[z_row[z]] if z else None,
-                _MINUS_I_POWERS[((x & z).bit_count() + 1) % 4],
-            )
-            for x, z in zip(self.x_masks, self.z_masks)
-        ]
 
     @cached_property
     def _phase_energies(self) -> np.ndarray:
@@ -462,47 +435,57 @@ class DrivenHamiltonian:
 
     def matvec(self, psi: np.ndarray, lam: float, lam_dot: float) -> np.ndarray:
         """H(lam, lam_dot) @ psi for a complex amplitude array."""
-        return self.operator_matvec(psi, lam, self.coefficients(lam, lam_dot))
+        return self.operator_matvec(psi, lam, self.operator_rows(self.coefficients(lam, lam_dot)))
 
-    def operator_matvec(self, psi: np.ndarray, diagonal: float, values: np.ndarray) -> np.ndarray:
-        """(diagonal E + sum_k values[k] P_k) @ psi, ``values`` aligned with ``rows``."""
+    def operator_rows(self, values: np.ndarray) -> np.ndarray:
+        """The rows d_x with sum_k values[k] P_k = sum_x diag(d_x) X^x, x in ``row_masks``.
+
+        d_x[b] sums values[k] (-i)**y_k s_z_k(b) over the strings k with X
+        mask x, in string order, so every term and the order of the sum are
+        those of the strings one by one.  The rows are float64 when every
+        nonzero value sits on a string with an even Y count (a real phase):
+        always for ``none``, and for any drive whose CD values vanish, as at
+        lam_dot = 0.  Otherwise they are complex128.
+        """
+        weights = np.append(values * self.phases, 0.0)
+        if not weights.imag.any():
+            weights = weights.real
+        index = np.arange(1 << self.n)
+        rows = np.zeros((len(self.row_masks), 1 << self.n), dtype=weights.dtype)
+        for members, z_masks in zip(self._slots, self._slot_z):
+            odd = np.bitwise_count(z_masks & index) & 1
+            weight = weights[members, None]
+            rows += np.where(odd, -weight, weight)
+        return rows
+
+    def operator_matvec(self, psi: np.ndarray, diagonal: float, rows: np.ndarray) -> np.ndarray:
+        """(diagonal E + sum_x diag(d_x) X^x) @ psi for ``rows`` from ``operator_rows``."""
         out = diagonal * self.energies * psi
-        for (perm, sign, phase), value in zip(self.rows, values.tolist()):
-            if value != 0.0:
-                # P_k psi = i (-i P_k psi).
-                rotated = psi[perm]
-                if sign is not None:
-                    rotated *= sign
-                out = zaxpy(rotated, out, a=1j * value * phase)
+        index = np.arange(len(psi))
+        for x, row in zip(self.row_masks, rows):
+            gathered = psi[index ^ x]
+            gathered *= row
+            out += gathered
         return out
 
     def dense(self, lam: float, lam_dot: float) -> np.ndarray:
-        """Dense 2**n x 2**n matrix of H(lam, lam_dot); guarded by ``DENSE_CAP``.
+        """Dense matrix of H(lam, lam_dot), real where ``operator_rows`` are; see ``DENSE_CAP``."""
+        return self.operator_dense(lam, self.operator_rows(self.coefficients(lam, lam_dot)))
 
-        The matrix is float64 when every nonzero coefficient sits on a real
-        string: always for ``none``, and for any drive whose CD coefficients
-        vanish, as at lam_dot = 0.  Otherwise it is complex128.
-        """
-        return self.operator_dense(lam, self.coefficients(lam, lam_dot))
-
-    def operator_dense(self, diagonal: float, values: np.ndarray) -> np.ndarray:
-        """Dense matrix of diagonal E + sum_k values[k] P_k; see ``dense``."""
+    def operator_dense(self, diagonal: float, rows: np.ndarray) -> np.ndarray:
+        """Dense matrix of diagonal E + sum_x diag(d_x) X^x; see ``dense``."""
         if self.n > DENSE_CAP:
             raise ResourceCapError(f"dense matrix for n={self.n} exceeds cap {DENSE_CAP}")
         dim = 1 << self.n
-        rows = np.arange(dim)
-        # Row b of P_k = i (-i P_k) has its single nonzero entry,
-        # i phase_k s_z[b], at column perm[b]; on a real string it is real.
-        real = not values[~self.real_strings].any()
-        mat = np.zeros((dim, dim)) if real else np.zeros((dim, dim), dtype=np.complex128)
-        mat[rows, rows] = diagonal * self.energies
-        for (perm, sign, phase), value in zip(self.rows, values.tolist()):
-            if value != 0.0:
-                entry = (1j * phase).real * value if real else 1j * phase * value
-                mat[rows, perm] += entry if sign is None else entry * sign
+        index = np.arange(dim)
+        mat = np.zeros((dim, dim), dtype=rows.dtype)
+        mat[index, index] = diagonal * self.energies
+        for x, row in zip(self.row_masks, rows):
+            mat[index, index ^ x] += row
         return mat
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm stops the evolution
 def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> EvolutionReport:
     """First-order digitized evolution from the uniform superposition.
 
@@ -592,8 +575,8 @@ def success_probability(state: StateVector, truth: GroundTruth) -> float:
 
 def sample_shots(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     """Multinomial measurement emulation; deterministic given the seed."""
-    if shots < 1:
-        raise ParameterError(f"shot count must be >= 1, got {shots}")
+    if shots < 1 or seed < 0:
+        raise ParameterError(f"need shots >= 1 and a seed >= 0, got {shots} shots, seed {seed}")
     probabilities = np.abs(state.amplitudes) ** 2
     probabilities = probabilities / probabilities.sum()
     counts = np.random.default_rng(seed).multinomial(shots, probabilities)

@@ -1,14 +1,15 @@
 """Instantaneous spectra of the driven Hamiltonian and minimum-gap curves.
 
-Every solve reads the operator compiled by ``DrivenHamiltonian``.  Up to
-``_DENSE_DIAG_LIMIT`` qubits it is a dense solve of ``DrivenHamiltonian.dense``,
-which is real symmetric wherever the CD coefficients vanish (always for
-``none``, and at lam_dot = 0 for every drive) and complex Hermitian
-elsewhere.  ``instantaneous_spectrum`` asks LAPACK's MRRR solver (``evr``)
-for only the two lowest eigenvalues, and above the limit runs Lanczos on the
-operator's matvec.  ``cd_norm``, the spectral norm of the CD part alone,
-takes the full ``eigvalsh`` up to ``_NORM_DENSE_LIMIT`` qubits and a
-largest-magnitude Lanczos solve above.
+Every solve reads ``DrivenHamiltonian.operator_rows``: H = diag(lam E) +
+sum_x diag(d_x) X^x, one row d_x per distinct X mask, formed once per solve.
+Up to ``_DENSE_DIAG_LIMIT`` qubits the solve is dense; the matrix is real
+symmetric wherever the CD coefficients vanish (always for ``none``, and at
+lam_dot = 0 for every drive) and complex Hermitian elsewhere.
+``instantaneous_spectrum`` asks LAPACK's MRRR solver (``evr``) for only the
+two lowest eigenvalues, and above the limit runs Lanczos on the matvec.
+``cd_norm``, the spectral norm of the CD part alone, takes the full
+``eigvalsh`` up to ``_NORM_DENSE_LIMIT`` qubits and a largest-magnitude
+Lanczos solve above.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .pauli import to_dense  # noqa: F401
 #: Above this qubit count, low-lying eigenvalues come from a Lanczos solver.
 _DENSE_DIAG_LIMIT = 11
 
-#: Above this qubit count, the CD norm comes from a Lanczos solver:
-#: from n = 9 on, the largest-magnitude Lanczos solve beats the full dense
-#: ``eigvalsh`` (one n = 10 ``none`` solve on a 2-core machine: 0.17 s
-#: dense, 0.015 s Lanczos); at n = 8 the dense solve is still the faster.
+#: Above this qubit count, the CD norm comes from a Lanczos solve.  One BLAS
+#: thread, dense ``eigvalsh`` against Lanczos: 2 against 5-8 ms at n = 7; at
+#: n = 8 11 against 5 ms for nc1 but 11 against 12 ms for two-local, which
+#: solves at every grid point; from n = 9 on 66-75 against 10-26 ms.
 _NORM_DENSE_LIMIT = 8
 
 #: Default number of uniform time samples for gap curves.
@@ -65,9 +66,10 @@ def instantaneous_spectrum(
     values = hamiltonian.coefficients(lam, lam_dot)
     if not (np.isfinite(values).all() and np.isfinite(hamiltonian.energies).all()):
         raise IntegratorError(f"non-finite coefficient or energy at lam={lam}, lam_dot={lam_dot}")
+    rows = hamiltonian.operator_rows(values)
     if hamiltonian.n > _DENSE_DIAG_LIMIT:
-        return np.sort(_lanczos(hamiltonian, lam, values, 2, "SA"))
-    matrix = hamiltonian.operator_dense(lam, values)
+        return np.sort(_lanczos(hamiltonian, lam, rows, 2, "SA"))
+    matrix = hamiltonian.operator_dense(lam, rows)
     return eigh(matrix, eigvals_only=True, subset_by_index=(0, 1), driver="evr")
 
 
@@ -75,21 +77,22 @@ def cd_norm(hamiltonian: DrivenHamiltonian, cd_values: np.ndarray) -> float:
     """Spectral norm of sum_j cd_values[j] P_j over the drive's CD strings."""
     if not np.any(cd_values):
         return 0.0  # Lanczos cannot start on the zero operator.
-    values = np.concatenate([np.zeros(hamiltonian.n), cd_values])
+    rows = hamiltonian.operator_rows(np.concatenate([np.zeros(hamiltonian.n), cd_values]))
     if hamiltonian.n <= _NORM_DENSE_LIMIT:
-        matrix = hamiltonian.operator_dense(0.0, values)
+        matrix = hamiltonian.operator_dense(0.0, rows)
         return float(np.abs(np.linalg.eigvalsh(matrix)).max())
-    return float(np.abs(_lanczos(hamiltonian, 0.0, values, 1, "LM")).max())
+    return float(np.abs(_lanczos(hamiltonian, 0.0, rows, 1, "LM")).max())
 
 
 def _lanczos(
-    hamiltonian: DrivenHamiltonian, diagonal: float, values: np.ndarray, k: int, which: str
+    hamiltonian: DrivenHamiltonian, diagonal: float, rows: np.ndarray, k: int, which: str
 ) -> np.ndarray:
+    """k eigenvalues by ARPACK; every product reads the same ``operator_rows``."""
     dim = 1 << hamiltonian.n
 
     def matvec(v: np.ndarray) -> np.ndarray:
         psi = np.asarray(v, dtype=np.complex128).reshape(-1)
-        return hamiltonian.operator_matvec(psi, diagonal, values)
+        return hamiltonian.operator_matvec(psi, diagonal, rows)
 
     linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
     # A fixed-seed start keeps the iteration, and hence emitted files,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .gauge import (
     Ansatz,
     CompiledGauge,
@@ -169,8 +170,8 @@ def _check_closed_form_blocks(seed: int) -> CheckResult:
 def _check_compiled_table(seed: int) -> CheckResult:
     """The compiled operators against the Pauli algebra they replace.
 
-    For every drive at n = 2 to 6, the string table's
-    ``DrivenHamiltonian.dense`` against ``to_dense(assemble_hamiltonian(...))``
+    For every drive at n = 2 to 6, ``DrivenHamiltonian.dense``, built from
+    the per-X-mask rows, against ``to_dense(assemble_hamiltonian(...))``
     and one fused ``step`` against the canonical-order product of
     ``apply_pauli_exponential``: X by site, nonzero Z and ZZ terms, then the
     CD strings.  At n = 5 and 6 the nc1 and two-local steps move the state
@@ -253,6 +254,8 @@ def _check_unitarity(seed: int) -> CheckResult:
 
 def run_validation_checks(*, seed: int = 20220301) -> list[CheckResult]:
     """Run every oracle check; a thrown exception fails its check."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     specs = [
         ("pauli-identities", lambda: _check_pauli_identities(seed)),
         ("local-y-oracle", lambda: _check_local_y(seed)),

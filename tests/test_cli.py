@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from functools import cached_property
 
 import pytest
 
@@ -17,6 +16,13 @@ from cdanneal.validate import run_validation_checks
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def single_error_line(err):
+    """The one line a failed command writes to stderr; no warning precedes it."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Warning" not in lines[0], lines
+    return lines[0]
 
 
 # ------------------------------------------------------------------ gen
@@ -43,6 +49,12 @@ def test_gen_cap_exit_code(tmp_path, capsys):
     code = run_cli("gen", "--n", "25", "--seed", "1", "--out", str(tmp_path / "x.json"))
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_gen_negative_seed_exit_code(tmp_path, capsys):
+    assert run_cli("gen", "--n", "3", "--seed", "-1", "--out", str(tmp_path / "x.json")) == 2
+    assert "seed" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_env_output_dir(tmp_path, monkeypatch):
@@ -108,6 +120,17 @@ def test_run_with_shots(tmp_path, capsys):
     assert "sampled P_s" in capsys.readouterr().out
 
 
+def test_run_negative_shot_seed_exit_code(tmp_path, capsys):
+    # Refused before anything is printed, P_s included.
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(3, 9), instance)
+    args = ("run", "--instance", str(instance), "--shots", "5", "--shot-seed", "-1")
+    assert run_cli(*args) == 2
+    captured = capsys.readouterr()
+    assert "seed" in single_error_line(captured.err)
+    assert captured.out == ""
+
+
 def test_run_invalid_ansatz(tmp_path, capsys):
     instance = tmp_path / "inst.json"
     assert run_cli("gen", "--n", "3", "--seed", "9", "--out", str(instance)) == 0
@@ -142,12 +165,12 @@ def test_run_non_finite_total_time(tmp_path, capsys):
     save_instance(generate_instance(3, 9), instance)
     for total_time in ("inf", "nan", "1e308", "1e-310"):
         assert run_cli("run", "--instance", str(instance), "--T", total_time) == 2
-        assert "finite" in capsys.readouterr().err
+        assert "finite" in single_error_line(capsys.readouterr().err)
     # Energies that overflow stop the evolution at the first non-finite norm
-    # instead of printing P_s nan.
+    # instead of printing P_s nan, and numpy warns of no overflow.
     save_instance(ProblemInstance(2, ((0, 1, 1e308),), (1e308, 1e308), seed=0), instance)
     assert run_cli("run", "--instance", str(instance)) == 4
-    assert "norm" in capsys.readouterr().err
+    assert "norm" in single_error_line(capsys.readouterr().err)
 
 
 def test_usage_error_exit_code():
@@ -290,6 +313,14 @@ def test_sweep_bad_config_exit(tmp_path):
         assert run_cli("sweep", "--config", str(config)) == 2
 
 
+def test_sweep_negative_master_seed_exit_code(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    write_config(config, master_seed=-5)
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 2
+    assert "master_seed" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- gap
 
 
@@ -340,7 +371,7 @@ def test_gap_overflow_exit_codes(tmp_path, capsys):
     for total_time in ("1e308", "1e-310"):
         args = ("gap", "--instance", str(instance), "--T", total_time, "--samples", "5")
         assert run_cli(*args, "--out", str(tmp_path / "gap.csv")) == 2
-        assert "finite" in capsys.readouterr().err
+        assert "finite" in single_error_line(capsys.readouterr().err)
     pairs = ((0, 1), (0, 2), (1, 2))
     for inst, ansatz in (
         (ProblemInstance(2, ((0, 1, 1e308),), (1e308, 1e308), seed=0), "none"),
@@ -349,7 +380,7 @@ def test_gap_overflow_exit_codes(tmp_path, capsys):
         save_instance(inst, instance)
         args = ("gap", "--instance", str(instance), "--ansatz", ansatz, "--samples", "5")
         assert run_cli(*args, "--out", str(tmp_path / "gap.csv")) == 4
-        assert "non-finite" in capsys.readouterr().err
+        assert "non-finite" in single_error_line(capsys.readouterr().err)
     assert not (tmp_path / "gap.csv").exists()
 
 
@@ -397,6 +428,13 @@ def test_validate_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_validate_negative_seed_exit_code(capsys):
+    assert run_cli("validate", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert "seed" in single_error_line(captured.err)
+    assert captured.out == ""
+
+
 def test_validate_mutation_sensitivity(monkeypatch):
     # A sign flip in the closed-form coefficient must trip the oracle check.
     flipped = lambda inst, lam: -nc1_coefficient(inst, lam)
@@ -436,21 +474,18 @@ def test_validate_closed_form_blocks_mutation_sensitivity(monkeypatch, helper, o
 
 
 def test_validate_compiled_table_mutation_sensitivity(monkeypatch):
-    # matvec and dense read the string table, the Trotter step reads the
-    # fused plan.  A flipped sign row in the table corrupts the dense check
+    # matvec and dense read the rows of operator_rows, the Trotter step
+    # reads the fused plan.  A flipped first row corrupts the dense check
     # and the ODE reference that trotter-scaling integrates; nothing else
     # reads it.
-    signs = simulator_mod.DrivenHamiltonian.signs.func
+    operator_rows = simulator_mod.DrivenHamiltonian.operator_rows
 
-    def flipped(self):
-        rows = signs(self)
-        if len(rows):
-            rows[0] *= -1.0
+    def flipped(self, values):
+        rows = operator_rows(self, values)
+        rows[0] *= -1.0
         return rows
 
-    mutated = cached_property(flipped)
-    mutated.__set_name__(simulator_mod.DrivenHamiltonian, "signs")
-    monkeypatch.setattr(simulator_mod.DrivenHamiltonian, "signs", mutated)
+    monkeypatch.setattr(simulator_mod.DrivenHamiltonian, "operator_rows", flipped)
     results = {r.name: r.passed for r in run_validation_checks()}
     assert {name for name, passed in results.items() if not passed} == {
         "compiled-table",

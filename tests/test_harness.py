@@ -60,6 +60,8 @@ def test_config_validation():
         ExperimentConfig(ansatz=("flux",))
     with pytest.raises(ParameterError):
         ExperimentConfig(jobs=0)
+    with pytest.raises(ParameterError, match="master_seed"):
+        ExperimentConfig(master_seed=-5)
     # The schedule's own checks: pi T overflows, and no Trotter step.
     with pytest.raises(ParameterError, match="finite"):
         ExperimentConfig(total_time=1e308)

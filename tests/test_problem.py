@@ -31,6 +31,16 @@ def test_generation_structure():
     assert [(i, j) for i, j, _ in inst.couplings] == [(0, 1), (0, 2), (1, 2)]
 
 
+def test_negative_seeds_are_refused():
+    for call in (
+        lambda: generate_instance(3, -1),
+        lambda: instance_seed(-1, 0),
+        lambda: instance_seed(0, -1),
+    ):
+        with pytest.raises(ParameterError, match=">= 0"):
+            call()
+
+
 def test_generation_statistics():
     # 3-sigma bands for the pooled standard-normal draws (> 1e5 samples).
     values = []

@@ -15,7 +15,7 @@ from cdanneal.errors import (
 )
 from cdanneal import gauge, simulator
 from cdanneal.gauge import Ansatz, assemble_hamiltonian, cd_coefficients, cd_terms
-from cdanneal.pauli import PauliString, string_amplitudes, to_dense
+from cdanneal.pauli import PauliString, PauliSum, to_dense
 from cdanneal.problem import (
     GroundTruth,
     ProblemInstance,
@@ -247,8 +247,8 @@ def test_fused_step_matches_canonical_product(point):
 
 
 @st.composite
-def table_instances(draw):
-    n = draw(st.integers(1, 8))
+def table_instances(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     fields = tuple(draw(_VALUES) for _ in range(n))
     couplings = tuple(
         (i, j, draw(_VALUES)) for i in range(n) for j in range(i + 1, n)
@@ -258,25 +258,24 @@ def table_instances(draw):
     return ProblemInstance(n, couplings, fields, seed=0), ansatz
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(table_instances())
-def test_string_table_reproduces_string_amplitudes(point):
-    # Each string's (perm, sign, phase) row is exactly its basis action:
-    # P|b> = amps[b] |perm[b]>, i.e. P[b, perm[b]] = amps[perm[b]], and
-    # (-i P psi)[b] = phase * sign[b] * psi[perm[b]].
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(table_instances(max_n=6), st.integers(0, 2**32 - 1))
+def test_operator_forms_reproduce_each_string(point, seed):
+    # With one unit coefficient the operator forms are that string alone:
+    # its dense matrix exactly, its matvec to rounding, and a real matrix
+    # exactly when the string has an even Y count.
     inst, ansatz = point
     hamiltonian = DrivenHamiltonian(inst, ansatz)
     n = inst.n
     strings = [PauliString.single(n, i, "X") for i in range(n)] + cd_terms(inst, ansatz)
-    assert len(hamiltonian.rows) == len(strings)
-    for string, (perm, sign, phase) in zip(strings, hamiltonian.rows):
-        expected_perm, amps = string_amplitudes(string)
-        assert np.array_equal(perm, expected_perm)
-        assert (sign is None) == (string.z_mask == 0)
-        row = np.ones(1 << n) if sign is None else sign
-        assert np.array_equal(1j * phase * row, amps[perm])
-    assert len(hamiltonian.perms) == len({s.x_mask for s in strings})
-    assert len(hamiltonian.signs) == len({s.z_mask for s in strings} - {0})
+    assert len(hamiltonian.x_masks) == len(strings)
+    psi = random_state(n, seed)
+    for k, string in enumerate(strings):
+        rows = hamiltonian.operator_rows(np.eye(len(strings))[k])
+        matrix = hamiltonian.operator_dense(0.0, rows)
+        assert np.array_equal(matrix, to_dense(PauliSum(n, {string: 1.0})))
+        assert (matrix.dtype == np.float64) == (string.y_count % 2 == 0)
+        assert np.abs(hamiltonian.operator_matvec(psi, 0.0, rows) - matrix @ psi).max() <= 1e-15
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -357,14 +356,14 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     # nc1 at n = 10 (K = 4).  Its step plan: 20 gathers of 1024 intp
     # indices, and 532 expanded terms, each with four 8-byte factor indices
     # and a matrix: 16x16 in 2 complex and 27 real chunks of 16 terms, 8x8
-    # in 4 real chunks of 16 terms, 4x4 in 1 complex chunk of 4 terms.  Its
-    # deferred table: 10 X rows and 55 sign rows of 8 KiB, plus 10
-    # single-site sign rows while it is built.  Then the energies in two
-    # layouts and four state vectors: psi, two scratch states and the phase.
+    # in 4 real chunks of 16 terms, 4x4 in 1 complex chunk of 4 terms.  Then
+    # the energies in two layouts, four state vectors (psi, two scratch
+    # states and the phase), and the 10 rows of ``operator_rows``, one per X
+    # mask, at 16 bytes an entry plus 24 for the temporaries that form them.
     plan = 20 * 8 * 1024 + 532 * 4 * 8
     plan += 16 * 256 * (2 * 16 + 27 * 8) + 4 * 16 * 64 * 8 + 4 * 16 * 16
-    needed = plan + 1024 * (8 * (10 + 55 + 10 + 2) + 4 * 16)
-    assert needed == 1_926_784
+    needed = plan + 1024 * (8 * 2 + 4 * 16 + 10 * (16 + 24))
+    assert needed == 1_721_984
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed)
     with pytest.raises(AssertionError):
         DrivenHamiltonian(inst, Ansatz.NC1)
@@ -587,3 +586,5 @@ def test_shots_deterministic():
 def test_shots_validation():
     with pytest.raises(ParameterError):
         sample_shots(plus_state(1), 0, seed=0)
+    with pytest.raises(ParameterError, match="seed"):
+        sample_shots(plus_state(1), 5, seed=-1)

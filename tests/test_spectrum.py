@@ -188,6 +188,29 @@ def test_cd_norm_of_zero_coefficients_on_lanczos_path():
     assert cd_norm(hamiltonian, np.zeros(len(hamiltonian.cd_strings))) == 0.0
 
 
+def test_lanczos_forms_the_rows_once_per_solve(monkeypatch):
+    # The rows are formed before the solve; each of its many products only
+    # reads them.
+    calls = {"rows": 0, "products": 0}
+    operator_rows = DrivenHamiltonian.operator_rows
+    operator_matvec = DrivenHamiltonian.operator_matvec
+
+    def counted_rows(self, values):
+        calls["rows"] += 1
+        return operator_rows(self, values)
+
+    def counted_matvec(self, psi, diagonal, rows):
+        calls["products"] += 1
+        return operator_matvec(self, psi, diagonal, rows)
+
+    monkeypatch.setattr(DrivenHamiltonian, "operator_rows", counted_rows)
+    monkeypatch.setattr(DrivenHamiltonian, "operator_matvec", counted_matvec)
+    hamiltonian = DrivenHamiltonian(generate_instance(9, instance_seed(916, 0)), Ansatz.NC1)
+    assert cd_norm(hamiltonian, hamiltonian.gauge.sources) > 0.0
+    assert calls["rows"] == 1
+    assert calls["products"] > 10
+
+
 def test_assembled_hamiltonians_hermitian():
     inst = generate_instance(4, instance_seed(914, 0))
     sched = Schedule(1.0, 20)
