@@ -133,6 +133,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # sample_shots checks these too, but only after the whole evolution.
+    if args.shots is not None and (args.shots < 1 or args.shot_seed < 0):
+        raise ParameterError(
+            f"need --shots >= 1 and --shot-seed >= 0, got {args.shots} and {args.shot_seed}"
+        )
     inst = load_instance(args.instance)
     ansatz = Ansatz.parse(args.ansatz)
     sched = Schedule(args.total_time, args.trotter_steps)

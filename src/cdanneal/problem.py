@@ -31,7 +31,8 @@ class ProblemInstance:
 
     ``couplings`` holds (i, j, J_ij) with i < j, each pair at most once, in
     lexicographic order; ``fields`` has exactly n entries.  All values are
-    finite.  Instances regenerate bit-exactly from (n, seed).
+    finite, and the seed is >= 0, as ``generate_instance`` requires.
+    Instances regenerate bit-exactly from (n, seed).
     """
 
     n: int
@@ -42,6 +43,8 @@ class ProblemInstance:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"qubit count must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if len(self.fields) != self.n:
             raise ParameterError(
                 f"expected {self.n} fields, got {len(self.fields)}"

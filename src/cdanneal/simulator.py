@@ -9,7 +9,8 @@ string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P.
 A Trotter step runs a ``_StepPlan`` compiled from the string masks: it cuts
 the strings, in canonical order, into runs on at most ``BLOCK_QUBITS``
 qubits and applies each run as one small block unitary in one GEMM, after
-at most one gather that brings the run's qubits to the leading axes.
+at most one transposed copy of the state that brings the run's qubits to
+the leading axes.
 ``matvec`` and ``dense`` read the strings grouped by X mask instead: for a
 coefficient vector, sum_k c_k P_k = sum_x diag(d_x) X^x with one row d_x per
 distinct X mask, formed from the masks.  No gate decomposition happens here;
@@ -96,10 +97,21 @@ def apply_pauli_exponential(
     return state
 
 
-#: Bytes a ``DrivenHamiltonian`` may claim: its step plan, ``operator_rows``,
-#: the energy vectors and the state vectors a step or matvec works on.  Above
-#: it, construction raises ``ResourceCapError`` before allocating any of them.
+#: Bytes a ``DrivenHamiltonian`` may claim: its step plan, the energy vectors
+#: and the state vectors a step or matvec works on, and the rows of
+#: ``operator_rows`` while they exist.  Above it, construction, or the forming
+#: of rows, raises ``ResourceCapError`` before allocating any of them.
 MEMORY_BUDGET = 1 << 30
+
+
+def _check_budget(what: str, needed: int) -> None:
+    """Refuse, before anything is allocated, a claim above ``MEMORY_BUDGET``."""
+    if needed > MEMORY_BUDGET:
+        raise ResourceCapError(
+            f"{what} needs {needed / 2**20:.0f} MiB, "
+            f"above the budget of {MEMORY_BUDGET / 2**20:.0f} MiB"
+        )
+
 
 #: Most qubits one fused block of a Trotter step acts on (see ``_StepPlan``).
 BLOCK_QUBITS = 4
@@ -147,9 +159,11 @@ class _StepPlan:
     float64 view of the state.  A run whose qubits trail the layout
     multiplies the state viewed as a (2**n / 2**q, 2**q) matrix by U^T.
     Before any other run, one gather moves its qubits to the front,
-    keeping the order of the rest.  On each step the unitaries of all runs
-    of one shape are formed together, so the Python work of a step grows
-    with the number of runs, not of strings.
+    keeping the order of the rest: it copies the state, viewed as a (2,)**n
+    array, transposed by that gather's axes in ``gathers``, so the plan
+    stores no index.  On each step the unitaries of all runs of one shape
+    are formed together, so the Python work of a step grows with the number
+    of runs, not of strings.
 
     The plan depends only on the string masks, so instances with the same
     strings share it (``_step_plan``), and it holds no reference to any
@@ -157,7 +171,6 @@ class _StepPlan:
     """
 
     def __init__(self, n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]):
-        self.n = n
         self.x_masks, self.z_masks = x_masks, z_masks
         runs, start, support = [], 0, 0
         for k, string in enumerate(x | z for x, z in zip(x_masks, z_masks)):
@@ -227,21 +240,20 @@ class _StepPlan:
         if current != 0:
             self.ops.append((_COPY, current, 0, 0, 0))
 
-        # The bytes of ``arrays``: gathers, then per term its weight factors
-        # and its 2**q x 2**q matrix.
-        self.nbytes = 8 * (1 << n) * len(self.gathers)
+        # The bytes of ``arrays``: per term its weight factors and its
+        # 2**q x 2**q matrix.
+        self.nbytes = 0
         for q, real, slots, runs in self.groups:
             terms = len(runs) * slots // min(slots, _CHUNK) * (1 << min(slots, _CHUNK))
             self.nbytes += terms * (8 * _CHUNK + 4**q * (8 if real else 16))
 
     @cached_property
-    def arrays(self) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-        """Gather indices, weight factors and, per group, the expanded chunks.
+    def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Weight factors and, per group, the expanded chunks.
 
-        Gather i reads new[j] = old[index[j]].  -i P_k maps |r ^ x> to
-        (-i)**(y+1) s_z(r) |r>, so on the run's qubits it is the matrix M_k
-        with that phase times the sign at row r, column r ^ x (zero in
-        padding slots).  The slots of a run fall into chunks of
+        -i P_k maps |r ^ x> to (-i)**(y+1) s_z(r) |r>, so on the run's qubits
+        it is the matrix M_k with that phase times the sign at row r, column
+        r ^ x (zero in padding slots).  The slots of a run fall into chunks of
         w = min(slots, 4), and the product over a chunk expands into 2**w
         terms: for each subset S of its slots, the product of M_t over t in
         S, later slots on the left.  Every term is exact.  Term S weighs
@@ -251,9 +263,7 @@ class _StepPlan:
         has the angle 0, so cos 1 and sin 0, and a chunk narrower than four
         slots has factors 1 for the slots it lacks.
         """
-        n, count = self.n, len(self.x_masks)
-        index = np.arange(1 << n).reshape((2,) * n)
-        gathers = [index.transpose(axes).ravel() for axes in self.gathers]
+        count = len(self.x_masks)
         x_all = np.array(self.x_masks, dtype=np.int64)
         z_all = np.array(self.z_masks, dtype=np.int64)
         phases = np.append(_string_phases(x_all, z_all, 1), 0.0)
@@ -295,9 +305,9 @@ class _StepPlan:
             )
             factors.append(factor.reshape(-1, _CHUNK))
         factors = np.concatenate(factors)
-        for array in gathers + expansions + [factors]:
+        for array in expansions + [factors]:
             array.flags.writeable = False
-        return gathers, factors, expansions
+        return factors, expansions
 
     def unitaries(self, thetas: np.ndarray) -> list[np.ndarray]:
         """Per group, the (runs, 2**q, 2**q) run unitaries at the strings' angles.
@@ -306,7 +316,7 @@ class _StepPlan:
         run then multiply pairwise, later chunks on the left.  Padding slots
         weigh in as the identity, exactly.
         """
-        _, factors, expansions = self.arrays
+        factors, expansions = self.arrays
         weights = np.concatenate((np.cos(thetas), np.sin(thetas), _UNIT))[factors].prod(axis=1)
         result, offset = [], 0
         for (q, _, slots, runs), terms in zip(self.groups, expansions):
@@ -353,17 +363,10 @@ class DrivenHamiltonian:
         for k, x in enumerate(self.x_masks):
             groups.setdefault(x, []).append(k)
         self.row_masks = tuple(groups)
-        dim = 1 << n
         # The plan; 8-byte vectors: the energies in two layouts; 16-byte
-        # vectors: psi, two scratch states and the phase of a step; per row
-        # of ``operator_rows`` 40 bytes an entry: the complex row and, while
-        # it is formed, a complex term and an int64 mask.
-        needed = self.plan.nbytes + dim * (8 * 2 + 4 * 16 + 40 * len(groups))
-        if needed > MEMORY_BUDGET:
-            raise ResourceCapError(
-                f"{ansatz.value} drive at n={n} needs {needed / 2**20:.0f} MiB, "
-                f"above the budget of {MEMORY_BUDGET / 2**20:.0f} MiB"
-            )
+        # vectors: psi, two scratch states and the phase of a step.
+        self._claimed = self.plan.nbytes + (1 << n) * (8 * 2 + 4 * 16)
+        _check_budget(f"{ansatz.value} drive at n={n}", self._claimed)
         self.energies = classical_energies(inst)
         self.phases = _string_phases(np.array(self.x_masks), np.array(self.z_masks))
         # Member p of row r is string slots[p, r]; a row with fewer members
@@ -404,7 +407,7 @@ class DrivenHamiltonian:
         if psi.dtype != np.complex128 or psi.shape != (dim,) or not psi.flags.c_contiguous:
             raise ParameterError(f"step needs a contiguous complex128 vector of length {dim}")
         plan = self.plan
-        gathers = plan.arrays[0]
+        qubits = (2,) * self.n
         unitaries = plan.unitaries(dt * self.coefficients(lam, lam_dot))
         buffers = (psi, np.empty_like(psi), np.empty_like(psi))
         for kind, source, target, item, member in plan.ops:
@@ -420,8 +423,8 @@ class DrivenHamiltonian:
                 state = buffers[source].reshape(-1, len(unitary))
                 np.matmul(state, unitary.T, out=buffers[target].reshape(-1, len(unitary)))
             elif kind == _GATHER:
-                # The indices are in range, so "wrap" only skips the bounds check.
-                np.take(buffers[source], gathers[item], out=buffers[target], mode="wrap")
+                state = buffers[source].reshape(qubits).transpose(plan.gathers[item])
+                np.copyto(buffers[target].reshape(qubits), state)
             elif kind == _PHASE:
                 # exp(-i dt lam E), as cos + i sin of one real angle.
                 angle = (-dt * lam) * self._phase_energies
@@ -445,8 +448,15 @@ class DrivenHamiltonian:
         those of the strings one by one.  The rows are float64 when every
         nonzero value sits on a string with an even Y count (a real phase):
         always for ``none``, and for any drive whose CD values vanish, as at
-        lam_dot = 0.  Otherwise they are complex128.
+        lam_dot = 0.  Otherwise they are complex128.  The rows are charged
+        to ``MEMORY_BUDGET`` on top of the Hamiltonian's own bytes, at 40
+        bytes an entry: the complex row and, while it is formed, a complex
+        term and an int64 mask.
         """
+        _check_budget(
+            f"{self.ansatz.value} drive at n={self.n} with {len(self.row_masks)} operator rows",
+            self._claimed + 40 * len(self.row_masks) * (1 << self.n),
+        )
         weights = np.append(values * self.phases, 0.0)
         if not weights.imag.any():
             weights = weights.real

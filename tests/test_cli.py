@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import cdanneal.cli as cli_mod
 import cdanneal.gauge as gauge_mod
 import cdanneal.harness as harness_mod
 import cdanneal.simulator as simulator_mod
@@ -129,6 +130,21 @@ def test_run_negative_shot_seed_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "seed" in single_error_line(captured.err)
     assert captured.out == ""
+
+
+def test_run_checks_shots_before_evolving(tmp_path, capsys, monkeypatch):
+    def no_evolution(*args):
+        raise AssertionError("evolved before checking the shots")
+
+    monkeypatch.setattr(cli_mod, "trotter_evolve", no_evolution)
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(3, 9), instance)
+    for shots, seed in (("0", "0"), ("5", "-1")):
+        args = ("run", "--instance", str(instance), "--shots", shots, "--shot-seed", seed)
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert "shot" in single_error_line(captured.err)
+        assert captured.out == ""
 
 
 def test_run_invalid_ansatz(tmp_path, capsys):
@@ -363,6 +379,16 @@ def test_gap_pairs_baseline_and_endpoints(tmp_path):
         assert abs(by_tag["nc1"][idx][1] - by_tag["none"][idx][1]) <= 1e-10
 
 
+def test_gap_negative_instance_seed_exit_code(tmp_path, capsys):
+    # An instance file must regenerate from its (n, seed), as gen writes it.
+    instance = tmp_path / "inst.json"
+    instance.write_text('{"n": 2, "seed": -3, "h": [0.5, 0.2], "J": [[0, 1, 1.0]]}')
+    out = tmp_path / "gap.csv"
+    assert run_cli("gap", "--instance", str(instance), "--samples", "5", "--out", str(out)) == 2
+    assert "seed" in single_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_gap_overflow_exit_codes(tmp_path, capsys):
     # An overflowing schedule is a usage error; overflowing energies or nc1
     # sums are a numerical failure.  None of them ends in a traceback.
@@ -501,13 +527,13 @@ def test_validate_step_plan_mutation_sensitivity(monkeypatch):
     # do not.
     def flipped(n, x_masks, z_masks):
         plan = simulator_mod._StepPlan(n, x_masks, z_masks)
-        gathers, factors, chunks = plan.arrays
+        factors, chunks = plan.arrays
         real = [g for g, (_, is_real, *_) in enumerate(plan.groups) if is_real]
         if real:
             chunks = list(chunks)
             chunks[real[0]] = chunks[real[0]].copy()
             chunks[real[0]][0, 1::2] *= -1.0
-        plan.arrays = gathers, factors, chunks
+        plan.arrays = factors, chunks
         return plan
 
     monkeypatch.setattr(simulator_mod, "_step_plan", flipped)

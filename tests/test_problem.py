@@ -36,6 +36,7 @@ def test_negative_seeds_are_refused():
         lambda: generate_instance(3, -1),
         lambda: instance_seed(-1, 0),
         lambda: instance_seed(0, -1),
+        lambda: ProblemInstance(1, (), (0.0,), seed=-1),
     ):
         with pytest.raises(ParameterError, match=">= 0"):
             call()

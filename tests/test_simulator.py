@@ -189,7 +189,7 @@ def test_driven_hamiltonian_matches_reference(point):
 
 
 @pytest.mark.parametrize("ansatz", list(Ansatz))
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
 def test_trotter_evolve_matches_canonical_product(n, ansatz):
     inst = generate_instance(n, instance_seed(616, n))
     sched = Schedule(1.0, 8)
@@ -298,7 +298,7 @@ def test_step_plan_structure(point):
         assert sorted(sites) == [q for q in range(n) if support >> q & 1]
         assert len(sites) <= simulator.BLOCK_QUBITS
     # The weight factors of the expanded terms read each string's angle.
-    _, factors, _ = plan.arrays
+    factors, _ = plan.arrays
     assert set(factors[factors < 2 * count].ravel() % count) == set(range(count))
     # Replaying the operations: each run finds its qubits leading or
     # trailing, the phase follows the run that ends at n, and psi ends in
@@ -324,6 +324,17 @@ def test_step_plan_structure(point):
     assert layout == natural and written[-1] == 0 and 0 not in written[:-1]
     # Instances with the same strings share the plan.
     assert DrivenHamiltonian(inst, ansatz).plan is plan
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(table_instances())
+def test_step_plan_nbytes_counts_its_arrays(point):
+    # The budget charges a plan's nbytes, computed without building its
+    # arrays; it must equal what the plan then holds.
+    inst, ansatz = point
+    plan = DrivenHamiltonian(inst, ansatz).plan
+    factors, expansions = plan.arrays
+    assert plan.nbytes == factors.nbytes + sum(terms.nbytes for terms in expansions)
 
 
 def test_hamiltonian_is_freed_without_the_cycle_collector():
@@ -353,23 +364,40 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     for ansatz in Ansatz:
         with pytest.raises(ResourceCapError, match="budget"):
             DrivenHamiltonian(inst, ansatz)
-    # nc1 at n = 10 (K = 4).  Its step plan: 20 gathers of 1024 intp
-    # indices, and 532 expanded terms, each with four 8-byte factor indices
-    # and a matrix: 16x16 in 2 complex and 27 real chunks of 16 terms, 8x8
-    # in 4 real chunks of 16 terms, 4x4 in 1 complex chunk of 4 terms.  Then
-    # the energies in two layouts, four state vectors (psi, two scratch
-    # states and the phase), and the 10 rows of ``operator_rows``, one per X
-    # mask, at 16 bytes an entry plus 24 for the temporaries that form them.
-    plan = 20 * 8 * 1024 + 532 * 4 * 8
+    # nc1 at n = 10 (K = 4).  Its step plan: 532 expanded terms, each with
+    # four 8-byte factor indices and a matrix: 16x16 in 2 complex and 27
+    # real chunks of 16 terms, 8x8 in 4 real chunks of 16 terms, 4x4 in 1
+    # complex chunk of 4 terms.  Then the energies in two layouts and four
+    # state vectors (psi, two scratch states and the phase).
+    plan = 532 * 4 * 8
     plan += 16 * 256 * (2 * 16 + 27 * 8) + 4 * 16 * 64 * 8 + 4 * 16 * 16
-    needed = plan + 1024 * (8 * 2 + 4 * 16 + 10 * (16 + 24))
-    assert needed == 1_721_984
+    needed = plan + 1024 * (8 * 2 + 4 * 16)
+    assert needed == 1_148_544
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed)
     with pytest.raises(AssertionError):
         DrivenHamiltonian(inst, Ansatz.NC1)
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed - 1)
     with pytest.raises(ResourceCapError):
         DrivenHamiltonian(inst, Ansatz.NC1)
+
+
+def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
+    # An evolution forms no rows: nc1 at n = 10 is built and stepped within
+    # the budget of the test above.  Its 10 rows of ``operator_rows``, one
+    # per X mask, add 40 bytes an entry: 16 for the row, 24 for the
+    # temporaries that form it.
+    inst = generate_instance(10, instance_seed(618, 0))
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1_148_544)
+    hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
+    psi = plus_state(10).amplitudes
+    hamiltonian.step(psi, 0.1, 0.5, 1.0)
+    values = hamiltonian.coefficients(0.5, 1.0)
+    with pytest.raises(ResourceCapError, match="10 operator rows"):
+        hamiltonian.operator_rows(values)
+    with pytest.raises(ResourceCapError, match="budget"):
+        hamiltonian.matvec(psi, 0.5, 1.0)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1_148_544 + 10 * 40 * 1024)
+    assert hamiltonian.operator_rows(values).shape == (10, 1024)
 
 
 # ---------------------------------------------------------- trotter_evolve
