@@ -31,7 +31,6 @@ from .problem import (
     STATEVECTOR_CAP,
     GroundTruth,
     ProblemInstance,
-    classical_energies,
     generate_instance,
     ground_state,
     instance_seed,

@@ -28,6 +28,7 @@ from .errors import (
 from .gauge import Ansatz
 from .harness import (
     ExperimentConfig,
+    check_sweep_budget,
     config_hash,
     cost_report,
     emit_report,
@@ -214,6 +215,7 @@ def cmd_sweep(args) -> int:
                     file=sys.stderr,
                 )
 
+    check_sweep_budget(cfg)
     records = run_ensemble(cfg, progress=progress)
     summary = enhancement_metrics(records)
     out_dir = Path(cfg.output_dir)

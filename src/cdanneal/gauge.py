@@ -114,7 +114,7 @@ def _local_y(
     return fields / denominator
 
 
-def nc1_coefficient(inst: ProblemInstance, lam: float) -> float:
+def nc1_coefficient(gauge: ProblemInstance | CompiledGauge, lam: float) -> float:
     """Closed-form global coefficient of the first-order nested-commutator family.
 
     alpha_1 = -(1/4) [sum h_i^2 + 2 sum_{i<j} J_ij^2] / R(lam) with
@@ -128,9 +128,11 @@ def nc1_coefficient(inst: ProblemInstance, lam: float) -> float:
     J_ab^2 J_ac^2).  This reading of the shared-index constraint is the one
     that reproduces the variational normal equations; ``minimize_action`` on
     the single nested-commutator basis operator is the authoritative oracle
-    and the validation suite checks the two against each other.
+    and the validation suite checks the two against each other.  ``gauge``
+    may be an nc1 ``CompiledGauge``, whose stored sums are then read.
     """
-    return _nc1_alpha(_nc1_sums(inst), lam)
+    sums = gauge.nc1_sums if isinstance(gauge, CompiledGauge) else _nc1_sums(gauge)
+    return _nc1_alpha(sums, lam)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # callers check the coefficients
@@ -498,8 +500,7 @@ def cd_coefficients(
         beta = _local_y(gauge.fields, gauge.weights, gauge.sites, lam)
         return lam_dot * beta
     if ansatz is Ansatz.NC1:
-        alpha = _nc1_alpha(gauge.nc1_sums, lam)
-        return -2.0 * lam_dot * alpha * gauge.sources
+        return -2.0 * lam_dot * nc1_coefficient(gauge, lam) * gauge.sources
     if ansatz is Ansatz.TWO_LOCAL:
         return lam_dot * gauge.solve_two_local(lam).vector()[gauge.string_basis]
     raise ParameterError(f"unknown ansatz {ansatz!r}")

@@ -10,6 +10,7 @@ across invocations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -247,6 +248,21 @@ def _run_task(args: tuple[ExperimentConfig, int, int, int]) -> RunRecord:
     )
 
 
+def check_sweep_budget(cfg: ExperimentConfig) -> None:
+    """Refuse, before anything evolves, a sweep whose operator rows break the budget.
+
+    The cost report and the gap curves form each drive's operator rows, and
+    ``DrivenHamiltonian.check_rows_budget`` refuses rows above
+    ``MEMORY_BUDGET``.  The rows and the step plan depend only on the drive's
+    strings, which every generated instance of one size shares, so each
+    (size, drive) is checked once, on the sweep's first instance of that size.
+    """
+    for n in cfg.n_values:
+        inst = generate_instance(n, instance_seed(cfg.master_seed, 0))
+        for tag in cfg.ansatz:
+            DrivenHamiltonian(inst, Ansatz.parse(tag)).check_rows_budget()
+
+
 def run_ensemble(
     cfg: ExperimentConfig,
     *,
@@ -383,11 +399,11 @@ def cd_cost(hamiltonian: DrivenHamiltonian, sched: Schedule) -> float:
         return 0.0
     unit = cd_norm(hamiltonian, gauge.sources) if ansatz is Ansatz.NC1 else None
     norms = []
-    for point in sched.grid():
+    for point in sched.grid:
         if point.lam_dot == 0.0:
             norms.append(0.0)
         elif ansatz is Ansatz.NC1:
-            norms.append(abs(2.0 * point.lam_dot * nc1_coefficient(gauge.inst, point.lam)) * unit)
+            norms.append(abs(2.0 * point.lam_dot * nc1_coefficient(gauge, point.lam)) * unit)
         else:
             values = cd_coefficients(gauge, ansatz, point.lam, point.lam_dot)
             if ansatz is Ansatz.LOCAL_Y:
@@ -408,17 +424,16 @@ def cost_report(records: Iterable[RunRecord], cfg: ExperimentConfig) -> list[Cos
     for record in records:
         for tag in record.ps:
             by_key.setdefault((record.n, tag), []).append(record)
+    regenerate = functools.cache(generate_instance)  # once per sampled (n, seed)
     rows = []
-    for (n, tag), group in sorted(by_key.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (n, tag), group in sorted(by_key.items()):
         ansatz = Ansatz.parse(tag)
         totals = [r.entangling[tag] for r in group if not r.excluded]
         total = int(max(totals)) if totals else 0
         per_step = total // cfg.trotter_steps if total else 0
         # A drive excluded on an instance is singular somewhere on this grid.
         kept = [r for r in group if r.ps[tag] is not None][:COST_SAMPLES]
-        costs = [
-            cd_cost(DrivenHamiltonian(generate_instance(n, r.seed), ansatz), sched) for r in kept
-        ]
+        costs = [cd_cost(DrivenHamiltonian(regenerate(n, r.seed), ansatz), sched) for r in kept]
         rows.append(CostRow(n, tag, per_step, total, float(np.mean(costs)) if costs else None))
     return rows
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,26 @@ class ProblemInstance:
 
     def field_array(self) -> np.ndarray:
         return np.asarray(self.fields, dtype=np.float64)
+
+    @cached_property
+    @np.errstate(over="ignore")  # readers check the energies
+    def energies(self) -> np.ndarray:
+        """E(s) for every basis index, formed on first read and shared; read-only."""
+        dim = 1 << self.n
+        idx = np.arange(dim, dtype=np.uint64)
+        spins = [
+            1.0 - 2.0 * ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.float64)
+            for i in range(self.n)
+        ]
+        energy = np.zeros(dim)
+        for i, value in enumerate(self.fields):
+            if value != 0.0:
+                energy += value * spins[i]
+        for i, j, value in self.couplings:
+            if value != 0.0:
+                energy += value * spins[i] * spins[j]
+        energy.flags.writeable = False
+        return energy
 
 
 @dataclass(frozen=True)
@@ -173,25 +194,6 @@ def mixer_hamiltonian(n: int) -> PauliSum:
     return PauliSum(n, {PauliString(n, 1 << i, 0): -1.0 for i in range(n)})
 
 
-@np.errstate(over="ignore")  # callers check the energies
-def classical_energies(inst: ProblemInstance) -> np.ndarray:
-    """E(s) for every basis index, vectorized over all 2**n configurations."""
-    dim = 1 << inst.n
-    idx = np.arange(dim, dtype=np.uint64)
-    spins = [
-        1.0 - 2.0 * ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.float64)
-        for i in range(inst.n)
-    ]
-    energy = np.zeros(dim)
-    for i, value in enumerate(inst.fields):
-        if value != 0.0:
-            energy += value * spins[i]
-    for i, j, value in inst.couplings:
-        if value != 0.0:
-            energy += value * spins[i] * spins[j]
-    return energy
-
-
 def ground_state(inst: ProblemInstance) -> GroundTruth:
     """Exhaustive minimum of the classical energy over all configurations.
 
@@ -201,7 +203,6 @@ def ground_state(inst: ProblemInstance) -> GroundTruth:
     """
     if inst.n > STATEVECTOR_CAP:
         raise ResourceCapError(f"enumeration for n={inst.n} exceeds cap {STATEVECTOR_CAP}")
-    energy = classical_energies(inst)
-    minimum = float(energy.min())
-    states = tuple(int(s) for s in np.flatnonzero(energy <= minimum + DEGENERACY_TOL))
+    minimum = float(inst.energies.min())
+    states = tuple(int(s) for s in np.flatnonzero(inst.energies <= minimum + DEGENERACY_TOL))
     return GroundTruth(minimum, states, len(states) > 1)

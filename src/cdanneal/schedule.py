@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -67,15 +68,12 @@ class Schedule:
             math.pi**2 / (4.0 * self.total_time) * math.sin(2.0 * u) * math.sin(2.0 * v)
         )
 
+    @cached_property
     def grid(self) -> tuple[GridPoint, ...]:
         """Per-step coefficient evaluation points t_k = k*dt for k = 1..M.
 
         Each point carries (t, lam, lam_dot), evaluated at the right end of
-        its step.
+        its step.  Formed on first read and kept with the schedule.
         """
-        dt = self.dt
-        points = []
-        for k in range(1, self.steps + 1):
-            t_eval = min(k * dt, self.total_time)
-            points.append(GridPoint(t_eval, self.lam(t_eval), self.lam_dot(t_eval)))
-        return tuple(points)
+        times = (min(k * self.dt, self.total_time) for k in range(1, self.steps + 1))
+        return tuple(GridPoint(t, self.lam(t), self.lam_dot(t)) for t in times)

@@ -2,7 +2,7 @@
 
 The Trotter engine, the ODE reference and the spectra all read the driven
 Hamiltonian from one ``DrivenHamiltonian`` compiled per (instance, drive).
-Its diagonal problem part is the classical energy vector E, so a Trotter
+Its diagonal problem part is the instance's energy vector E, so a Trotter
 step applies all Z and ZZ terms as the single phase exp(-i dt lam E).  The
 mixer and CD terms are off-diagonal Pauli strings applied exactly: every
 string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P.
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .gauge import Ansatz, CompiledGauge, cd_coefficients
 from .pauli import DENSE_CAP, PauliString, string_amplitudes
-from .problem import STATEVECTOR_CAP, GroundTruth, ProblemInstance, classical_energies
+from .problem import STATEVECTOR_CAP, GroundTruth, ProblemInstance
 from .schedule import Schedule
 
 # Not called here; benchmarks/spans.py patches this name on this module.
@@ -339,14 +339,14 @@ def _step_plan(n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]) -> _S
 class DrivenHamiltonian:
     """H(lam, lam_dot) = (1-lam) H_x + lam H_p + lam_dot A_CD(lam), compiled once.
 
-    Built once per (instance, drive).  It holds the classical energy vector
-    E, which is the diagonal problem part H_p, the drive's ``CompiledGauge``,
-    and the off-diagonal strings: the n mixer X strings by site, then the CD
-    strings in ``cd_terms`` order.  ``step`` runs the strings' shared
-    ``_StepPlan``.  ``matvec``, ``dense`` and the ``operator_*`` forms group
-    the strings by X mask instead (see ``_string_phases``): for coefficients
-    c, sum_k c_k P_k = sum_x diag(d_x) X^x, with one row d_x per distinct X
-    mask in ``row_masks`` (see ``operator_rows``).
+    Built once per (instance, drive).  It holds the instance's energies E,
+    the diagonal problem part H_p, shared with every drive of the instance,
+    the drive's ``CompiledGauge``, and the off-diagonal strings: the n mixer
+    X strings by site, then the CD strings in ``cd_terms`` order.  ``step``
+    runs the strings' shared ``_StepPlan``.  ``matvec``, ``dense`` and the
+    ``operator_*`` forms group the strings by X mask instead (see
+    ``_string_phases``): for coefficients c, sum_k c_k P_k = sum_x diag(d_x)
+    X^x, with one row d_x per distinct X mask in ``row_masks``.
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
@@ -367,7 +367,7 @@ class DrivenHamiltonian:
         # vectors: psi, two scratch states and the phase of a step.
         self._claimed = self.plan.nbytes + (1 << n) * (8 * 2 + 4 * 16)
         _check_budget(f"{ansatz.value} drive at n={n}", self._claimed)
-        self.energies = classical_energies(inst)
+        self.energies = inst.energies
         self.phases = _string_phases(np.array(self.x_masks), np.array(self.z_masks))
         # Member p of row r is string slots[p, r]; a row with fewer members
         # pads with the index past the last string, whose weight is 0.
@@ -448,15 +448,9 @@ class DrivenHamiltonian:
         those of the strings one by one.  The rows are float64 when every
         nonzero value sits on a string with an even Y count (a real phase):
         always for ``none``, and for any drive whose CD values vanish, as at
-        lam_dot = 0.  Otherwise they are complex128.  The rows are charged
-        to ``MEMORY_BUDGET`` on top of the Hamiltonian's own bytes, at 40
-        bytes an entry: the complex row and, while it is formed, a complex
-        term and an int64 mask.
+        lam_dot = 0.  Otherwise they are complex128.  See ``check_rows_budget``.
         """
-        _check_budget(
-            f"{self.ansatz.value} drive at n={self.n} with {len(self.row_masks)} operator rows",
-            self._claimed + 40 * len(self.row_masks) * (1 << self.n),
-        )
+        self.check_rows_budget()
         weights = np.append(values * self.phases, 0.0)
         if not weights.imag.any():
             weights = weights.real
@@ -467,6 +461,18 @@ class DrivenHamiltonian:
             weight = weights[members, None]
             rows += np.where(odd, -weight, weight)
         return rows
+
+    def check_rows_budget(self) -> None:
+        """Refuse, before forming any, operator rows that would break ``MEMORY_BUDGET``.
+
+        The rows are charged on top of the Hamiltonian's own bytes, at 40
+        bytes an entry: the complex row and, while it is formed, a complex
+        term and an int64 mask.
+        """
+        _check_budget(
+            f"{self.ansatz.value} drive at n={self.n} with {len(self.row_masks)} operator rows",
+            self._claimed + 40 * len(self.row_masks) * (1 << self.n),
+        )
 
     def operator_matvec(self, psi: np.ndarray, diagonal: float, rows: np.ndarray) -> np.ndarray:
         """(diagonal E + sum_x diag(d_x) X^x) @ psi for ``rows`` from ``operator_rows``."""
@@ -511,7 +517,7 @@ def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> Ev
     dt = sched.dt
     norms: list[float] = []
     started = time.perf_counter()
-    for step, point in enumerate(sched.grid(), 1):
+    for step, point in enumerate(sched.grid, 1):
         try:
             hamiltonian.step(psi, dt, point.lam, point.lam_dot)
         except SingularGaugeError as exc:

@@ -10,8 +10,9 @@ import cdanneal.simulator as simulator_mod
 import cdanneal.validate as validate_mod
 from cdanneal.cli import main
 from cdanneal.errors import SingularGaugeError
-from cdanneal.gauge import CompiledGauge, nc1_coefficient
+from cdanneal.gauge import Ansatz, CompiledGauge, nc1_coefficient
 from cdanneal.problem import ProblemInstance, generate_instance, instance_seed, save_instance
+from cdanneal.simulator import DrivenHamiltonian
 from cdanneal.validate import run_validation_checks
 
 
@@ -315,6 +316,34 @@ def test_sweep_record_timings(tmp_path):
         assert row[:wall] + row[wall + 1 :] == timed_row[:wall] + timed_row[wall + 1 :]
     summary = [(tmp_path / label / "summary.json").read_bytes() for label in ("plain", "timed")]
     assert summary[0] == summary[1]
+
+
+def test_sweep_refuses_rows_over_budget_before_evolving(tmp_path, capsys, monkeypatch):
+    # Two-local at n = 4 evolves within this budget, but the 10 operator
+    # rows its cost report forms do not fit: the sweep exits 3 at once.
+    evolved = []
+    real = harness_mod.trotter_evolve
+
+    def counted(inst, sched, ansatz):
+        evolved.append((inst.n, ansatz.value))
+        return real(inst, sched, ansatz)
+
+    monkeypatch.setattr(harness_mod, "trotter_evolve", counted)
+    drive = DrivenHamiltonian(generate_instance(4, instance_seed(13, 0)), Ansatz.TWO_LOCAL)
+    rows = drive._claimed + 40 * len(drive.row_masks) * 16
+    config = tmp_path / "config.json"
+    write_config(config, n_values=[3, 4], ansatz=["none", "two-local"])
+    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", rows - 1)
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 3
+    assert "two-local drive at n=4 with 10 operator rows" in single_error_line(
+        capsys.readouterr().err
+    )
+    assert evolved == []
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", rows)
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 0
+    assert len(evolved) == 8
+    assert (tmp_path / "out" / "cost_report.csv").exists()
 
 
 def test_sweep_bad_config_exit(tmp_path):

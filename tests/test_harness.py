@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -338,7 +339,7 @@ def test_cd_cost_matches_dense_cd_norms(n, ansatz):
         driven = assemble_hamiltonian(inst, p.lam, p.lam_dot, drive)
         return to_dense(driven - assemble_hamiltonian(inst, p.lam, 0.0, drive))
 
-    expected = sum(sched.dt * np.linalg.norm(cd_part(p), 2) for p in sched.grid())
+    expected = sum(sched.dt * np.linalg.norm(cd_part(p), 2) for p in sched.grid)
     got = cd_cost(DrivenHamiltonian(inst, drive), sched)
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-14)
     assert (got > 0.0) == (drive is not Ansatz.NONE)
@@ -359,6 +360,36 @@ def test_cost_report_skips_excluded_drives(monkeypatch):
     assert rows["local-y"].cd_cost is None
     assert rows["none"].cd_cost == 0.0
     assert rows["nc1"].cd_cost > 0.0
+
+
+def test_energies_formed_once_per_task_and_cost_sample(monkeypatch):
+    # The oracle, every evolution and every gap curve of a sweep task read
+    # one E; the cost report regenerates each sampled instance once and
+    # compiles every drive from it.
+    formed = []
+    form = ProblemInstance.energies.func
+
+    def counted(inst):
+        formed.append((inst.n, inst.seed))
+        return form(inst)
+
+    energies = functools.cached_property(counted)
+    energies.__set_name__(ProblemInstance, "energies")
+    monkeypatch.setattr(ProblemInstance, "energies", energies)
+    cfg = ExperimentConfig(
+        master_seed=17,
+        n_values=(3, 4),
+        instances_per_n=2,
+        ansatz=("none", "nc1", "two-local"),
+        compute_gaps=True,
+        gap_samples=5,
+    )
+    records = run_ensemble(cfg)
+    assert not any(r.excluded for r in records)
+    assert formed == [(r.n, r.seed) for r in records]
+    formed.clear()
+    cost_report(records, cfg)
+    assert formed == [(r.n, r.seed) for r in records]
 
 
 def test_cost_report_entangling_total_is_largest_kept():

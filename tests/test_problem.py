@@ -6,7 +6,6 @@ from cdanneal.pauli import PauliSum, is_stoquastic, to_dense
 from cdanneal.problem import (
     STATEVECTOR_CAP,
     ProblemInstance,
-    classical_energies,
     generate_instance,
     ground_state,
     instance_seed,
@@ -111,10 +110,22 @@ def test_problem_hamiltonian_diagonal_and_stoquastic():
     assert is_stoquastic(ham)
 
 
-def test_problem_hamiltonian_matches_classical_energies():
+def test_problem_hamiltonian_matches_instance_energies():
     inst = generate_instance(5, 21)
     diag = np.real(np.diag(to_dense(problem_hamiltonian(inst))))
-    assert np.allclose(diag, classical_energies(inst), atol=1e-12)
+    assert np.allclose(diag, inst.energies, atol=1e-12)
+
+
+def test_instance_energies_are_formed_once_and_read_only():
+    inst = generate_instance(4, 21)
+    assert "energies" not in vars(inst)
+    energies = inst.energies
+    assert inst.energies is energies
+    assert not energies.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        energies[0] = 0.0
+    # Equal instances compare by their fields, not by a formed E.
+    assert generate_instance(4, 21) == inst
 
 
 def test_mixer_examples():

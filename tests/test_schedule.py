@@ -44,7 +44,9 @@ def test_monotone_profile():
 
 
 def test_grid_default_protocol():
-    grid = Schedule(1.0, 20).grid()
+    sched = Schedule(1.0, 20)
+    grid = sched.grid
+    assert sched.grid is grid  # formed once per schedule
     assert len(grid) == 20
     assert [p.t for p in grid] == pytest.approx(
         [0.05 * k for k in range(1, 21)], abs=1e-12
@@ -56,7 +58,7 @@ def test_grid_default_protocol():
 
 
 def test_grid_single_step():
-    (point,) = Schedule(1.0, 1).grid()
+    (point,) = Schedule(1.0, 1).grid
     assert point.t == 1.0
     assert point.lam == pytest.approx(1.0, abs=1e-15)
     assert point.lam_dot == pytest.approx(0.0, abs=1e-12)
@@ -64,7 +66,7 @@ def test_grid_single_step():
 
 def test_rate_integrates_to_unity():
     sched = Schedule(1.0, 400)
-    total = sum(p.lam_dot for p in sched.grid()) * sched.dt
+    total = sum(p.lam_dot for p in sched.grid) * sched.dt
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -89,5 +91,5 @@ def test_total_time_range():
         with pytest.raises(ParameterError, match="finite"):
             Schedule(total, 5)
     for total in (5e307, 1e-307):
-        for point in Schedule(total, 5).grid():
+        for point in Schedule(total, 5).grid:
             assert math.isfinite(point.lam) and math.isfinite(point.lam_dot)

@@ -194,7 +194,7 @@ def test_trotter_evolve_matches_canonical_product(n, ansatz):
     inst = generate_instance(n, instance_seed(616, n))
     sched = Schedule(1.0, 8)
     expected = plus_state(n).amplitudes
-    for point in sched.grid():
+    for point in sched.grid:
         expected = canonical_product(inst, ansatz, expected, sched.dt, point.lam, point.lam_dot)
     final = trotter_evolve(inst, sched, ansatz).final_state.amplitudes
     assert np.abs(final - expected).max() <= 1e-12
@@ -355,15 +355,11 @@ def test_hamiltonian_is_freed_without_the_cycle_collector():
 
 def test_memory_budget_refuses_before_allocating(monkeypatch):
     inst = generate_instance(10, instance_seed(618, 0))
-
-    def no_energies(_inst):
-        raise AssertionError("energies allocated before the budget check")
-
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1 << 16)
-    monkeypatch.setattr(simulator, "classical_energies", no_energies)
     for ansatz in Ansatz:
         with pytest.raises(ResourceCapError, match="budget"):
             DrivenHamiltonian(inst, ansatz)
+    assert "energies" not in vars(inst), "energies formed before the budget check"
     # nc1 at n = 10 (K = 4).  Its step plan: 532 expanded terms, each with
     # four 8-byte factor indices and a matrix: 16x16 in 2 complex and 27
     # real chunks of 16 terms, 8x8 in 4 real chunks of 16 terms, 4x4 in 1
@@ -373,12 +369,12 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     plan += 16 * 256 * (2 * 16 + 27 * 8) + 4 * 16 * 64 * 8 + 4 * 16 * 16
     needed = plan + 1024 * (8 * 2 + 4 * 16)
     assert needed == 1_148_544
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed)
-    with pytest.raises(AssertionError):
-        DrivenHamiltonian(inst, Ansatz.NC1)
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed - 1)
     with pytest.raises(ResourceCapError):
         DrivenHamiltonian(inst, Ansatz.NC1)
+    assert "energies" not in vars(inst)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed)
+    assert DrivenHamiltonian(inst, Ansatz.NC1).energies is inst.energies
 
 
 def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):

@@ -11,7 +11,6 @@ from cdanneal.gauge import Ansatz, assemble_hamiltonian, cd_coefficients
 from cdanneal.pauli import to_dense
 from cdanneal.problem import (
     ProblemInstance,
-    classical_energies,
     generate_instance,
     instance_seed,
 )
@@ -48,7 +47,7 @@ def test_spectrum_half_way_single_site():
 def test_spectrum_final_time_matches_classical_gap():
     for seed in range(4):
         inst = generate_instance(5, instance_seed(911, seed))
-        energies = np.sort(np.unique(np.round(classical_energies(inst), 12)))
+        energies = np.sort(np.unique(np.round(inst.energies, 12)))
         for ansatz in (Ansatz.NONE, Ansatz.NC1):
             hamiltonian = DrivenHamiltonian(inst, ansatz)
             eigenvalues = instantaneous_spectrum(hamiltonian, 1.0, 0.0)
@@ -64,7 +63,7 @@ def test_spectrum_caps_and_validation():
     low = instantaneous_spectrum(hamiltonian, 0.5, 0.0)
     assert low.shape == (2,) and low[0] <= low[1]
     # Rayleigh bound from the classical ground state, where <b|H|b> = lam E(b).
-    assert low[0] <= 0.5 * classical_energies(big).min() + 1e-9
+    assert low[0] <= 0.5 * big.energies.min() + 1e-9
 
 
 # Nonzero values stay away from the 1e-12 scale at which PauliSum prunes the
@@ -116,7 +115,7 @@ def _flip_sector_lows(inst, lam):
     n = inst.n
     half = 1 << (n - 1)
     reps = np.arange(half)
-    energies = classical_energies(inst)[:half]
+    energies = inst.energies[:half]
     lows = []
     for sign in (1.0, -1.0):
         mat = np.diag(lam * energies)
@@ -139,7 +138,7 @@ def test_lanczos_sees_both_flip_sectors():
     hamiltonian = DrivenHamiltonian(inst, Ansatz.NONE)
     assert n > spectrum_mod._DENSE_DIAG_LIMIT
     end = instantaneous_spectrum(hamiltonian, 1.0, 0.0)
-    assert end == pytest.approx(np.sort(classical_energies(inst))[:2], abs=1e-9)
+    assert end == pytest.approx(np.sort(inst.energies)[:2], abs=1e-9)
     mid = instantaneous_spectrum(hamiltonian, 0.5, 0.0)
     assert mid == pytest.approx(_flip_sector_lows(inst, 0.5), abs=1e-9)
 
