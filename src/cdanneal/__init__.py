@@ -57,7 +57,6 @@ from .gauge import (
 from .simulator import (
     DrivenHamiltonian,
     EvolutionReport,
-    StateVector,
     apply_pauli_exponential,
     ode_reference,
     plus_state,

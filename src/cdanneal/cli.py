@@ -46,7 +46,7 @@ from .problem import (
 )
 from .schedule import Schedule
 from .simulator import sample_shots, success_probability, trotter_evolve
-from .spectrum import gap_curve, gap_rows
+from .spectrum import GAP_SAMPLES, gap_curve, gap_rows
 from .validate import run_validation_checks
 
 #: Environment variable naming the default output directory.
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--instance", type=Path, required=True)
     gap.add_argument("--T", type=float, default=1.0, dest="total_time")
     gap.add_argument("--ansatz", default="nc1")
-    gap.add_argument("--samples", type=int, default=201)
+    gap.add_argument("--samples", type=int, default=GAP_SAMPLES)
     gap.add_argument("--out", type=Path, default=None, help="output CSV path")
     gap.set_defaults(func=cmd_gap)
 
@@ -152,7 +152,7 @@ def cmd_run(args) -> int:
         f"entangling exponentials {report.entangling_per_step}/step, "
         f"{report.entangling_total} total; singles {report.single_per_step}/step"
     )
-    print(f"final norm {report.final_state.norm()!r}")
+    print(f"final norm {report.step_norms[-1]!r}")
     payload = {
         "instance": str(args.instance),
         "n": inst.n,

@@ -23,12 +23,13 @@ matrix and source vector of the action as polynomials of degree two in lam,
 so each coefficient evaluation is one small eigensolve.  ``minimize_action``
 stays the general PauliSum solver that the compiled solve is checked against,
 and ``assemble_hamiltonian`` the PauliSum driven Hamiltonian that the
-compiled operator is checked against.
+compiled operator is checked against.  Both solvers return a
+``GaugeSolution`` whose coefficients are a float64 array in basis order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,17 +62,14 @@ class Ansatz(str, Enum):
             raise ParameterError(f"unknown ansatz {tag!r}; valid tags: {valid}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeSolution:
-    """Variational coefficients plus the residual action they achieve."""
+    """Variational coefficients, one per basis element in basis order, plus
+    the residual action they achieve."""
 
-    coefficients: dict[str, float]
+    coefficients: np.ndarray
     residual_action: float
     condition_warning: bool = False
-    labels: tuple[str, ...] = field(default=(), repr=False)
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.coefficients[lbl] for lbl in self.labels])
 
 
 def adiabatic_pair(inst: ProblemInstance, lam: float) -> tuple[PauliSum, PauliSum]:
@@ -185,13 +183,7 @@ def nc1_operator(H: PauliSum, dH: PauliSum) -> PauliSum:
     return 1j * commutator(H, dH)
 
 
-def minimize_action(
-    basis: list[PauliSum],
-    H: PauliSum,
-    dH: PauliSum,
-    *,
-    labels: tuple[str, ...] | list[str] | None = None,
-) -> GaugeSolution:
+def minimize_action(basis: list[PauliSum], H: PauliSum, dH: PauliSum) -> GaugeSolution:
     """Least-squares coefficients minimizing S = Tr[(dH + i[A, H])^2] / 2^n.
 
     With A = sum_b c_b B_b and L_b = i[B_b, H], the action is quadratic in c,
@@ -206,11 +198,6 @@ def minimize_action(
     for op in basis:
         if not op.is_hermitian():
             raise ParameterError("variational basis operators must be Hermitian")
-    if labels is None:
-        labels = tuple(f"b{i}" for i in range(len(basis)))
-    labels = tuple(labels)
-    if len(labels) != len(basis):
-        raise ParameterError("labels must align with the basis")
 
     images = [1j * commutator(op, H) for op in basis]
     size = len(basis)
@@ -228,35 +215,24 @@ def minimize_action(
         residual_op = residual_op + float(c) * img
     residual = max(0.0, trace_inner(residual_op, residual_op).real)
 
-    return GaugeSolution(
-        coefficients={lbl: float(c) for lbl, c in zip(labels, coefficients)},
-        residual_action=residual,
-        condition_warning=condition_warning,
-        labels=labels,
-    )
+    return GaugeSolution(coefficients, residual, condition_warning)
 
 
-def two_local_basis(n: int) -> tuple[list[PauliSum], list[str]]:
+def two_local_basis(n: int) -> list[PauliSum]:
     """Symmetrized 2-local basis: {Y_i}, {Z_i Y_j + Z_j Y_i}, {X_i Y_j + X_j Y_i}."""
-    labels = _two_local_labels(n)
+    _check_two_local(n)
     basis = [PauliSum(n, {PauliString.single(n, i, "Y"): 1.0}) for i in range(n)]
     for first, second in (("Y", "Z"), ("X", "Y")):
         for i in range(n):
             for j in range(i + 1, n):
                 pair = (_two_site(n, i, first, j, second), _two_site(n, i, second, j, first))
                 basis.append(PauliSum(n, dict.fromkeys(pair, 1.0)))
-    return basis, labels
+    return basis
 
 
-def _two_local_labels(n: int) -> list[str]:
+def _check_two_local(n: int) -> None:
     if n < 2:
         raise ParameterError(f"the 2-local family needs n >= 2, got {n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return (
-        [f"y{i}" for i in range(n)]
-        + [f"zy{i},{j}" for i, j in pairs]
-        + [f"xy{i},{j}" for i, j in pairs]
-    )
 
 
 def _solve_normal(gram: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -321,8 +297,9 @@ class CompiledGauge:
 
     def _compile_two_local(self) -> None:
         n = self.inst.n
-        self.labels = tuple(_two_local_labels(n))
-        size = len(self.labels)
+        _check_two_local(n)
+        # n Y elements, then n(n-1)/2 ZY and n(n-1)/2 XY elements.
+        size = n * n
         self.string_basis = np.concatenate(
             [np.arange(n), np.repeat(np.arange(n, size), 2)]
         )
@@ -384,12 +361,7 @@ class CompiledGauge:
         gram, source = self.normal_equations(lam)
         coefficients, warning = _solve_normal(gram, source)
         residual = self.norm_dh + 2.0 * coefficients @ source + coefficients @ gram @ coefficients
-        return GaugeSolution(
-            coefficients={lbl: float(c) for lbl, c in zip(self.labels, coefficients)},
-            residual_action=max(0.0, float(residual)),
-            condition_warning=warning,
-            labels=self.labels,
-        )
+        return GaugeSolution(coefficients, max(0.0, float(residual)), warning)
 
 
 def _image_entries(x_b, z_b, rows, x_h, z_h, c_h) -> tuple[np.ndarray, ...]:
@@ -502,7 +474,7 @@ def cd_coefficients(
     if ansatz is Ansatz.NC1:
         return -2.0 * lam_dot * nc1_coefficient(gauge, lam) * gauge.sources
     if ansatz is Ansatz.TWO_LOCAL:
-        return lam_dot * gauge.solve_two_local(lam).vector()[gauge.string_basis]
+        return lam_dot * gauge.solve_two_local(lam).coefficients[gauge.string_basis]
     raise ParameterError(f"unknown ansatz {ansatz!r}")
 
 

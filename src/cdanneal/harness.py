@@ -37,7 +37,7 @@ from .simulator import (
     success_probability,
     trotter_evolve,
 )
-from .spectrum import cd_norm, gap_curve
+from .spectrum import GAP_SAMPLES, cd_norm, gap_curve
 
 #: Baseline ratios with a smaller denominator than this are left out of the
 #: enhancement mean (single instances would dominate it) but kept in the
@@ -91,7 +91,7 @@ class ExperimentConfig:
     output_dir: str = "runs"
     jobs: int = 1
     compute_gaps: bool = False
-    gap_samples: int = 201
+    gap_samples: int = GAP_SAMPLES
     record_timings: bool = False
 
     def __post_init__(self):

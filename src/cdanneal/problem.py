@@ -75,11 +75,15 @@ class ProblemInstance:
     @cached_property
     @np.errstate(over="ignore")  # readers check the energies
     def energies(self) -> np.ndarray:
-        """E(s) for every basis index, formed on first read and shared; read-only."""
+        """E(s) for every basis index, formed on first read and shared; read-only.
+
+        The spins are int8: a product with +-1 is exact in any order, so E is
+        the float64 sum it would be with float spins, at a byte per spin.
+        """
         dim = 1 << self.n
         idx = np.arange(dim, dtype=np.uint64)
         spins = [
-            1.0 - 2.0 * ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.float64)
+            1 - 2 * ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.int8)
             for i in range(self.n)
         ]
         energy = np.zeros(dim)
@@ -88,7 +92,7 @@ class ProblemInstance:
                 energy += value * spins[i]
         for i, j, value in self.couplings:
             if value != 0.0:
-                energy += value * spins[i] * spins[j]
+                energy += value * (spins[i] * spins[j])
         energy.flags.writeable = False
         return energy
 

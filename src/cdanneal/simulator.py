@@ -13,7 +13,8 @@ at most one transposed copy of the state that brings the run's qubits to
 the leading axes.
 ``matvec`` and ``dense`` read the strings grouped by X mask instead: for a
 coefficient vector, sum_k c_k P_k = sum_x diag(d_x) X^x with one row d_x per
-distinct X mask, formed from the masks.  No gate decomposition happens here;
+distinct X mask, formed from the masks.  A state is a contiguous complex128
+array of 2**n amplitudes.  No gate decomposition happens here;
 circuit-level costs are tracked symbolically, one exponential per Pauli
 term, in the evolution report.
 """
@@ -27,7 +28,6 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionMismatchError,
@@ -46,21 +46,10 @@ from .gauge import cd_terms  # noqa: F401
 
 
 @dataclass
-class StateVector:
-    """2**n complex amplitudes; owned by a single evolution at a time."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
 class EvolutionReport:
     """Final state plus unitarity and cost bookkeeping for one evolution."""
 
-    final_state: StateVector
+    final_state: np.ndarray
     step_norms: tuple[float, ...]
     operator_applications: int
     single_per_step: int
@@ -69,38 +58,36 @@ class EvolutionReport:
     wall_seconds: float
 
 
-def plus_state(n: int) -> StateVector:
+def plus_state(n: int) -> np.ndarray:
     """Uniform superposition with real amplitudes 2**(-n/2)."""
     if n < 1:
         raise ParameterError(f"qubit count must be >= 1, got {n}")
     if n > STATEVECTOR_CAP:
         raise ResourceCapError(f"state vector for n={n} exceeds cap {STATEVECTOR_CAP}")
-    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
+    return np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
 
 
-def apply_pauli_exponential(
-    state: StateVector, string: PauliString, theta: float
-) -> StateVector:
-    """Apply exp(-i theta P) to the state in place and return it.
+def apply_pauli_exponential(psi: np.ndarray, string: PauliString, theta: float) -> np.ndarray:
+    """Apply exp(-i theta P) to the state ``psi`` in place and return it.
 
     Works on any string, diagonal or not, one string at a time; it is the
     reference that ``DrivenHamiltonian`` is tested against.
     """
-    if string.n != state.n:
+    if len(psi) != 1 << string.n:
         raise DimensionMismatchError(
-            f"string acts on {string.n} qubits, state has {state.n}"
+            f"string acts on {string.n} qubits, state has {len(psi)} amplitudes"
         )
     perm, amps = string_amplitudes(string)
-    psi = state.amplitudes
     # P|b> = amps[b] |b ^ x_mask>, so P psi is (amps * psi) permuted by perm.
     psi[:] = np.cos(theta) * psi - 1j * np.sin(theta) * (amps * psi)[perm]
-    return state
+    return psi
 
 
-#: Bytes a ``DrivenHamiltonian`` may claim: its step plan, the energy vectors
-#: and the state vectors a step or matvec works on, and the rows of
-#: ``operator_rows`` while they exist.  Above it, construction, or the forming
-#: of rows, raises ``ResourceCapError`` before allocating any of them.
+#: Bytes a ``DrivenHamiltonian`` may claim: the energy vector and the state
+#: vectors a step or matvec works on, and the rows of ``operator_rows`` while
+#: they exist.  Above it, construction, or the forming of rows, raises
+#: ``ResourceCapError`` before allocating any of them.  The step plan is not
+#: charged: at n = 20 it holds at most 7.75 MiB, under 1% of the budget.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -161,9 +148,11 @@ class _StepPlan:
     Before any other run, one gather moves its qubits to the front,
     keeping the order of the rest: it copies the state, viewed as a (2,)**n
     array, transposed by that gather's axes in ``gathers``, so the plan
-    stores no index.  On each step the unitaries of all runs of one shape
-    are formed together, so the Python work of a step grows with the number
-    of runs, not of strings.
+    stores no index.  The runs of the mixer leave the state in the natural
+    layout, so the phase reads E as it is; a plan that would reach the
+    phase in any other layout raises.  On each step the unitaries of all
+    runs of one shape are formed together, so the Python work of a step
+    grows with the number of runs, not of strings.
 
     The plan depends only on the string masks, so instances with the same
     strings share it (``_step_plan``), and it holds no reference to any
@@ -198,8 +187,9 @@ class _StepPlan:
                 layout = moved
             self.runs.append((start, stop, sites))
             if stop == n:
-                # E in the layout the state is in at the phase.
-                self.phase_axes = tuple(n - 1 - q for q in layout)
+                # The phase reads E, whose index is the natural layout.
+                if layout != natural:
+                    raise RuntimeError(f"the phase needs the natural layout, not {layout}")
                 steps.append(_PHASE)
         if layout != natural:
             self.gathers.append(tuple(layout.index(q) for q in natural))
@@ -239,13 +229,6 @@ class _StepPlan:
             current = target
         if current != 0:
             self.ops.append((_COPY, current, 0, 0, 0))
-
-        # The bytes of ``arrays``: per term its weight factors and its
-        # 2**q x 2**q matrix.
-        self.nbytes = 0
-        for q, real, slots, runs in self.groups:
-            terms = len(runs) * slots // min(slots, _CHUNK) * (1 << min(slots, _CHUNK))
-            self.nbytes += terms * (8 * _CHUNK + 4**q * (8 if real else 16))
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -363,9 +346,9 @@ class DrivenHamiltonian:
         for k, x in enumerate(self.x_masks):
             groups.setdefault(x, []).append(k)
         self.row_masks = tuple(groups)
-        # The plan; 8-byte vectors: the energies in two layouts; 16-byte
-        # vectors: psi, two scratch states and the phase of a step.
-        self._claimed = self.plan.nbytes + (1 << n) * (8 * 2 + 4 * 16)
+        # The energies, 8 bytes an entry; psi, two scratch states and the
+        # phase of a step, 16 bytes an entry each.
+        self._claimed = (1 << n) * (8 + 4 * 16)
         _check_budget(f"{ansatz.value} drive at n={n}", self._claimed)
         self.energies = inst.energies
         self.phases = _string_phases(np.array(self.x_masks), np.array(self.z_masks))
@@ -380,11 +363,6 @@ class DrivenHamiltonian:
             + len(self.cd_strings)
             - cd_single
         )
-
-    @cached_property
-    def _phase_energies(self) -> np.ndarray:
-        """E in the layout the plan's state is in at the phase."""
-        return self.energies.reshape((2,) * self.n).transpose(self.plan.phase_axes).ravel()
 
     def coefficients(self, lam: float, lam_dot: float) -> np.ndarray:
         """Off-diagonal coefficients: -(1-lam) per X string, then the CD values."""
@@ -427,7 +405,7 @@ class DrivenHamiltonian:
                 np.copyto(buffers[target].reshape(qubits), state)
             elif kind == _PHASE:
                 # exp(-i dt lam E), as cos + i sin of one real angle.
-                angle = (-dt * lam) * self._phase_energies
+                angle = (-dt * lam) * self.energies
                 phase = np.empty_like(psi)
                 np.cos(angle, out=phase.real)
                 np.sin(angle, out=phase.imag)
@@ -511,9 +489,8 @@ def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> Ev
     gauge singularity at any grid point aborts with the offending step index
     attached, and so does a step that leaves a non-finite norm.
     """
-    state = plus_state(inst.n)
+    psi = plus_state(inst.n)
     hamiltonian = DrivenHamiltonian(inst, ansatz)
-    psi = state.amplitudes
     dt = sched.dt
     norms: list[float] = []
     started = time.perf_counter()
@@ -535,7 +512,7 @@ def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> Ev
     steps = sched.steps
     single, entangling = hamiltonian.single_count, hamiltonian.entangling_count
     return EvolutionReport(
-        final_state=state,
+        final_state=psi,
         step_norms=tuple(norms),
         operator_applications=(single + entangling) * steps,
         single_per_step=single,
@@ -550,14 +527,17 @@ def ode_reference(
     sched: Schedule,
     ansatz: Ansatz,
     tolerance: float = 1e-10,
-) -> StateVector:
+) -> np.ndarray:
     """Adaptive high-order integration of the exact time-dependent flow.
 
     Independent of the product formula: the Schroedinger equation with the
     continuously evaluated Hamiltonian is integrated without renormalization,
     so norm drift doubles as an accuracy diagnostic.  Intended for small n.
     """
-    initial = plus_state(inst.n).amplitudes
+    # Imported here: only validation and the tests integrate.
+    from scipy.integrate import solve_ivp
+
+    initial = plus_state(inst.n)
     hamiltonian = DrivenHamiltonian(inst, ansatz)
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
@@ -573,27 +553,26 @@ def ode_reference(
     )
     if not solution.success:
         raise IntegratorError(f"reference integration failed: {solution.message}")
-    return StateVector(inst.n, solution.y[:, -1].astype(np.complex128))
+    return solution.y[:, -1].astype(np.complex128)
 
 
-def success_probability(state: StateVector, truth: GroundTruth) -> float:
+def success_probability(psi: np.ndarray, truth: GroundTruth) -> float:
     """Total probability on the (possibly degenerate) ground manifold."""
-    dim = 1 << state.n
     total = 0.0
     for index in truth.states:
-        if not 0 <= index < dim:
+        if not 0 <= index < len(psi):
             raise DimensionMismatchError(
-                f"ground state index {index} out of range for n={state.n}"
+                f"ground state index {index} out of range for {len(psi)} amplitudes"
             )
-        total += float(abs(state.amplitudes[index]) ** 2)
+        total += float(abs(psi[index]) ** 2)
     return total
 
 
-def sample_shots(state: StateVector, shots: int, seed: int) -> dict[int, int]:
+def sample_shots(psi: np.ndarray, shots: int, seed: int) -> dict[int, int]:
     """Multinomial measurement emulation; deterministic given the seed."""
     if shots < 1 or seed < 0:
         raise ParameterError(f"need shots >= 1 and a seed >= 0, got {shots} shots, seed {seed}")
-    probabilities = np.abs(state.amplitudes) ** 2
+    probabilities = np.abs(psi) ** 2
     probabilities = probabilities / probabilities.sum()
     counts = np.random.default_rng(seed).multinomial(shots, probabilities)
     return {int(i): int(c) for i, c in enumerate(counts) if c}

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,22 @@ def single_error_line(err):
     lines = err.splitlines()
     assert len(lines) == 1 and "Warning" not in lines[0], lines
     return lines[0]
+
+
+# --------------------------------------------------------------- import
+
+
+def test_cli_import_leaves_the_integrator_unloaded():
+    # Only validation and the tests integrate, so starting the tool must
+    # not import scipy.integrate.
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, cdanneal.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ gen
@@ -505,11 +525,11 @@ def test_validate_two_local_mutation_sensitivity(monkeypatch):
 
     def scaled(self, lam):
         solution = solve(self, lam)
-        coefficients = {k: 1.01 * v for k, v in solution.coefficients.items()}
-        return dataclasses.replace(solution, coefficients=coefficients)
+        return dataclasses.replace(solution, coefficients=1.01 * solution.coefficients)
 
     monkeypatch.setattr(CompiledGauge, "solve_two_local", scaled)
     results = {r.name: r.passed for r in run_validation_checks()}
+    assert all(type(passed) is bool for passed in results.values()), results
     assert results.pop("two-local-oracle") is False
     assert all(results.values()), results
 

@@ -74,8 +74,7 @@ def test_local_y_matches_joint_minimization():
                 H, dH = adiabatic_pair(inst, lam)
                 solved = minimize_action(basis, H, dH)
                 closed = local_y_coefficients(inst, lam)
-                reference = np.array([solved.coefficients[f"b{i}"] for i in range(n)])
-                worst = max(worst, float(np.abs(closed - reference).max()))
+                worst = max(worst, float(np.abs(closed - solved.coefficients).max()))
     assert worst <= 1e-10
 
 
@@ -104,7 +103,7 @@ def test_nc1_matches_action_minimization():
                 H, dH = adiabatic_pair(inst, lam)
                 solved = minimize_action([nc1_operator(H, dH)], H, dH)
                 worst = max(
-                    worst, abs(nc1_coefficient(inst, lam) - solved.coefficients["b0"])
+                    worst, abs(nc1_coefficient(inst, lam) - solved.coefficients[0])
                 )
     assert worst <= 1e-8
 
@@ -205,7 +204,7 @@ def test_minimize_action_reproduces_local_y():
     for lam in LAM_GRID:
         H, dH = adiabatic_pair(inst, lam)
         solved = minimize_action([single_site(1, 0, "Y")], H, dH)
-        assert solved.coefficients["b0"] == pytest.approx(
+        assert solved.coefficients[0] == pytest.approx(
             local_y_coefficients(inst, lam)[0], abs=1e-10
         )
         assert solved.residual_action >= 0.0
@@ -217,7 +216,7 @@ def test_minimize_action_orthogonal_basis():
     H = PauliSum.from_labels({"ZZ": 1.0})
     dH = PauliSum.from_labels({"ZI": 1.0, "IZ": 0.5})
     solved = minimize_action([PauliSum.from_labels({"ZI": 1.0})], H, dH)
-    assert solved.coefficients["b0"] == 0.0
+    assert solved.coefficients[0] == 0.0
     assert solved.condition_warning
     assert solved.residual_action == pytest.approx(trace_inner(dH, dH).real)
 
@@ -229,7 +228,7 @@ def test_minimize_action_dense_scan_oracle():
     H, dH = adiabatic_pair(inst, lam)
     basis_op = nc1_operator(H, dH)
     solved = minimize_action([basis_op], H, dH)
-    best = solved.coefficients["b0"]
+    best = solved.coefficients[0]
 
     dense_h, dense_dh, dense_b = to_dense(H), to_dense(dH), to_dense(basis_op)
 
@@ -267,8 +266,7 @@ def test_two_local_residual_below_nc1():
 def test_two_local_zero_fields_kill_single_sites():
     inst = ProblemInstance(2, ((0, 1, 0.9),), (0.0, 0.0), seed=0)
     solution = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(0.5)
-    assert abs(solution.coefficients["y0"]) <= 1e-10
-    assert abs(solution.coefficients["y1"]) <= 1e-10
+    assert np.abs(solution.coefficients[:2]).max() <= 1e-10
     assert cd_part(inst, Ansatz.TWO_LOCAL, 0.5, 1.0).is_hermitian()
 
 
@@ -278,8 +276,8 @@ def test_two_local_property_sweep():
         for rep in range(20):
             inst = generate_instance(n, instance_seed(707, 100 * n + rep))
             solution = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(0.5)
-            values = np.array(list(solution.coefficients.values()))
-            assert np.all(np.isfinite(values))
+            assert solution.coefficients.shape == (n * n,)
+            assert np.all(np.isfinite(solution.coefficients))
             assert cd_part(inst, Ansatz.TWO_LOCAL, 0.5, 1.0).is_hermitian()
             assert solution.residual_action >= 0.0
             count += 1
@@ -314,11 +312,11 @@ def test_compiled_two_local_matches_minimize_action(point):
     # The compiled quadratic-in-lam solve against the general PauliSum solver;
     # all-zero fields or couplings exercise the pseudo-inverse path.
     inst, lam = point
-    basis, labels = two_local_basis(inst.n)
-    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels)
+    basis = two_local_basis(inst.n)
+    solved = minimize_action(basis, *adiabatic_pair(inst, lam))
     compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(lam)
-    assert compiled.labels == solved.labels
-    assert np.abs(compiled.vector() - solved.vector()).max() <= 1e-10
+    assert compiled.coefficients.shape == solved.coefficients.shape == (len(basis),)
+    assert np.abs(compiled.coefficients - solved.coefficients).max() <= 1e-10
     assert abs(compiled.residual_action - solved.residual_action) <= 1e-10
     assert compiled.condition_warning == solved.condition_warning
 
@@ -328,7 +326,7 @@ def test_compiled_two_local_pseudo_inverse_path():
     inst = ProblemInstance(3, ((0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.0)), (0.0,) * 3, seed=0)
     compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(1.0)
     assert compiled.condition_warning
-    assert np.all(compiled.vector() == 0.0)
+    assert np.all(compiled.coefficients == 0.0)
 
 
 def test_two_local_symmetry_forbidden_coefficient_is_zero():
@@ -339,12 +337,12 @@ def test_two_local_symmetry_forbidden_coefficient_is_zero():
     couplings = ((0, 1, 0.25), (0, 2, 0.0), (0, 3, 0.0), (1, 2, 0.0), (1, 3, 0.25), (2, 3, 0.0))
     inst = ProblemInstance(4, couplings, (0.0,) * 4, seed=0)
     lam = 0.99999
-    basis, labels = two_local_basis(inst.n)
-    solved = minimize_action(basis, *adiabatic_pair(inst, lam), labels=labels)
+    basis = two_local_basis(inst.n)
+    solved = minimize_action(basis, *adiabatic_pair(inst, lam))
     compiled = CompiledGauge(inst, Ansatz.TWO_LOCAL).solve_two_local(lam)
     for solution in (solved, compiled):
-        assert abs(solution.coefficients["y2"]) <= 1e-15
-    assert np.abs(compiled.vector() - solved.vector()).max() <= 1e-10
+        assert abs(solution.coefficients[2]) <= 1e-15
+    assert np.abs(compiled.coefficients - solved.coefficients).max() <= 1e-10
 
 
 def pauli_sum_two_local_blocks(inst):
@@ -354,7 +352,7 @@ def pauli_sum_two_local_blocks(inst):
     i[B_b, H_p]; one column per Pauli string in order of first appearance.
     """
     n = inst.n
-    basis, _ = two_local_basis(n)
+    basis = two_local_basis(n)
     mixer, problem = mixer_hamiltonian(n), problem_hamiltonian(inst)
     ops = (
         [problem - mixer]
@@ -466,13 +464,15 @@ def test_local_y_skips_sites_without_term():
 def test_two_local_needs_two_sites():
     with pytest.raises(ParameterError):
         two_local_basis(1)
+    with pytest.raises(ParameterError, match="n >= 2"):
+        CompiledGauge(ProblemInstance(1, (), (0.5,), seed=0), Ansatz.TWO_LOCAL)
 
 
 def test_action_monotone_in_basis_size():
     inst = generate_instance(3, instance_seed(808, 0))
     lam = 0.45
     H, dH = adiabatic_pair(inst, lam)
-    basis, labels = two_local_basis(3)
+    basis = two_local_basis(3)
     n_y = 3
     n_zy = 3
     nested = [basis[:n_y], basis[: n_y + n_zy], basis]

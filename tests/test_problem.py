@@ -116,6 +116,20 @@ def test_problem_hamiltonian_matches_instance_energies():
     assert np.allclose(diag, inst.energies, atol=1e-12)
 
 
+def test_instance_energies_equal_the_float_spin_sum_bit_for_bit():
+    # E is formed from int8 spins.  A product with +-1 is exact, so E must
+    # be the float64 sum over float spins, term by term in the same order.
+    for n in range(1, 10):
+        inst = generate_instance(n, instance_seed(23, n))
+        spins = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+        expected = np.zeros(1 << n)
+        for i, value in enumerate(inst.fields):
+            expected += value * spins[:, i]
+        for i, j, value in inst.couplings:
+            expected += value * spins[:, i] * spins[:, j]
+        assert np.array_equal(inst.energies, expected), n
+
+
 def test_instance_energies_are_formed_once_and_read_only():
     inst = generate_instance(4, 21)
     assert "energies" not in vars(inst)

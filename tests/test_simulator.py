@@ -26,7 +26,6 @@ from cdanneal.problem import (
 from cdanneal.schedule import Schedule
 from cdanneal.simulator import (
     DrivenHamiltonian,
-    StateVector,
     apply_pauli_exponential,
     ode_reference,
     plus_state,
@@ -38,9 +37,9 @@ from cdanneal.spectrum import gap_curve
 
 
 def basis_state(n, index):
-    amplitudes = np.zeros(1 << n, dtype=np.complex128)
-    amplitudes[index] = 1.0
-    return StateVector(n, amplitudes)
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[index] = 1.0
+    return psi
 
 
 # ------------------------------------------------------------- plus_state
@@ -48,10 +47,11 @@ def basis_state(n, index):
 
 def test_plus_state_values():
     one = plus_state(1)
-    assert np.allclose(one.amplitudes, [1 / math.sqrt(2)] * 2)
+    assert np.allclose(one, [1 / math.sqrt(2)] * 2)
     two = plus_state(2)
-    assert np.allclose(two.amplitudes, 0.5)
-    assert plus_state(5).norm() == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(two, 0.5)
+    assert np.linalg.norm(plus_state(5)) == pytest.approx(1.0, abs=1e-15)
+    assert plus_state(5).dtype == np.complex128 and plus_state(5).flags.c_contiguous
 
 
 def test_plus_state_cap():
@@ -68,7 +68,7 @@ def test_exponential_x_half_pi():
     state = apply_pauli_exponential(
         basis_state(1, 0), PauliString.from_label("X"), math.pi / 2
     )
-    assert np.allclose(state.amplitudes, [0.0, -1j], atol=1e-12)
+    assert np.allclose(state, [0.0, -1j], atol=1e-12)
 
 
 def test_exponential_diagonal_eigenstate():
@@ -76,16 +76,16 @@ def test_exponential_diagonal_eigenstate():
     state = apply_pauli_exponential(
         basis_state(2, 0), PauliString.from_label("ZZ"), theta
     )
-    assert np.allclose(state.amplitudes[0], np.exp(-1j * theta))
+    assert np.allclose(state[0], np.exp(-1j * theta))
 
 
 def test_exponential_zero_angle_is_identity():
     rng = np.random.default_rng(0)
     amplitudes = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     amplitudes /= np.linalg.norm(amplitudes)
-    state = StateVector(3, amplitudes.copy())
+    state = amplitudes.copy()
     apply_pauli_exponential(state, PauliString.from_label("XYZ"), 0.0)
-    assert np.allclose(state.amplitudes, amplitudes)
+    assert np.allclose(state, amplitudes)
 
 
 def test_exponential_matches_dense_expm():
@@ -96,13 +96,13 @@ def test_exponential_matches_dense_expm():
         amplitudes = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         amplitudes /= np.linalg.norm(amplitudes)
         theta = float(rng.uniform(-2, 2))
-        state = StateVector(2, amplitudes.copy())
+        state = amplitudes.copy()
         apply_pauli_exponential(state, PauliString.from_label(label), theta)
         from cdanneal.pauli import PauliSum
 
         dense = to_dense(PauliSum.from_labels({label: 1.0}))
         expected = expm(-1j * theta * dense) @ amplitudes
-        assert np.allclose(state.amplitudes, expected, atol=1e-12)
+        assert np.allclose(state, expected, atol=1e-12)
 
 
 def test_exponential_dimension_mismatch():
@@ -143,7 +143,7 @@ def canonical_product(inst, ansatz, psi, dt, lam, lam_dot):
     """One step as the canonical-order product of single exponentials:
     X by site, nonzero Z, nonzero ZZ, then CD."""
     n = inst.n
-    state = StateVector(n, psi.copy())
+    state = psi.copy()
     for i in range(n):
         apply_pauli_exponential(state, PauliString.single(n, i, "X"), -dt * (1.0 - lam))
     for i, h in enumerate(inst.fields):
@@ -156,7 +156,7 @@ def canonical_product(inst, ansatz, psi, dt, lam, lam_dot):
     cd_values = cd_coefficients(inst, ansatz, lam, lam_dot)
     for string, value in zip(cd_terms(inst, ansatz), cd_values):
         apply_pauli_exponential(state, string, dt * value)
-    return state.amplitudes
+    return state
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -193,10 +193,10 @@ def test_driven_hamiltonian_matches_reference(point):
 def test_trotter_evolve_matches_canonical_product(n, ansatz):
     inst = generate_instance(n, instance_seed(616, n))
     sched = Schedule(1.0, 8)
-    expected = plus_state(n).amplitudes
+    expected = plus_state(n)
     for point in sched.grid:
         expected = canonical_product(inst, ansatz, expected, sched.dt, point.lam, point.lam_dot)
-    final = trotter_evolve(inst, sched, ansatz).final_state.amplitudes
+    final = trotter_evolve(inst, sched, ansatz).final_state
     assert np.abs(final - expected).max() <= 1e-12
 
 
@@ -316,7 +316,7 @@ def test_step_plan_structure(point):
             done += 1
         elif kind == simulator._PHASE:
             assert plan.runs[done - 1][1] == n
-            assert layout == tuple(natural[axis] for axis in plan.phase_axes)
+            assert layout == natural
         if kind != simulator._PHASE:
             assert source != target
             written.append(target)
@@ -326,22 +326,43 @@ def test_step_plan_structure(point):
     assert DrivenHamiltonian(inst, ansatz).plan is plan
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(table_instances())
-def test_step_plan_nbytes_counts_its_arrays(point):
-    # The budget charges a plan's nbytes, computed without building its
-    # arrays; it must equal what the plan then holds.
-    inst, ansatz = point
-    plan = DrivenHamiltonian(inst, ansatz).plan
-    factors, expansions = plan.arrays
-    assert plan.nbytes == factors.nbytes + sum(terms.nbytes for terms in expansions)
+def layout_at_phase(n, plan):
+    """The qubit order of the state when ``plan`` applies its phase."""
+    layout = tuple(range(n - 1, -1, -1))
+    for kind, _, _, item, _ in plan.ops:
+        if kind == simulator._GATHER:
+            layout = tuple(layout[axis] for axis in plan.gathers[item])
+        elif kind == simulator._PHASE:
+            return layout
+    raise AssertionError("the plan applies no phase")
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+def test_step_plans_apply_the_phase_in_natural_order(ansatz):
+    # The phase multiplies by E as it is, in the natural qubit order; the
+    # mixer runs that precede it must leave the state in that order at
+    # every size.  Only the plans are built.
+    for n in range(1 if ansatz is not Ansatz.TWO_LOCAL else 2, 21):
+        strings = [PauliString.single(n, i, "X") for i in range(n)]
+        strings += cd_terms(generate_instance(n, instance_seed(620, n)), ansatz)
+        masks = tuple(s.x_mask for s in strings), tuple(s.z_mask for s in strings)
+        plan = simulator._StepPlan(n, *masks)
+        assert layout_at_phase(n, plan) == tuple(range(n - 1, -1, -1)), n
+
+
+def test_step_plan_refuses_a_phase_out_of_natural_order():
+    # The mixer X strings in reverse site order leave qubits 0-3 in front
+    # at n = 12, so the phase would read E in the wrong order.
+    x_masks = tuple(1 << i for i in range(11, -1, -1))
+    with pytest.raises(RuntimeError, match="natural layout"):
+        simulator._StepPlan(12, x_masks, (0,) * 12)
 
 
 def test_hamiltonian_is_freed_without_the_cycle_collector():
     # The shared plan must not point back at a Hamiltonian: with no
     # reference cycle, dropping the last reference frees it and its arrays.
     hamiltonian = DrivenHamiltonian(generate_instance(5, instance_seed(619, 0)), Ansatz.NC1)
-    psi = plus_state(5).amplitudes
+    psi = plus_state(5)
     hamiltonian.step(psi, 0.1, 0.5, 1.0)
     hamiltonian.matvec(psi, 0.5, 1.0)
     freed = weakref.ref(hamiltonian)
@@ -360,15 +381,10 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
         with pytest.raises(ResourceCapError, match="budget"):
             DrivenHamiltonian(inst, ansatz)
     assert "energies" not in vars(inst), "energies formed before the budget check"
-    # nc1 at n = 10 (K = 4).  Its step plan: 532 expanded terms, each with
-    # four 8-byte factor indices and a matrix: 16x16 in 2 complex and 27
-    # real chunks of 16 terms, 8x8 in 4 real chunks of 16 terms, 4x4 in 1
-    # complex chunk of 4 terms.  Then the energies in two layouts and four
-    # state vectors (psi, two scratch states and the phase).
-    plan = 532 * 4 * 8
-    plan += 16 * 256 * (2 * 16 + 27 * 8) + 4 * 16 * 64 * 8 + 4 * 16 * 16
-    needed = plan + 1024 * (8 * 2 + 4 * 16)
-    assert needed == 1_148_544
+    # nc1 at n = 10: the energies and four state vectors (psi, two scratch
+    # states and the phase); the step plan is not charged.
+    needed = 1024 * (8 + 4 * 16)
+    assert needed == 73_728
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed - 1)
     with pytest.raises(ResourceCapError):
         DrivenHamiltonian(inst, Ansatz.NC1)
@@ -383,16 +399,16 @@ def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
     # per X mask, add 40 bytes an entry: 16 for the row, 24 for the
     # temporaries that form it.
     inst = generate_instance(10, instance_seed(618, 0))
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1_148_544)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 73_728)
     hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
-    psi = plus_state(10).amplitudes
+    psi = plus_state(10)
     hamiltonian.step(psi, 0.1, 0.5, 1.0)
     values = hamiltonian.coefficients(0.5, 1.0)
     with pytest.raises(ResourceCapError, match="10 operator rows"):
         hamiltonian.operator_rows(values)
     with pytest.raises(ResourceCapError, match="budget"):
         hamiltonian.matvec(psi, 0.5, 1.0)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1_148_544 + 10 * 40 * 1024)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 73_728 + 10 * 40 * 1024)
     assert hamiltonian.operator_rows(values).shape == (10, 1024)
 
 
@@ -402,7 +418,7 @@ def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
 def test_trotter_pure_mixer_eigenstate():
     inst = ProblemInstance(3, (), (0.0, 0.0, 0.0), seed=0)
     report = trotter_evolve(inst, Schedule(1.0, 20), Ansatz.NONE)
-    overlap = abs(np.vdot(plus_state(3).amplitudes, report.final_state.amplitudes))
+    overlap = abs(np.vdot(plus_state(3), report.final_state))
     assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
@@ -412,9 +428,7 @@ def test_trotter_matches_ode_and_halving():
     deviations = {}
     for steps in (20, 40):
         final = trotter_evolve(inst, Schedule(1.0, steps), Ansatz.NONE).final_state
-        deviations[steps] = float(
-            np.linalg.norm(final.amplitudes - reference.amplitudes)
-        )
+        deviations[steps] = float(np.linalg.norm(final - reference))
     assert deviations[20] <= 0.05
     assert deviations[20] / deviations[40] == pytest.approx(2.0, abs=0.5)
 
@@ -513,7 +527,7 @@ def test_ode_single_site_fine_product_oracle():
     sched = Schedule(1.0, 1)
     steps = 100_000
     dt = sched.total_time / steps
-    psi = plus_state(1).amplitudes.copy()
+    psi = plus_state(1)
     for k in range(steps):
         lam = sched.lam((k + 0.5) * dt)
         a, b = lam * 1.0, -(1.0 - lam)  # h Z and mixer X weights
@@ -523,7 +537,7 @@ def test_ode_single_site_fine_product_oracle():
         x_part = b / r * psi[::-1]
         psi = c * psi - 1j * s * (z_part + x_part)
     reference = ode_reference(inst, sched, Ansatz.NONE, 1e-12)
-    fidelity = abs(np.vdot(psi, reference.amplitudes)) ** 2
+    fidelity = abs(np.vdot(psi, reference)) ** 2
     assert fidelity >= 1.0 - 1e-8
 
 
@@ -531,7 +545,7 @@ def test_ode_norm_drift():
     inst = generate_instance(3, instance_seed(88, 0))
     for ansatz in (Ansatz.NONE, Ansatz.NC1):
         state = ode_reference(inst, Schedule(1.0, 1), ansatz, 1e-10)
-        assert abs(state.norm() - 1.0) <= 1e-8
+        assert abs(np.linalg.norm(state) - 1.0) <= 1e-8
 
 
 def test_trotter_first_order_convergence_sweep():
@@ -541,7 +555,7 @@ def test_trotter_first_order_convergence_sweep():
         errors = []
         for steps in (20, 40, 80, 160):
             final = trotter_evolve(inst, Schedule(1.0, steps), ansatz).final_state
-            errors.append(float(np.linalg.norm(final.amplitudes - reference.amplitudes)))
+            errors.append(float(np.linalg.norm(final - reference)))
         for a, b in zip(errors, errors[1:]):
             assert 1.5 <= a / b <= 3.0
 
@@ -575,7 +589,7 @@ def test_success_probability_examples():
 def test_success_probability_global_phase_invariance():
     truth = GroundTruth(energy=0.0, states=(1,), degenerate=False)
     state = plus_state(2)
-    rotated = StateVector(2, np.exp(1j * 0.7) * state.amplitudes)
+    rotated = np.exp(1j * 0.7) * state
     assert success_probability(rotated, truth) == pytest.approx(
         success_probability(state, truth)
     )
