@@ -20,11 +20,14 @@ off-diagonals: the driving is deliberately non-stoquastic.
 ``CompiledGauge`` compiles a drive once per instance: its strings, the
 instance sums of the closed forms, and for the 2-local family the Gram
 matrix and source vector of the action as polynomials of degree two in lam,
-so each coefficient evaluation is one small eigensolve.  ``minimize_action``
-stays the general PauliSum solver that the compiled solve is checked against,
-and ``assemble_hamiltonian`` the PauliSum driven Hamiltonian that the
-compiled operator is checked against.  Both solvers return a
-``GaugeSolution`` whose coefficients are a float64 array in basis order.
+so each coefficient evaluation is one small linear solve, certified by a
+Cholesky factorization to need no truncation (``_solve_certified``).
+``cd_coefficients`` evaluates a drive at one point or at a whole grid of
+points at once.  ``minimize_action`` stays the general PauliSum solver, with
+its eigendecomposition, that the compiled solve is checked against, and
+``assemble_hamiltonian`` the PauliSum driven Hamiltonian that the compiled
+operator is checked against.  Both solvers return a ``GaugeSolution`` whose
+coefficients are a float64 array in basis order.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ SINGULAR_FLOOR = 1e-10
 
 #: Relative condition threshold that switches the solver to a pseudo-inverse.
 CONDITION_THRESHOLD = 1e12
+
+#: A compiled 2-local Gram matrix skips the eigendecomposition when one
+#: Cholesky factorization certifies its smallest eigenvalue to be at least
+#: this fraction of its mean eigenvalue (see ``_solve_certified``).
+CERTIFIED_FRACTION = 1e-3
 
 
 class Ansatz(str, Enum):
@@ -238,13 +246,15 @@ def _check_two_local(n: int) -> None:
 def _solve_normal(gram: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimizer of c^T gram c + 2 c^T source, truncated as a pseudo-inverse.
 
-    Eigenvalues of the symmetric ``gram`` below max(eig)/CONDITION_THRESHOLD are
-    dropped; the flag reports whether any were.  A kept direction whose
-    projected source is within rounding of zero (size * eps * |source|)
-    gets coefficient 0: its source is noise, which a small eigenvalue would
-    otherwise amplify into a coefficient that depends on how the Gram
-    matrix and source were summed.  Dropping it changes the action by
-    O(eps^2).
+    The reference solve: ``minimize_action`` always takes it, and the compiled
+    2-local solve only for a Gram matrix that ``_solve_certified`` cannot
+    certify.  Eigenvalues of the symmetric ``gram`` below
+    max(eig)/CONDITION_THRESHOLD are dropped; the flag reports whether any
+    were.  A kept direction whose projected source is within rounding of
+    zero (size * eps * |source|) gets coefficient 0: its source is noise,
+    which a small eigenvalue would otherwise amplify into a coefficient that
+    depends on how the Gram matrix and source were summed.  Dropping it
+    changes the action by O(eps^2).
     """
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     top = float(eigenvalues.max(initial=0.0))
@@ -255,6 +265,49 @@ def _solve_normal(gram: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, boo
     resolved = keep & (np.abs(projected) > noise)
     scaled = np.where(resolved, projected / np.where(resolved, eigenvalues, 1.0), 0.0)
     return eigenvectors @ scaled, bool((~keep).any())
+
+
+def _solve_certified(
+    grams: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_solve_normal`` for a stack of Gram matrices, without eigendecompositions.
+
+    A Gram matrix whose shifted copy gram - shift I, shift = CERTIFIED_FRACTION
+    * trace / size, has a Cholesky factor has every eigenvalue at or above
+    ``shift``: far above the truncation cutoff, and so far above zero that
+    the rounding-level sources ``_solve_normal`` drops would move a
+    coefficient by at most size * eps * |source| / shift.  Such a matrix is
+    solved directly, unflagged.  Any other, such as a zero Gram matrix or one
+    with a symmetry-forbidden direction, takes ``_solve_normal`` itself.
+    Returns the (points, size) coefficients and the per-point flags.
+    """
+    coefficients = np.empty_like(sources)
+    flags = np.zeros(len(grams), dtype=bool)
+    certified = _certified(grams)
+    if certified.any():
+        coefficients[certified] = np.linalg.solve(
+            grams[certified], -sources[certified, :, None]
+        )[..., 0]
+    for k in np.flatnonzero(~certified):
+        coefficients[k], flags[k] = _solve_normal(grams[k], sources[k])
+    return coefficients, flags
+
+
+def _certified(grams: np.ndarray) -> np.ndarray:
+    """Per stacked Gram matrix, whether its shifted copy has a Cholesky factor.
+
+    The whole stack is factored at once; only a stack that fails is taken
+    apart, to find the matrices that fail.
+    """
+    size = grams.shape[-1]
+    shift = np.trace(grams, axis1=1, axis2=2) * (CERTIFIED_FRACTION / size)
+    try:
+        np.linalg.cholesky(grams - shift[:, None, None] * np.eye(size))
+    except np.linalg.LinAlgError:
+        if len(grams) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_certified(gram[None]) for gram in grams])
+    return np.ones(len(grams), dtype=bool)
 
 
 class CompiledGauge:
@@ -271,8 +324,9 @@ class CompiledGauge:
       lam H_p the images i[B_b, H] are (1-lam) i[B_b, H_x] + lam i[B_b, H_p],
       so the Gram matrix is (1-lam)^2 G_xx + lam (1-lam) G_xp + lam^2 G_pp,
       the source vector is (1-lam) v_x + lam v_p, and the action at the
-      minimizer needs only ||dH||^2 besides.  Each lam then costs one small
-      ``eigh``.
+      minimizer needs only ||dH||^2 besides.  Each lam then costs one
+      Cholesky factorization and one small linear solve, and the points of
+      a grid are stacked into one call of each (``_solve_certified``).
 
     ``string_basis`` maps each two-local string to its basis element: the
     symmetrized ZY and XY elements own two strings each.
@@ -340,28 +394,44 @@ class CompiledGauge:
         self.source_p = image_p @ source
         self.norm_dh = float(source @ source)
 
-    def normal_equations(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    def normal_equations(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """Gram matrix and source vector of the two-local action at ``lam``.
 
-        H = (1-lam) H_x + lam H_p as ``adiabatic_pair`` builds it: a part
-        whose every coefficient is at or below ``PRUNE_TOLERANCE`` is the
-        zero operator, as ``PauliSum`` prunes it.  So within 1e-12 of
-        lam = 1 on an instance without fields or couplings, H is zero and
-        the solve takes the pseudo-inverse path, as ``minimize_action`` does.
+        ``lam`` is a scalar, or a 1-D array of points that becomes the
+        leading axis of both results.  H = (1-lam) H_x + lam H_p as
+        ``adiabatic_pair`` builds it: a part whose every coefficient is at or
+        below ``PRUNE_TOLERANCE`` is the zero operator, as ``PauliSum``
+        prunes it.  So within 1e-12 of lam = 1 on an instance without fields
+        or couplings, H is zero and the solve takes the pseudo-inverse path,
+        as ``minimize_action`` does.
         """
         if self.ansatz is not Ansatz.TWO_LOCAL:
             raise ParameterError(f"gauge compiled for {self.ansatz.value}, not two-local")
-        mix = 1.0 - lam if abs(1.0 - lam) > PRUNE_TOLERANCE else 0.0
-        lam = lam if abs(lam) * self.problem_scale > PRUNE_TOLERANCE else 0.0
-        gram = mix**2 * self.gram_xx + lam * mix * self.gram_xp + lam**2 * self.gram_pp
+        lam = np.asarray(lam, dtype=float)
+        mix = np.where(np.abs(1.0 - lam) > PRUNE_TOLERANCE, 1.0 - lam, 0.0)[..., None]
+        lam = np.where(np.abs(lam) * self.problem_scale > PRUNE_TOLERANCE, lam, 0.0)[..., None]
+        gram = (
+            (mix**2)[..., None] * self.gram_xx
+            + (lam * mix)[..., None] * self.gram_xp
+            + (lam**2)[..., None] * self.gram_pp
+        )
         return gram, mix * self.source_x + lam * self.source_p
+
+    @property
+    def point_bytes(self) -> int:
+        """Bytes one point of a stacked two-local solve holds at its peak (0 otherwise).
+
+        Three Gram-sized arrays: the sum being formed and two of its terms,
+        or the Gram matrix, its shifted copy and the Cholesky factor.
+        """
+        return 3 * self.gram_xx.nbytes if self.ansatz is Ansatz.TWO_LOCAL else 0
 
     def solve_two_local(self, lam: float) -> GaugeSolution:
         """The two-local action minimizer at ``lam``, as ``minimize_action`` gives it."""
         gram, source = self.normal_equations(lam)
-        coefficients, warning = _solve_normal(gram, source)
+        (coefficients,), (warning,) = _solve_certified(gram[None], source[None])
         residual = self.norm_dh + 2.0 * coefficients @ source + coefficients @ gram @ coefficients
-        return GaugeSolution(coefficients, max(0.0, float(residual)), warning)
+        return GaugeSolution(coefficients, max(0.0, float(residual)), bool(warning))
 
 
 def _image_entries(x_b, z_b, rows, x_h, z_h, c_h) -> tuple[np.ndarray, ...]:
@@ -448,16 +518,20 @@ def cd_terms(inst: ProblemInstance, ansatz: Ansatz) -> list[PauliString]:
 
 
 def cd_coefficients(
-    gauge: ProblemInstance | CompiledGauge, ansatz: Ansatz, lam: float, lam_dot: float
+    gauge: ProblemInstance | CompiledGauge, ansatz: Ansatz, lam, lam_dot
 ) -> np.ndarray:
     """Coefficients aligned with ``cd_terms``, including the lam_dot factor.
 
-    ``gauge`` may be the ``CompiledGauge`` already built for (instance,
-    ``ansatz``), so that callers evaluating many points compile once; an
-    instance is compiled for this call alone.  The CD contribution is
-    lam_dot * A(lam), so a zero rate short-circuits to zeros without touching
-    any denominator: the driving vanishes identically there regardless of
-    whether A is well defined.
+    ``lam`` and ``lam_dot`` are scalars, or equal-length 1-D arrays of
+    points, which give one row of coefficients per point.  ``gauge`` may be
+    the ``CompiledGauge`` already built for (instance, ``ansatz``), so that
+    callers evaluating many points compile once; an instance is compiled for
+    this call alone.  The CD contribution is lam_dot * A(lam), so a point
+    with zero rate gets zeros without touching any denominator: the driving
+    vanishes identically there regardless of whether A is well defined.
+    The closed forms run point by point, and the first singular point
+    raises ``SingularGaugeError`` with its 1-based index as ``step``; the
+    two-local points are solved as one stack.
     """
     if isinstance(gauge, CompiledGauge):
         if gauge.ansatz is not ansatz:
@@ -466,16 +540,27 @@ def cd_coefficients(
             )
     else:
         gauge = CompiledGauge(gauge, ansatz)
-    if not gauge.terms or lam_dot == 0.0:
-        return np.zeros(len(gauge.terms))
-    if ansatz is Ansatz.LOCAL_Y:
-        beta = _local_y(gauge.fields, gauge.weights, gauge.sites, lam)
-        return lam_dot * beta
-    if ansatz is Ansatz.NC1:
-        return -2.0 * lam_dot * nc1_coefficient(gauge, lam) * gauge.sources
+    lams, rates = np.asarray(lam, dtype=float), np.asarray(lam_dot, dtype=float)
+    if lams.shape != rates.shape or lams.ndim > 1:
+        raise ParameterError("lam and lam_dot must be scalars or equal-length 1-D arrays")
+    lams, rates = lams.reshape(-1), rates.reshape(-1)
+    values = np.zeros((len(lams), len(gauge.terms)))
+    live = np.flatnonzero(rates) if gauge.terms else np.zeros(0, dtype=int)
     if ansatz is Ansatz.TWO_LOCAL:
-        return lam_dot * gauge.solve_two_local(lam).coefficients[gauge.string_basis]
-    raise ParameterError(f"unknown ansatz {ansatz!r}")
+        if len(live):
+            coefficients, _ = _solve_certified(*gauge.normal_equations(lams[live]))
+            values[live] = rates[live, None] * coefficients[:, gauge.string_basis]
+    else:
+        for row, point, rate in zip(live, lams[live].tolist(), rates[live].tolist()):
+            try:
+                if ansatz is Ansatz.LOCAL_Y:
+                    values[row] = rate * _local_y(gauge.fields, gauge.weights, gauge.sites, point)
+                else:
+                    values[row] = -2.0 * rate * nc1_coefficient(gauge, point) * gauge.sources
+            except SingularGaugeError as exc:
+                exc.step = int(row) + 1
+                raise
+    return values if np.ndim(lam) else values[0]
 
 
 def assemble_hamiltonian(

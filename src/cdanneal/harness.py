@@ -397,19 +397,29 @@ def cd_cost(hamiltonian: DrivenHamiltonian, sched: Schedule) -> float:
     ansatz, gauge = hamiltonian.ansatz, hamiltonian.gauge
     if not gauge.terms:
         return 0.0
-    unit = cd_norm(hamiltonian, gauge.sources) if ansatz is Ansatz.NC1 else None
-    norms = []
-    for point in sched.grid:
-        if point.lam_dot == 0.0:
-            norms.append(0.0)
-        elif ansatz is Ansatz.NC1:
-            norms.append(abs(2.0 * point.lam_dot * nc1_coefficient(gauge, point.lam)) * unit)
+    if ansatz is Ansatz.NC1:
+        unit = cd_norm(hamiltonian, gauge.sources)
+        norms = [
+            abs(2.0 * point.lam_dot * nc1_coefficient(gauge, point.lam)) * unit
+            if point.lam_dot != 0.0
+            else 0.0
+            for point in sched.grid
+        ]
+    else:
+        # One coefficient table per grid, solved in the chunks an evolution
+        # uses, so that a long grid's stacked two-local solve stays small.
+        _, lams, rates = np.array(sched.grid).T
+        chunk = hamiltonian.chunk_steps
+        table = np.concatenate(
+            [
+                cd_coefficients(gauge, ansatz, lams[k : k + chunk], rates[k : k + chunk])
+                for k in range(0, len(lams), chunk)
+            ]
+        )
+        if ansatz is Ansatz.LOCAL_Y:
+            norms = [float(np.abs(values).sum()) for values in table]
         else:
-            values = cd_coefficients(gauge, ansatz, point.lam, point.lam_dot)
-            if ansatz is Ansatz.LOCAL_Y:
-                norms.append(float(np.abs(values).sum()))
-            else:
-                norms.append(cd_norm(hamiltonian, values))
+            norms = [cd_norm(hamiltonian, values) for values in table]
     return sched.dt * float(np.sum(norms))
 
 

@@ -10,7 +10,9 @@ A Trotter step runs a ``_StepPlan`` compiled from the string masks: it cuts
 the strings, in canonical order, into runs on at most ``BLOCK_QUBITS``
 qubits and applies each run as one small block unitary in one GEMM, after
 at most one transposed copy of the state that brings the run's qubits to
-the leading axes.
+the leading axes.  An evolution takes its steps in chunks: the CD
+coefficients and the block unitaries of every step of a chunk are formed
+in one pass before its first step runs.
 ``matvec`` and ``dense`` read the strings grouped by X mask instead: for a
 coefficient vector, sum_k c_k P_k = sum_x diag(d_x) X^x with one row d_x per
 distinct X mask, formed from the masks.  A state is a contiguous complex128
@@ -87,7 +89,9 @@ def apply_pauli_exponential(psi: np.ndarray, string: PauliString, theta: float) 
 #: vectors a step or matvec works on, and the rows of ``operator_rows`` while
 #: they exist.  Above it, construction, or the forming of rows, raises
 #: ``ResourceCapError`` before allocating any of them.  The step plan is not
-#: charged: at n = 20 it holds at most 7.75 MiB, under 1% of the budget.
+#: charged: at n = 20 it holds at most 7.75 MiB, under 1% of the budget.  Nor
+#: is a chunk of steps, which ``DrivenHamiltonian.chunk_steps`` sizes to fit
+#: in 1% as well.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -150,9 +154,10 @@ class _StepPlan:
     array, transposed by that gather's axes in ``gathers``, so the plan
     stores no index.  The runs of the mixer leave the state in the natural
     layout, so the phase reads E as it is; a plan that would reach the
-    phase in any other layout raises.  On each step the unitaries of all
-    runs of one shape are formed together, so the Python work of a step
-    grows with the number of runs, not of strings.
+    phase in any other layout raises.  The unitaries of all runs of one
+    shape are formed together, for every step of a chunk at once, so the
+    Python work of a chunk grows with the number of shapes, not of strings
+    or steps.
 
     The plan depends only on the string masks, so instances with the same
     strings share it (``_step_plan``), and it holds no reference to any
@@ -292,23 +297,35 @@ class _StepPlan:
             array.flags.writeable = False
         return factors, expansions
 
-    def unitaries(self, thetas: np.ndarray) -> list[np.ndarray]:
-        """Per group, the (runs, 2**q, 2**q) run unitaries at the strings' angles.
+    @property
+    def step_bytes(self) -> int:
+        """Bytes of one step's unitaries as first formed, one matrix per chunk of a run."""
+        _, expansions = self.arrays
+        return sum(len(terms) * terms.shape[2] * terms.itemsize for terms in expansions)
 
-        A chunk's product is the weighted sum of its terms; the chunks of a
-        run then multiply pairwise, later chunks on the left.  Padding slots
-        weigh in as the identity, exactly.
+    def unitaries(self, thetas: np.ndarray) -> list[np.ndarray]:
+        """Per group, the (steps, runs, 2**q, 2**q) run unitaries at a table of angles.
+
+        ``thetas`` holds one row of string angles per step.  A chunk's
+        product is the weighted sum of its terms; the chunks of a run then
+        multiply pairwise, later chunks on the left.  Padding slots weigh in
+        as the identity, exactly.  Every matrix product is the one a single
+        step would form, so each step's unitaries are those of a one-row
+        table, bit for bit.
         """
         factors, expansions = self.arrays
-        weights = np.concatenate((np.cos(thetas), np.sin(thetas), _UNIT))[factors].prod(axis=1)
+        steps = len(thetas)
+        unit = np.broadcast_to(_UNIT, (steps, 2))
+        weights = np.concatenate((np.cos(thetas), np.sin(thetas), unit), axis=1)
+        weights = weights[:, factors].prod(axis=2)
         result, offset = [], 0
         for (q, _, slots, runs), terms in zip(self.groups, expansions):
             stop = offset + terms.shape[0] * terms.shape[1]
-            rotations = weights[offset:stop].reshape(len(terms), 1, -1) @ terms
-            rotations = rotations.reshape(len(runs), -1, 1 << q, 1 << q)
-            while rotations.shape[1] > 1:
-                rotations = rotations[:, 1::2] @ rotations[:, 0::2]
-            result.append(rotations[:, 0])
+            rotations = weights[:, offset:stop].reshape(steps, len(terms), 1, -1) @ terms
+            rotations = rotations.reshape(steps, len(runs), -1, 1 << q, 1 << q)
+            while rotations.shape[2] > 1:
+                rotations = rotations[:, :, 1::2] @ rotations[:, :, 0::2]
+            result.append(rotations[:, :, 0])
             offset = stop
         return result
 
@@ -322,12 +339,12 @@ def _step_plan(n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]) -> _S
 class DrivenHamiltonian:
     """H(lam, lam_dot) = (1-lam) H_x + lam H_p + lam_dot A_CD(lam), compiled once.
 
-    Built once per (instance, drive).  It holds the instance's energies E,
+    Built once per (instance, drive).  It reads the instance's energies E,
     the diagonal problem part H_p, shared with every drive of the instance,
-    the drive's ``CompiledGauge``, and the off-diagonal strings: the n mixer
-    X strings by site, then the CD strings in ``cd_terms`` order.  ``step``
-    runs the strings' shared ``_StepPlan``.  ``matvec``, ``dense`` and the
-    ``operator_*`` forms group the strings by X mask instead (see
+    and holds the drive's ``CompiledGauge`` and the off-diagonal strings: the
+    n mixer X strings by site, then the CD strings in ``cd_terms`` order.
+    ``steps`` runs the strings' shared ``_StepPlan``.  ``matvec``, ``dense``
+    and the ``operator_*`` forms group the strings by X mask instead (see
     ``_string_phases``): for coefficients c, sum_k c_k P_k = sum_x diag(d_x)
     X^x, with one row d_x per distinct X mask in ``row_masks``.
     """
@@ -350,7 +367,6 @@ class DrivenHamiltonian:
         # phase of a step, 16 bytes an entry each.
         self._claimed = (1 << n) * (8 + 4 * 16)
         _check_budget(f"{ansatz.value} drive at n={n}", self._claimed)
-        self.energies = inst.energies
         self.phases = _string_phases(np.array(self.x_masks), np.array(self.z_masks))
         # Member p of row r is string slots[p, r]; a row with fewer members
         # pads with the index past the last string, whose weight is 0.
@@ -364,30 +380,81 @@ class DrivenHamiltonian:
             - cd_single
         )
 
-    def coefficients(self, lam: float, lam_dot: float) -> np.ndarray:
-        """Off-diagonal coefficients: -(1-lam) per X string, then the CD values."""
-        values = np.empty(len(self.x_masks))
-        values[: self.n] = -(1.0 - lam)
+    @property
+    def energies(self) -> np.ndarray:
+        """The instance's energy vector E.
+
+        Read on first use, not at construction, so that a caller can refuse
+        a drive, or its operator rows, before E is formed.
+        """
+        return self.gauge.inst.energies
+
+    def coefficients(self, lam, lam_dot) -> np.ndarray:
+        """Off-diagonal coefficients: -(1-lam) per X string, then the CD values.
+
+        Scalars give one vector; equal-length 1-D arrays one row per point
+        (see ``cd_coefficients``).
+        """
+        lam = np.asarray(lam, dtype=float)
+        values = np.empty(lam.shape + (len(self.x_masks),))
+        values[..., : self.n] = np.asarray(-(1.0 - lam))[..., None]
         if self.cd_strings:
-            values[self.n :] = cd_coefficients(self.gauge, self.ansatz, lam, lam_dot)
+            values[..., self.n :] = cd_coefficients(self.gauge, self.ansatz, lam, lam_dot)
         return values
 
-    def step(self, psi: np.ndarray, dt: float, lam: float, lam_dot: float) -> None:
-        """In place: one first-order Trotter step with coefficients at (lam, lam_dot).
+    @cached_property
+    def chunk_steps(self) -> int:
+        """How many steps ``steps`` prepares at once.
 
-        Canonical order: X by site, every nonzero Z and ZZ term, then CD.
-        The Z and ZZ terms commute and are adjacent, so their product is
-        exactly the single phase exp(-i dt lam E).  The plan applies the
-        rotations fused into block unitaries (see ``_StepPlan``) and leaves
-        the result in ``psi``, which must be a contiguous complex128 vector.
+        At least one, and as many as fit in 1% of ``MEMORY_BUDGET`` with
+        their unitaries as first formed and, for two-local, their stacked
+        normal equations: the argument that leaves the step plan uncharged.
+        """
+        per_step = self.plan.step_bytes + self.gauge.point_bytes
+        return max(1, MEMORY_BUDGET // 100 // per_step)
+
+    def step(self, psi: np.ndarray, dt: float, lam: float, lam_dot: float) -> None:
+        """In place: one first-order Trotter step; ``steps`` with one point."""
+        self.steps(psi, dt, np.array([lam]), np.array([lam_dot]))
+
+    def steps(
+        self, psi: np.ndarray, dt: float, lams: np.ndarray, lam_dots: np.ndarray
+    ) -> np.ndarray:
+        """In place: one first-order Trotter step per (lam, lam_dot) point, in order.
+
+        Canonical order within a step: X by site, every nonzero Z and ZZ
+        term, then CD.  The Z and ZZ terms commute and are adjacent, so their
+        product is exactly the single phase exp(-i dt lam E).  The plan
+        applies the rotations fused into block unitaries (see ``_StepPlan``)
+        and leaves the result in ``psi``, which must be a contiguous
+        complex128 vector.  The points are taken ``chunk_steps`` at a time:
+        the coefficients and unitaries of a chunk are formed before its first
+        step, and a singular gauge raises ``SingularGaugeError`` with the
+        1-based index of its point as ``step`` before any step of its chunk
+        runs.  Returns the state norm after each step.
         """
         dim = 1 << self.n
         if psi.dtype != np.complex128 or psi.shape != (dim,) or not psi.flags.c_contiguous:
             raise ParameterError(f"step needs a contiguous complex128 vector of length {dim}")
+        buffers = (psi, np.empty_like(psi), np.empty_like(psi), np.empty_like(psi))
+        norms = np.empty(len(lams))
+        for start in range(0, len(lams), self.chunk_steps):
+            chunk = slice(start, start + self.chunk_steps)
+            try:
+                values = self.coefficients(lams[chunk], lam_dots[chunk])
+            except SingularGaugeError as exc:
+                exc.step += start
+                raise
+            unitaries = self.plan.unitaries(dt * values)
+            for row, lam in enumerate(lams[chunk].tolist()):
+                self._step(buffers, [group[row] for group in unitaries], -dt * lam)
+                norms[start + row] = np.linalg.norm(psi)
+        return norms
+
+    def _step(self, buffers: tuple[np.ndarray, ...], unitaries: list, phase_scale: float) -> None:
+        """Run the plan's operations on ``buffers``: psi, two scratch states, the phase."""
         plan = self.plan
         qubits = (2,) * self.n
-        unitaries = plan.unitaries(dt * self.coefficients(lam, lam_dot))
-        buffers = (psi, np.empty_like(psi), np.empty_like(psi))
         for kind, source, target, item, member in plan.ops:
             if kind == _LEADING:
                 unitary = unitaries[item][member]
@@ -405,8 +472,8 @@ class DrivenHamiltonian:
                 np.copyto(buffers[target].reshape(qubits), state)
             elif kind == _PHASE:
                 # exp(-i dt lam E), as cos + i sin of one real angle.
-                angle = (-dt * lam) * self.energies
-                phase = np.empty_like(psi)
+                angle = phase_scale * self.energies
+                phase = buffers[3]
                 np.cos(angle, out=phase.real)
                 np.sin(angle, out=phase.imag)
                 state = buffers[source]
@@ -491,23 +558,21 @@ def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> Ev
     """
     psi = plus_state(inst.n)
     hamiltonian = DrivenHamiltonian(inst, ansatz)
-    dt = sched.dt
-    norms: list[float] = []
+    _, lams, rates = np.array(sched.grid).T
     started = time.perf_counter()
-    for step, point in enumerate(sched.grid, 1):
-        try:
-            hamiltonian.step(psi, dt, point.lam, point.lam_dot)
-        except SingularGaugeError as exc:
-            raise SingularGaugeError(
-                f"{exc} (aborted at grid step {step}/{sched.steps})",
-                site=exc.site,
-                lam=exc.lam,
-                value=exc.value,
-                step=step,
-            ) from exc
-        norms.append(float(np.linalg.norm(psi)))
-        if not math.isfinite(norms[-1]):
-            raise IntegratorError(f"state norm {norms[-1]} after grid step {step}/{sched.steps}")
+    try:
+        norms = hamiltonian.steps(psi, sched.dt, lams, rates).tolist()
+    except SingularGaugeError as exc:
+        raise SingularGaugeError(
+            f"{exc} (aborted at grid step {exc.step}/{sched.steps})",
+            site=exc.site,
+            lam=exc.lam,
+            value=exc.value,
+            step=exc.step,
+        ) from exc
+    for step, norm in enumerate(norms, 1):
+        if not math.isfinite(norm):
+            raise IntegratorError(f"state norm {norm} after grid step {step}/{sched.steps}")
     wall = time.perf_counter() - started
     steps = sched.steps
     single, entangling = hamiltonian.single_count, hamiltonian.entangling_count

@@ -9,7 +9,8 @@ lam_dot = 0 for every drive) and complex Hermitian elsewhere.
 two lowest eigenvalues, and above the limit runs Lanczos on the matvec.
 ``cd_norm``, the spectral norm of the CD part alone, takes the full
 ``eigvalsh`` up to ``_NORM_DENSE_LIMIT`` qubits and a largest-magnitude
-Lanczos solve above.
+Lanczos solve above.  scipy is imported by the functions that call it, so
+importing the package, or running only evolutions, never loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import IntegratorError, ParameterError
 from .gauge import Ansatz
@@ -69,6 +68,8 @@ def instantaneous_spectrum(
     rows = hamiltonian.operator_rows(values)
     if hamiltonian.n > _DENSE_DIAG_LIMIT:
         return np.sort(_lanczos(hamiltonian, lam, rows, 2, "SA"))
+    from scipy.linalg import eigh
+
     matrix = hamiltonian.operator_dense(lam, rows)
     return eigh(matrix, eigvals_only=True, subset_by_index=(0, 1), driver="evr")
 
@@ -88,6 +89,8 @@ def _lanczos(
     hamiltonian: DrivenHamiltonian, diagonal: float, rows: np.ndarray, k: int, which: str
 ) -> np.ndarray:
     """k eigenvalues by ARPACK; every product reads the same ``operator_rows``."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     dim = 1 << hamiltonian.n
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -114,10 +117,13 @@ def gap_curve(
     The reported minimum is refined by a golden-section search within one
     grid step of the grid argmin, so ``delta_min`` is at most the smallest
     stored gap; the stored curve keeps exactly ``samples`` uniform points.
+    Every solve forms the drive's operator rows, so rows above
+    ``MEMORY_BUDGET`` are refused before the energies are formed.
     """
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
     hamiltonian = DrivenHamiltonian(inst, ansatz)
+    hamiltonian.check_rows_budget()
 
     def gap_at(t: float) -> float:
         low = instantaneous_spectrum(hamiltonian, sched.lam(t), sched.lam_dot(t))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -35,16 +36,20 @@ def single_error_line(err):
 
 
 def test_cli_import_leaves_the_integrator_unloaded():
-    # Only validation and the tests integrate, so starting the tool must
-    # not import scipy.integrate.
+    # Only validation and the tests integrate, and only spectra and CD norms
+    # solve eigenproblems, so starting the tool must not import any part of
+    # scipy: each function that needs it imports it.
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, cdanneal.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, cdanneal.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ gen
@@ -457,6 +462,30 @@ def test_gap_overflow_exit_codes(tmp_path, capsys):
         assert run_cli(*args, "--out", str(tmp_path / "gap.csv")) == 4
         assert "non-finite" in single_error_line(capsys.readouterr().err)
     assert not (tmp_path / "gap.csv").exists()
+
+
+def test_gap_refuses_rows_over_budget_before_forming_energies(tmp_path, capsys, monkeypatch):
+    # nc1 at n = 10 fits a budget of 73,728 bytes (its energies and four
+    # states), but every gap solve forms its 10 operator rows, which do not:
+    # the command exits 3 before E is formed.
+    formed = []
+    form = ProblemInstance.energies.func
+
+    def counted(inst):
+        formed.append(inst.n)
+        return form(inst)
+
+    energies = functools.cached_property(counted)
+    energies.__set_name__(ProblemInstance, "energies")
+    monkeypatch.setattr(ProblemInstance, "energies", energies)
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(10, 3), instance)
+    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", 73_728)
+    out = tmp_path / "gap.csv"
+    args = ("gap", "--instance", str(instance), "--ansatz", "nc1", "--samples", "5")
+    assert run_cli(*args, "--out", str(out)) == 3
+    assert "10 operator rows" in single_error_line(capsys.readouterr().err)
+    assert formed == [] and not out.exists()
 
 
 # ---------------------------------------------------------------- report

@@ -345,6 +345,78 @@ def test_two_local_symmetry_forbidden_coefficient_is_zero():
     assert np.abs(compiled.coefficients - solved.coefficients).max() <= 1e-10
 
 
+def test_certified_solve_matches_eigh_reference():
+    # Generated instances never need the truncation: the Cholesky-certified
+    # solve must agree with the eigendecomposition reference to rounding,
+    # and neither flags a point.
+    from cdanneal.gauge import _solve_certified, _solve_normal
+
+    lams = np.linspace(0.0, 1.0, 41)
+    for n in range(2, 9):
+        for rep in range(2):
+            inst = generate_instance(n, instance_seed(911, 10 * n + rep))
+            gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+            grams, sources = gauge.normal_equations(lams)
+            fast, flags = _solve_certified(grams, sources)
+            for k in range(len(lams)):
+                reference, flag = _solve_normal(grams[k], sources[k])
+                scale = np.abs(reference).max()
+                assert np.abs(fast[k] - reference).max() <= 1e-12 * scale, (n, rep, lams[k])
+                assert flags[k] == flag == False, (n, rep, lams[k])  # noqa: E712
+
+
+def test_ill_conditioned_grams_take_the_eigh_path(monkeypatch):
+    import cdanneal.gauge as gauge_mod
+
+    calls = []
+    reference = gauge_mod._solve_normal
+
+    def counted(gram, source):
+        calls.append(float(np.trace(gram)))
+        return reference(gram, source)
+
+    monkeypatch.setattr(gauge_mod, "_solve_normal", counted)
+    # A whole generated grid is certified: no eigendecomposition.
+    inst = generate_instance(6, instance_seed(912, 0))
+    lams = np.linspace(0.0, 1.0, 21)
+    cd_coefficients(inst, Ansatz.TWO_LOCAL, lams, np.ones(21))
+    assert calls == []
+    # The symmetry-forbidden direction near lam = 1 (smallest eigenvalue
+    # 7e-10 of the mean) and the zero Gram matrix of H = 0 fail the check,
+    # each in the middle of a stack whose other points pass it.
+    couplings = ((0, 1, 0.25), (0, 2, 0.0), (0, 3, 0.0), (1, 2, 0.0), (1, 3, 0.25), (2, 3, 0.0))
+    forbidden = ProblemInstance(4, couplings, (0.0,) * 4, seed=0)
+    values = cd_coefficients(forbidden, Ansatz.TWO_LOCAL, np.array([0.5, 0.99999, 0.7]), np.ones(3))
+    assert len(calls) == 1 and abs(values[1, 2]) <= 1e-15
+    empty = ProblemInstance(3, ((0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.0)), (0.0,) * 3, seed=0)
+    calls.clear()
+    cd_coefficients(empty, Ansatz.TWO_LOCAL, np.array([0.2, 1.0, 0.4]), np.ones(3))
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize("ansatz", [Ansatz.LOCAL_Y, Ansatz.NC1, Ansatz.TWO_LOCAL])
+def test_array_cd_coefficients_equal_stacked_scalar_calls(ansatz):
+    # Zero-rate points are exact zeros; the closed forms run point by point
+    # and keep their bits, the two-local points share one stacked solve.
+    for n in (2, 5, 8):
+        inst = generate_instance(n, instance_seed(913, n))
+        gauge = CompiledGauge(inst, ansatz)
+        lams = np.append(np.linspace(0.0, 1.0, 11), [0.37, 1.0])
+        rates = np.append(np.linspace(0.0, 2.0, 11), [0.0, 3.7e-32])
+        table = cd_coefficients(gauge, ansatz, lams, rates)
+        stacked = np.array(
+            [cd_coefficients(gauge, ansatz, float(a), float(b)) for a, b in zip(lams, rates)]
+        )
+        assert table.shape == stacked.shape == (len(lams), len(gauge.terms))
+        assert np.all(table[[0, 11]] == 0.0)
+        if ansatz is Ansatz.TWO_LOCAL:
+            assert np.abs(table - stacked).max() <= 1e-12 * np.abs(stacked).max()
+        else:
+            assert np.array_equal(table, stacked)
+    with pytest.raises(ParameterError):
+        cd_coefficients(gauge, ansatz, lams, rates[:-1])
+
+
 def pauli_sum_two_local_blocks(inst):
     """The two-local action blocks from PauliSum commutators, as the oracle.
 

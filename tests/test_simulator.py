@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cdanneal.errors import (
     DimensionMismatchError,
+    IntegratorError,
     ParameterError,
     ResourceCapError,
     SingularGaugeError,
@@ -477,6 +478,84 @@ def test_trotter_singular_gauge_aborts_with_step():
     with pytest.raises(SingularGaugeError) as err:
         trotter_evolve(feeble, Schedule(1.0, 20), Ansatz.NC1)
     assert err.value.step == 1
+
+
+@pytest.mark.parametrize("chunk", [20, 3])
+@pytest.mark.parametrize("helper", ["_local_y", "_nc1_alpha"])
+def test_trotter_singular_point_mid_grid_aborts_with_its_step(monkeypatch, helper, chunk):
+    # The chunk's coefficients are formed before its first step, yet a
+    # singular point still names its own grid step, as a step-by-step
+    # evolution did, also when it falls in a later chunk.
+    monkeypatch.setattr(DrivenHamiltonian, "chunk_steps", chunk)
+    sched = Schedule(1.0, 20)
+    singular = sched.grid[6].lam
+    closed_form = getattr(gauge, helper)
+
+    def failing(*args):
+        if args[-1] == singular:
+            message = f"synthetic at lam={singular}"
+            raise SingularGaugeError(message, site=1, lam=singular, value=0.0)
+        return closed_form(*args)
+
+    monkeypatch.setattr(gauge, helper, failing)
+    ansatz = Ansatz.LOCAL_Y if helper == "_local_y" else Ansatz.NC1
+    with pytest.raises(SingularGaugeError) as err:
+        trotter_evolve(generate_instance(4, instance_seed(621, 0)), sched, ansatz)
+    assert err.value.step == 7
+    assert (err.value.site, err.value.lam, err.value.value) == (1, singular, 0.0)
+    assert str(err.value) == f"synthetic at lam={singular} (aborted at grid step 7/20)"
+
+
+@pytest.mark.parametrize("chunk", [20, 3])
+def test_trotter_non_finite_norm_mid_grid_stops_at_its_step(monkeypatch, chunk):
+    # An infinite coefficient at grid step 7 leaves a NaN state from that
+    # step on; the evolution reports step 7 whatever the chunk size.
+    monkeypatch.setattr(DrivenHamiltonian, "chunk_steps", chunk)
+    sched = Schedule(1.0, 20)
+    closed_form = gauge._nc1_alpha
+    overflowing = sched.grid[6].lam
+
+    def overflowing_alpha(sums, lam):
+        return math.inf if lam == overflowing else closed_form(sums, lam)
+
+    monkeypatch.setattr(gauge, "_nc1_alpha", overflowing_alpha)
+    with pytest.raises(IntegratorError, match=r"state norm nan after grid step 7/20$"):
+        trotter_evolve(generate_instance(4, instance_seed(621, 0)), sched, Ansatz.NC1)
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+def test_chunked_steps_bit_identical_to_single_steps(ansatz):
+    # Steps prepared one at a time, all at once, or by trotter_evolve leave
+    # the same final state, bit for bit.
+    for n in (5, 9):
+        inst = generate_instance(n, instance_seed(622, n))
+        sched = Schedule(1.3, 20)
+        _, lams, rates = np.array(sched.grid).T
+        finals = []
+        for chunk in (1, 7, sched.steps):
+            hamiltonian = DrivenHamiltonian(inst, ansatz)
+            hamiltonian.chunk_steps = chunk
+            psi = plus_state(n)
+            hamiltonian.steps(psi, sched.dt, lams, rates)
+            finals.append(psi)
+        stepped = plus_state(n)
+        hamiltonian = DrivenHamiltonian(inst, ansatz)
+        for point in sched.grid:
+            hamiltonian.step(stepped, sched.dt, point.lam, point.lam_dot)
+        finals += [stepped, trotter_evolve(inst, sched, ansatz).final_state]
+        for final in finals[1:]:
+            assert np.array_equal(final, finals[0]), (n, ansatz)
+
+
+def test_chunk_steps_fit_one_percent_of_the_budget():
+    # Each chunk's unitaries and, for two-local, its stacked normal
+    # equations stay within 1% of the budget; the default 20-step grid is
+    # one chunk at the sizes the sweeps run.
+    for ansatz in Ansatz:
+        hamiltonian = DrivenHamiltonian(generate_instance(8, instance_seed(623, 0)), ansatz)
+        per_step = hamiltonian.plan.step_bytes + hamiltonian.gauge.point_bytes
+        assert hamiltonian.chunk_steps * per_step <= simulator.MEMORY_BUDGET // 100
+        assert hamiltonian.chunk_steps >= 20
 
 
 def test_trotter_local_y_fieldless_site():
