@@ -167,7 +167,8 @@ _PROTOCOL_FIELDS = (
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    payload = {name: cfg.to_dict()[name] for name in _PROTOCOL_FIELDS}
+    fields = cfg.to_dict()
+    payload = {name: fields[name] for name in _PROTOCOL_FIELDS}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

@@ -33,7 +33,9 @@ class ProblemInstance:
     ``couplings`` holds (i, j, J_ij) with i < j, each pair at most once, in
     lexicographic order; ``fields`` has exactly n entries.  All values are
     finite, and the seed is >= 0, as ``generate_instance`` requires.
-    Instances regenerate bit-exactly from (n, seed).
+    Instances regenerate bit-exactly from (n, seed).  Beside ``energies``,
+    an instance keeps the phase table of the last whole grid a drive
+    stepped on it (see ``DrivenHamiltonian.steps``).
     """
 
     n: int

@@ -8,11 +8,15 @@ mixer and CD terms are off-diagonal Pauli strings applied exactly: every
 string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P.
 A Trotter step runs a ``_StepPlan`` compiled from the string masks: it cuts
 the strings, in canonical order, into runs on at most ``BLOCK_QUBITS``
-qubits and applies each run as one small block unitary in one GEMM, after
-at most one transposed copy of the state that brings the run's qubits to
-the leading axes.  An evolution takes its steps in chunks: the CD
-coefficients and the block unitaries of every step of a chunk are formed
-in one pass before its first step runs.
+qubits and applies each run as one small block unitary in one ``matmul``
+on the state viewed as a stack over the run's contiguous qubits, after at
+most one transposed copy of the state that brings the run's qubits, and
+the next run's behind them, together.  An evolution binds the plan to its
+buffers once and takes its steps in chunks: the CD coefficients, the block
+unitaries and the phases exp(-i dt lam_k E) of every step of a chunk are
+formed in one pass before its first step runs.  The phase table of a grid
+that fits in one chunk stays with the instance, so every drive of the
+instance that steps the same grid reads one table.
 ``matvec`` and ``dense`` read the strings grouped by X mask instead: for a
 coefficient vector, sum_k c_k P_k = sum_x diag(d_x) X^x with one row d_x per
 distinct X mask, formed from the masks.  A state is a contiguous complex128
@@ -91,7 +95,8 @@ def apply_pauli_exponential(psi: np.ndarray, string: PauliString, theta: float) 
 #: ``ResourceCapError`` before allocating any of them.  The step plan is not
 #: charged: at n = 20 it holds at most 7.75 MiB, under 1% of the budget.  Nor
 #: is a chunk of steps, which ``DrivenHamiltonian.chunk_steps`` sizes to fit
-#: in 1% as well.
+#: in 1% as well, phase table included; from n = 18 a chunk is one step,
+#: whose row of the table is the state vector charged for the phase.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -111,7 +116,7 @@ BLOCK_QUBITS = 4
 _MINUS_I_POWERS = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 # What each operation of a step plan does to the state buffers.
-_GATHER, _LEADING, _TRAILING, _PHASE, _COPY = range(5)
+_GATHER, _STACKED, _TRAILING, _PHASE, _COPY = range(5)
 
 # Most string slots of a run whose product expands into one sum of terms.
 _CHUNK = 4
@@ -144,27 +149,33 @@ class _StepPlan:
 
     The state is held in a layout, an order of the qubits over the bit
     positions of the index, most significant first.  A run whose q qubits
-    lead the layout applies its 2**q x 2**q unitary U to the state viewed
-    as a (2**q, 2**n / 2**q) matrix in one GEMM; when every -i P_k of the
-    run is real, as for every CD string, so is U, and the GEMM runs on the
-    float64 view of the state.  A run whose qubits trail the layout
-    multiplies the state viewed as a (2**n / 2**q, 2**q) matrix by U^T.
-    Before any other run, one gather moves its qubits to the front,
-    keeping the order of the rest: it copies the state, viewed as a (2,)**n
-    array, transposed by that gather's axes in ``gathers``, so the plan
-    stores no index.  The runs of the mixer leave the state in the natural
-    layout, so the phase reads E as it is; a plan that would reach the
-    phase in any other layout raises.  The unitaries of all runs of one
-    shape are formed together, for every step of a chunk at once, so the
-    Python work of a chunk grows with the number of shapes, not of strings
-    or steps.
+    sit contiguously at offset p of the layout applies its 2**q x 2**q
+    unitary U to the state viewed as a (2**p, 2**q, rest) stack in one
+    ``np.matmul`` (a stacked op; a (2**q, rest) matrix when p = 0); when
+    every -i P_k of the run is real, as for every CD string, so is U, and
+    the product runs on the float64 view of the state.  A run whose qubits
+    trail the layout multiplies the state viewed as a (rest, 2**q) matrix by
+    U^T.  Before any other run, one gather copies the state, viewed as a
+    (2,)**n array, transposed by that gather's axes in ``gathers``, so the
+    plan stores no index.  The gather puts the run's qubits in front and
+    orders them so that the next run's qubits follow contiguously: the
+    qubits it shares with the next run last, the next run's new qubits
+    right after, then the rest in their order.  The next run is then a
+    stacked op with no gather of its own.  The runs of the mixer leave the
+    state in the natural layout, so the phase reads E as it is; a plan that
+    would reach the phase in any other layout raises.  The unitaries of all
+    runs of one shape are formed together, for every step of a chunk at
+    once, so the Python work of a chunk grows with the number of shapes,
+    not of strings or steps.
 
     The plan depends only on the string masks, so instances with the same
     strings share it (``_step_plan``), and it holds no reference to any
-    Hamiltonian.  Its arrays are built on first use and read-only.
+    Hamiltonian or buffer; ``bind`` prepares its operations on the buffers
+    of one evolution.  Its arrays are built on first use and read-only.
     """
 
     def __init__(self, n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]):
+        self.n = n
         self.x_masks, self.z_masks = x_masks, z_masks
         runs, start, support = [], 0, 0
         for k, string in enumerate(x | z for x, z in zip(x_masks, z_masks)):
@@ -178,27 +189,34 @@ class _StepPlan:
         layout = natural
         self.gathers: list[tuple[int, ...]] = []  # transpose axes, old layout -> new
         self.runs: list[tuple[int, int, tuple[int, ...]]] = []  # start, stop, its qubits
-        steps = []
-        for start, stop, support in runs:
-            sites = tuple(q for q in layout if support >> q & 1)
-            if set(layout[: len(sites)]) == set(sites):
-                steps.append(_LEADING)
-            elif set(layout[n - len(sites) :]) == set(sites):
-                steps.append(_TRAILING)
-            else:
-                moved = sites + tuple(q for q in layout if not support >> q & 1)
+        steps = []  # (kind, offset of the run's qubits in the layout)
+        for r, (start, stop, support) in enumerate(runs):
+            where = [p for p, q in enumerate(layout) if support >> q & 1]
+            offset, width = where[0], len(where)
+            if where[-1] - offset >= width:
+                # This run's own qubits, those it shares with the next run,
+                # the next run's new ones, then the rest, each in layout order.
+                following = runs[r + 1][2] if r + 1 < len(runs) else 0
+                parts = (
+                    support & ~following,
+                    support & following,
+                    following & ~support,
+                    ~(support | following),
+                )
+                moved = tuple(q for part in parts for q in layout if part >> q & 1)
                 self.gathers.append(tuple(layout.index(q) for q in moved))
-                steps += [_GATHER, _LEADING]
-                layout = moved
-            self.runs.append((start, stop, sites))
+                steps.append((_GATHER, 0))
+                layout, offset = moved, 0
+            steps.append((_TRAILING if 0 < offset == n - width else _STACKED, offset))
+            self.runs.append((start, stop, layout[offset : offset + width]))
             if stop == n:
                 # The phase reads E, whose index is the natural layout.
                 if layout != natural:
                     raise RuntimeError(f"the phase needs the natural layout, not {layout}")
-                steps.append(_PHASE)
+                steps.append((_PHASE, 0))
         if layout != natural:
             self.gathers.append(tuple(layout.index(q) for q in natural))
-            steps.append(_GATHER)
+            steps.append((_GATHER, 0))
 
         # Runs of one shape (qubit count, realness, and string count padded
         # to a power of two) form their unitaries together: run r is member
@@ -214,26 +232,59 @@ class _StepPlan:
             group.append(r)
         self.groups = [(*key, runs) for key, runs in keys.items()]
 
-        # Buffers: 0 is the caller's psi, 1 and 2 scratch.  Each gather or GEMM
+        # Buffers: 0 is the caller's psi, 1 and 2 scratch.  Each gather or run
         # writes a buffer other than the one it reads; the last writes psi.
-        writes = sum(kind != _PHASE for kind in steps)
-        self.ops: list[tuple[int, int, int, int, int]] = []
+        # An op is (kind, source, target, item, member, offset): a gather's
+        # item indexes ``gathers``; a run is member ``member`` of group
+        # ``item`` and its qubits sit at ``offset`` of the layout.
+        writes = sum(kind != _PHASE for kind, _ in steps)
+        self.ops: list[tuple[int, int, int, int, int, int]] = []
         current, gathers, blocks = 0, 0, 0
-        for kind in steps:
+        for kind, offset in steps:
             if kind == _PHASE:
-                self.ops.append((_PHASE, current, current, 0, 0))
+                self.ops.append((_PHASE, current, current, 0, 0, 0))
                 continue
             writes -= 1
             target = 0 if writes == 0 and current != 0 else (2 if current == 1 else 1)
             if kind == _GATHER:
-                self.ops.append((_GATHER, current, target, gathers, 0))
+                self.ops.append((_GATHER, current, target, gathers, 0, 0))
                 gathers += 1
             else:
-                self.ops.append((kind, current, target, *members[blocks]))
+                self.ops.append((kind, current, target, *members[blocks], offset))
                 blocks += 1
             current = target
         if current != 0:
-            self.ops.append((_COPY, current, 0, 0, 0))
+            self.ops.append((_COPY, current, 0, 0, 0, 0))
+
+    def bind(self, buffers: tuple[np.ndarray, ...]) -> list[tuple]:
+        """The operations prepared on ``buffers`` (psi and two scratch states).
+
+        Each is (kind, first, second, group, member) with the views one
+        numpy call of a step reads and writes: a gather or copy writes
+        ``first`` from ``second``, a run multiplies ``first`` by its unitary
+        into ``second``, and the phase multiplies ``first`` in place.
+        """
+        qubits = (2,) * self.n
+        bound = []
+        for kind, source, target, item, member, offset in self.ops:
+            state, out = buffers[source], buffers[target]
+            if kind == _GATHER:
+                transposed = state.reshape(qubits).transpose(self.gathers[item])
+                bound.append((kind, out.reshape(qubits), transposed, None, None))
+            elif kind == _COPY:
+                bound.append((kind, out, state, None, None))
+            elif kind == _PHASE:
+                bound.append((kind, state, None, None, None))
+            else:
+                width, real = self.groups[item][:2]
+                if kind == _TRAILING:
+                    shape = (-1, 1 << width)
+                else:
+                    shape = (1 << offset, 1 << width, -1) if offset else (1 << width, -1)
+                    if real:
+                        state, out = state.view(np.float64), out.view(np.float64)
+                bound.append((kind, state.reshape(shape), out.reshape(shape), item, member))
+        return bound
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -330,6 +381,20 @@ class _StepPlan:
         return result
 
 
+def _phase_table(energies: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """exp(i s E) per scale s: one row of 2**n phases per step.
+
+    One cos and one sin over the products s E, each written into its half
+    of the complex table, so every row is bit for bit the phase its step
+    would form alone.
+    """
+    angles = np.multiply.outer(scales, energies)
+    table = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=table.real)
+    np.sin(angles, out=table.imag)
+    return table
+
+
 @lru_cache(maxsize=16)
 def _step_plan(n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]) -> _StepPlan:
     """The step plan for these strings, shared while it stays among the last 16 used."""
@@ -359,19 +424,11 @@ class DrivenHamiltonian:
         self.x_masks = tuple(s.x_mask for s in strings)
         self.z_masks = tuple(s.z_mask for s in strings)
         self.plan = _step_plan(n, self.x_masks, self.z_masks)
-        groups: dict[int, list[int]] = {}
-        for k, x in enumerate(self.x_masks):
-            groups.setdefault(x, []).append(k)
-        self.row_masks = tuple(groups)
-        # The energies, 8 bytes an entry; psi, two scratch states and the
-        # phase of a step, 16 bytes an entry each.
+        self.row_masks = tuple(dict.fromkeys(self.x_masks))
+        # The energies, 8 bytes an entry; psi, two scratch states and a
+        # step's row of the phase table, 16 bytes an entry each.
         self._claimed = (1 << n) * (8 + 4 * 16)
         _check_budget(f"{ansatz.value} drive at n={n}", self._claimed)
-        self.phases = _string_phases(np.array(self.x_masks), np.array(self.z_masks))
-        # Member p of row r is string slots[p, r]; a row with fewer members
-        # pads with the index past the last string, whose weight is 0.
-        self._slots = np.array(list(zip_longest(*groups.values(), fillvalue=len(strings))))
-        self._slot_z = np.append(self.z_masks, 0)[self._slots][..., None]
         cd_single = sum(1 for s in self.cd_strings if s.weight == 1)
         self.single_count = n + sum(1 for h in inst.fields if h != 0.0) + cd_single
         self.entangling_count = (
@@ -379,6 +436,24 @@ class DrivenHamiltonian:
             + len(self.cd_strings)
             - cd_single
         )
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """(-i)**y per string (see ``_string_phases``); formed on first use."""
+        return _string_phases(np.array(self.x_masks), np.array(self.z_masks))
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``operator_rows``, its strings and their Z masks; formed on first use.
+
+        Member p of row r is string slots[p, r]; a row with fewer members
+        pads with the index past the last string, whose weight is 0.
+        """
+        groups: dict[int, list[int]] = {x: [] for x in self.row_masks}
+        for k, x in enumerate(self.x_masks):
+            groups[x].append(k)
+        slots = np.array(list(zip_longest(*groups.values(), fillvalue=len(self.x_masks))))
+        return slots, np.append(self.z_masks, 0)[slots][..., None]
 
     @property
     def energies(self) -> np.ndarray:
@@ -407,10 +482,11 @@ class DrivenHamiltonian:
         """How many steps ``steps`` prepares at once.
 
         At least one, and as many as fit in 1% of ``MEMORY_BUDGET`` with
-        their unitaries as first formed and, for two-local, their stacked
+        their unitaries as first formed, their rows of the phase table and
+        the angles those are formed from, and, for two-local, their stacked
         normal equations: the argument that leaves the step plan uncharged.
         """
-        per_step = self.plan.step_bytes + self.gauge.point_bytes
+        per_step = self.plan.step_bytes + self.gauge.point_bytes + 24 * (1 << self.n)
         return max(1, MEMORY_BUDGET // 100 // per_step)
 
     def step(self, psi: np.ndarray, dt: float, lam: float, lam_dot: float) -> None:
@@ -425,18 +501,22 @@ class DrivenHamiltonian:
         Canonical order within a step: X by site, every nonzero Z and ZZ
         term, then CD.  The Z and ZZ terms commute and are adjacent, so their
         product is exactly the single phase exp(-i dt lam E).  The plan
-        applies the rotations fused into block unitaries (see ``_StepPlan``)
-        and leaves the result in ``psi``, which must be a contiguous
-        complex128 vector.  The points are taken ``chunk_steps`` at a time:
-        the coefficients and unitaries of a chunk are formed before its first
-        step, and a singular gauge raises ``SingularGaugeError`` with the
-        1-based index of its point as ``step`` before any step of its chunk
-        runs.  Returns the state norm after each step.
+        applies the rotations fused into block unitaries (see ``_StepPlan``),
+        bound once to the buffers of this call, and leaves the result in
+        ``psi``, which must be a contiguous complex128 vector.  The points
+        are taken ``chunk_steps`` at a time: the coefficients, unitaries and
+        phase table of a chunk are formed before its first step, and a
+        singular gauge raises ``SingularGaugeError`` with the 1-based index of
+        its point as ``step`` before any step of its chunk runs.  Returns the
+        state norm after each step.
         """
         dim = 1 << self.n
         if psi.dtype != np.complex128 or psi.shape != (dim,) or not psi.flags.c_contiguous:
             raise ParameterError(f"step needs a contiguous complex128 vector of length {dim}")
-        buffers = (psi, np.empty_like(psi), np.empty_like(psi), np.empty_like(psi))
+        bound = self.plan.bind((psi, np.empty_like(psi), np.empty_like(psi)))
+        real, imag = psi.real, psi.imag
+        scales = -dt * lams
+        whole = len(lams) <= self.chunk_steps
         norms = np.empty(len(lams))
         for start in range(0, len(lams), self.chunk_steps):
             chunk = slice(start, start + self.chunk_steps)
@@ -446,40 +526,43 @@ class DrivenHamiltonian:
                 exc.step += start
                 raise
             unitaries = self.plan.unitaries(dt * values)
-            for row, lam in enumerate(lams[chunk].tolist()):
-                self._step(buffers, [group[row] for group in unitaries], -dt * lam)
-                norms[start + row] = np.linalg.norm(psi)
+            ops = []
+            for kind, first, second, group, member in bound:
+                stack = None if group is None else unitaries[group][:, member]
+                if kind == _TRAILING:
+                    stack = stack.swapaxes(1, 2)
+                ops.append((kind, first, second, stack))
+            for row, phase in enumerate(self._phase_table_for(scales[chunk], whole)):
+                for kind, first, second, stack in ops:
+                    if kind == _STACKED:
+                        np.matmul(stack[row], first, out=second)
+                    elif kind == _TRAILING:
+                        np.matmul(first, stack[row], out=second)
+                    elif kind == _PHASE:
+                        np.multiply(first, phase, out=first)
+                    else:
+                        np.copyto(first, second)
+                # The sum np.linalg.norm forms, bit for bit.
+                norms[start + row] = math.sqrt(real.dot(real) + imag.dot(imag))
+            # The last row holds this chunk's table; free it before the next.
+            del phase
         return norms
 
-    def _step(self, buffers: tuple[np.ndarray, ...], unitaries: list, phase_scale: float) -> None:
-        """Run the plan's operations on ``buffers``: psi, two scratch states, the phase."""
-        plan = self.plan
-        qubits = (2,) * self.n
-        for kind, source, target, item, member in plan.ops:
-            if kind == _LEADING:
-                unitary = unitaries[item][member]
-                state = buffers[source].reshape(len(unitary), -1)
-                out = buffers[target].reshape(len(unitary), -1)
-                if unitary.dtype == np.float64:
-                    state, out = state.view(np.float64), out.view(np.float64)
-                np.matmul(unitary, state, out=out)
-            elif kind == _TRAILING:
-                unitary = unitaries[item][member]
-                state = buffers[source].reshape(-1, len(unitary))
-                np.matmul(state, unitary.T, out=buffers[target].reshape(-1, len(unitary)))
-            elif kind == _GATHER:
-                state = buffers[source].reshape(qubits).transpose(plan.gathers[item])
-                np.copyto(buffers[target].reshape(qubits), state)
-            elif kind == _PHASE:
-                # exp(-i dt lam E), as cos + i sin of one real angle.
-                angle = phase_scale * self.energies
-                phase = buffers[3]
-                np.cos(angle, out=phase.real)
-                np.sin(angle, out=phase.imag)
-                state = buffers[source]
-                state *= phase
-            else:
-                buffers[target][:] = buffers[source]
+    def _phase_table_for(self, scales: np.ndarray, keep: bool) -> np.ndarray:
+        """The phase table of ``scales``; with ``keep`` the instance keeps it.
+
+        A kept table sits in the instance's ``__dict__`` beside its cached
+        ``energies``, so every drive of the instance that steps the same
+        grid in one chunk reads one table; other scales form their own.
+        """
+        kept = vars(self.gauge.inst).get("phase_table")
+        if kept is not None and np.array_equal(kept[0], scales):
+            return kept[1]
+        table = _phase_table(self.energies, scales)
+        if keep:
+            table.flags.writeable = False
+            vars(self.gauge.inst)["phase_table"] = (scales, table)
+        return table
 
     def matvec(self, psi: np.ndarray, lam: float, lam_dot: float) -> np.ndarray:
         """H(lam, lam_dot) @ psi for a complex amplitude array."""
@@ -501,7 +584,7 @@ class DrivenHamiltonian:
             weights = weights.real
         index = np.arange(1 << self.n)
         rows = np.zeros((len(self.row_masks), 1 << self.n), dtype=weights.dtype)
-        for members, z_masks in zip(self._slots, self._slot_z):
+        for members, z_masks in zip(*self._slots):
             odd = np.bitwise_count(z_masks & index) & 1
             weight = weights[members, None]
             rows += np.where(odd, -weight, weight)

@@ -620,3 +620,22 @@ def test_validate_step_plan_mutation_sensitivity(monkeypatch):
         "compiled-table",
         "trotter-scaling",
     }
+
+    # The first stacked run at a nonzero offset acts one qubit higher in
+    # the layout, on a window it does not own.  Only the compiled-table
+    # step check reaches such a run (n = 6), and it trips.
+    shifted_sizes = []
+
+    def shifted(n, x_masks, z_masks):
+        plan = simulator_mod._StepPlan(n, x_masks, z_masks)
+        for index, (kind, *fields, offset) in enumerate(plan.ops):
+            if kind == simulator_mod._STACKED and offset > 0:
+                plan.ops[index] = (kind, *fields, offset - 1)
+                shifted_sizes.append(n)
+                break
+        return plan
+
+    monkeypatch.setattr(simulator_mod, "_step_plan", shifted)
+    results = {r.name: r.passed for r in run_validation_checks()}
+    assert shifted_sizes
+    assert {name for name, passed in results.items() if not passed} == {"compiled-table"}

@@ -45,6 +45,23 @@ def test_config_round_trip(tmp_path):
     assert config_hash(ExperimentConfig.from_file(path)) == config_hash(cfg)
 
 
+def test_config_hash_is_pinned_and_reads_the_config_once(monkeypatch):
+    # The hash of a fixed protocol is part of every emitted file; execution
+    # details stay out of it, and one hash reads the config's fields once.
+    calls = []
+    to_dict = ExperimentConfig.to_dict
+
+    def counted(cfg):
+        calls.append(cfg)
+        return to_dict(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "to_dict", counted)
+    assert config_hash(ExperimentConfig(**TINY)) == "38f0c574bf5dbea1"
+    assert len(calls) == 1
+    moved = dict(TINY, jobs=2, output_dir="elsewhere")
+    assert config_hash(ExperimentConfig(**moved)) == "38f0c574bf5dbea1"
+
+
 def test_config_rejects_unknown(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"master_seed": 1, "bogus": True}))

@@ -301,18 +301,19 @@ def test_step_plan_structure(point):
     # The weight factors of the expanded terms read each string's angle.
     factors, _ = plan.arrays
     assert set(factors[factors < 2 * count].ravel() % count) == set(range(count))
-    # Replaying the operations: each run finds its qubits leading or
-    # trailing, the phase follows the run that ends at n, and psi ends in
-    # the natural layout, written last.
+    # Replaying the operations: each run finds exactly its qubits in a
+    # contiguous window at its offset (the last qubits for a trailing run),
+    # the phase follows the run that ends at n, and psi ends in the natural
+    # layout, written last.
     natural = tuple(range(n - 1, -1, -1))
     layout, done, written = natural, 0, []
-    for kind, source, target, item, member in plan.ops:
+    for kind, source, target, item, member, offset in plan.ops:
         if kind == simulator._GATHER:
             layout = tuple(layout[axis] for axis in plan.gathers[item])
-        elif kind in (simulator._LEADING, simulator._TRAILING):
+        elif kind in (simulator._STACKED, simulator._TRAILING):
             start, stop, sites = plan.runs[done]
-            window = slice(0, len(sites)) if kind == simulator._LEADING else slice(n - len(sites), n)
-            assert layout[window] == sites
+            assert layout[offset : offset + len(sites)] == sites
+            assert kind == simulator._STACKED or offset + len(sites) == n
             assert plan.groups[item][3][member] == done
             done += 1
         elif kind == simulator._PHASE:
@@ -330,7 +331,7 @@ def test_step_plan_structure(point):
 def layout_at_phase(n, plan):
     """The qubit order of the state when ``plan`` applies its phase."""
     layout = tuple(range(n - 1, -1, -1))
-    for kind, _, _, item, _ in plan.ops:
+    for kind, _, _, item, *_ in plan.ops:
         if kind == simulator._GATHER:
             layout = tuple(layout[axis] for axis in plan.gathers[item])
         elif kind == simulator._PHASE:
@@ -352,9 +353,10 @@ def test_step_plans_apply_the_phase_in_natural_order(ansatz):
 
 
 def test_step_plan_refuses_a_phase_out_of_natural_order():
-    # The mixer X strings in reverse site order leave qubits 0-3 in front
+    # Mixer X strings on sites 0, 2, 4, 6 first: that run is not contiguous
+    # in the natural layout, and its gather leaves qubits 6, 4, 2, 0 in front
     # at n = 12, so the phase would read E in the wrong order.
-    x_masks = tuple(1 << i for i in range(11, -1, -1))
+    x_masks = tuple(1 << i for i in (0, 2, 4, 6, 1, 3, 5, 7, 8, 9, 10, 11))
     with pytest.raises(RuntimeError, match="natural layout"):
         simulator._StepPlan(12, x_masks, (0,) * 12)
 
@@ -548,14 +550,80 @@ def test_chunked_steps_bit_identical_to_single_steps(ansatz):
 
 
 def test_chunk_steps_fit_one_percent_of_the_budget():
-    # Each chunk's unitaries and, for two-local, its stacked normal
-    # equations stay within 1% of the budget; the default 20-step grid is
-    # one chunk at the sizes the sweeps run.
+    # Each chunk's unitaries, its rows of the phase table with the angles
+    # they are formed from (24 bytes an entry) and, for two-local, its
+    # stacked normal equations stay within 1% of the budget; the default
+    # 20-step grid is one chunk at the sizes the sweeps run.
     for ansatz in Ansatz:
         hamiltonian = DrivenHamiltonian(generate_instance(8, instance_seed(623, 0)), ansatz)
-        per_step = hamiltonian.plan.step_bytes + hamiltonian.gauge.point_bytes
+        per_step = hamiltonian.plan.step_bytes + hamiltonian.gauge.point_bytes + 24 * 2**8
         assert hamiltonian.chunk_steps * per_step <= simulator.MEMORY_BUDGET // 100
         assert hamiltonian.chunk_steps >= 20
+
+
+def count_phase_tables(monkeypatch):
+    formed = []
+    form = simulator._phase_table
+
+    def counted(energies, scales):
+        formed.append(len(scales))
+        return form(energies, scales)
+
+    monkeypatch.setattr(simulator, "_phase_table", counted)
+    return formed
+
+
+def test_drives_of_one_task_share_one_phase_table(monkeypatch):
+    # The three drives of a sweep task step the same one-chunk grid on one
+    # instance: the first forms the phase table and the others read it.
+    from cdanneal.harness import ExperimentConfig, _run_task
+
+    formed = count_phase_tables(monkeypatch)
+    cfg = ExperimentConfig(n_values=(6,), ansatz=("none", "local-y", "nc1"), output_dir="unused")
+    _run_task((cfg, 0, 6, 0))
+    assert formed == [cfg.trotter_steps]
+
+
+def test_kept_phase_table_gives_the_bits_of_a_fresh_one(monkeypatch):
+    # A drive evolved after another drive of the same instance reads the
+    # kept table and ends bit for bit where it ends on a fresh instance.  A
+    # grid with other scales forms its own table, and so does every chunk
+    # of a grid longer than one chunk, which the instance does not keep.
+    formed = count_phase_tables(monkeypatch)
+    n = 7
+    inst = generate_instance(n, instance_seed(624, 0))
+    for sched in (Schedule(1.0, 20), Schedule(1.3, 20), Schedule(1.0, 20)):
+        for ansatz in Ansatz:
+            shared = trotter_evolve(inst, sched, ansatz).final_state
+            fresh = trotter_evolve(generate_instance(n, instance_seed(624, 0)), sched, ansatz)
+            assert np.array_equal(shared, fresh.final_state), (sched, ansatz)
+    # Per schedule: one table on the shared instance, one per fresh instance.
+    assert formed == [20] * 3 * (1 + len(Ansatz))
+    formed.clear()
+    sched = Schedule(1.0, 20)
+    _, lams, rates = np.array(sched.grid).T
+    inst = generate_instance(n, instance_seed(624, 1))
+    finals = []
+    for chunk in (7, 20):
+        hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
+        hamiltonian.chunk_steps = chunk
+        psi = plus_state(n)
+        hamiltonian.steps(psi, sched.dt, lams, rates)
+        finals.append(psi)
+        assert ("phase_table" in vars(inst)) == (chunk == 20)
+    assert formed == [7, 7, 6, 20]
+    assert np.array_equal(finals[0], finals[1])
+
+
+@pytest.mark.parametrize(
+    "ansatz, n, most", [(Ansatz.NC1, 12, 14), (Ansatz.NC1, 10, 11), (Ansatz.TWO_LOCAL, 8, 11)]
+)
+def test_step_plan_gathers_at_most(ansatz, n, most):
+    # A gather lines up the next run's qubits behind its own, so that run
+    # needs none: about half the gathers of one per run out of place.
+    hamiltonian = DrivenHamiltonian(generate_instance(n, instance_seed(625, n)), ansatz)
+    gathers = [op for op in hamiltonian.plan.ops if op[0] == simulator._GATHER]
+    assert len(gathers) == len(hamiltonian.plan.gathers) <= most
 
 
 def test_trotter_local_y_fieldless_site():
