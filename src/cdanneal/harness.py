@@ -117,6 +117,10 @@ class ExperimentConfig:
             raise ParameterError("gap_samples must be >= 2")
         for tag in self.ansatz:
             Ansatz.parse(tag)
+        for name in ("n_values", "ansatz"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ParameterError(f"{name} repeats a value: {list(values)}")
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)

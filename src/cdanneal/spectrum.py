@@ -1,16 +1,13 @@
 """Instantaneous spectra of the driven Hamiltonian and minimum-gap curves.
 
-Every solve reads ``DrivenHamiltonian.operator_rows``: H = diag(lam E) +
-sum_x diag(d_x) X^x, one row d_x per distinct X mask, formed once per solve.
-Up to ``_DENSE_DIAG_LIMIT`` qubits the solve is dense; the matrix is real
+Every solve reads ``DrivenHamiltonian.operator_rows``, H = diag(lam E) +
+sum_x diag(d_x) X^x, formed once per solve, in the rows' own dtype: real
 symmetric wherever the CD coefficients vanish (always for ``none``, and at
-lam_dot = 0 for every drive) and complex Hermitian elsewhere.
-``instantaneous_spectrum`` asks LAPACK's MRRR solver (``evr``) for only the
-two lowest eigenvalues, and above the limit runs Lanczos on the matvec.
-``cd_norm``, the spectral norm of the CD part alone, takes the full
-``eigvalsh`` up to ``_NORM_DENSE_LIMIT`` qubits and a largest-magnitude
-Lanczos solve above.  scipy is imported by the functions that call it, so
-importing the package, or running only evolutions, never loads it.
+lam_dot = 0 for every drive), complex Hermitian elsewhere.  Up to
+``_DENSE_LIMIT`` qubits LAPACK's MRRR solver (``evr``) returns only the wanted
+eigenvalues of the dense matrix; above it ARPACK's Lanczos runs on the matvec.
+scipy is imported by the solver, so importing the package, or running only
+evolutions, never loads it.
 """
 
 from __future__ import annotations
@@ -30,14 +27,11 @@ from .simulator import DrivenHamiltonian
 from .gauge import assemble_hamiltonian  # noqa: F401
 from .pauli import to_dense  # noqa: F401
 
-#: Above this qubit count, low-lying eigenvalues come from a Lanczos solver.
-_DENSE_DIAG_LIMIT = 11
-
-#: Above this qubit count, the CD norm comes from a Lanczos solve.  One BLAS
-#: thread, dense ``eigvalsh`` against Lanczos: 2 against 5-8 ms at n = 7; at
-#: n = 8 11 against 5 ms for nc1 but 11 against 12 ms for two-local, which
-#: solves at every grid point; from n = 9 on 66-75 against 10-26 ms.
-_NORM_DENSE_LIMIT = 8
+#: Up to this qubit count every solve is dense, above it Lanczos.  One BLAS
+#: thread, ms per gap solve over the four drives, dense against Lanczos:
+#: 2.7-9.8 against 7.9-29.9 at n = 8, 15.9-67.4 against 10.0-27.2 at n = 9,
+#: 106-423 against 12-88 at n = 10.  CD norms cross there too, bar nc1 at 8.
+_DENSE_LIMIT = 8
 
 #: Default number of uniform time samples for gap curves.
 GAP_SAMPLES = 201
@@ -65,45 +59,45 @@ def instantaneous_spectrum(
     values = hamiltonian.coefficients(lam, lam_dot)
     if not (np.isfinite(values).all() and np.isfinite(hamiltonian.energies).all()):
         raise IntegratorError(f"non-finite coefficient or energy at lam={lam}, lam_dot={lam_dot}")
-    rows = hamiltonian.operator_rows(values)
-    if hamiltonian.n > _DENSE_DIAG_LIMIT:
-        return np.sort(_lanczos(hamiltonian, lam, rows, 2, "SA"))
-    from scipy.linalg import eigh
-
-    matrix = hamiltonian.operator_dense(lam, rows)
-    return eigh(matrix, eigvals_only=True, subset_by_index=(0, 1), driver="evr")
+    return _eigenvalues(hamiltonian, lam, hamiltonian.operator_rows(values), 2, "SA")
 
 
 def cd_norm(hamiltonian: DrivenHamiltonian, cd_values: np.ndarray) -> float:
-    """Spectral norm of sum_j cd_values[j] P_j over the drive's CD strings."""
+    """Spectral norm of sum_j cd_values[j] P_j over the drive's CD strings.
+
+    Every CD string has an odd Y count, so the sum is iK with K real and
+    antisymmetric: its spectrum is symmetric about 0, so the top is the norm.
+    """
     if not np.any(cd_values):
         return 0.0  # Lanczos cannot start on the zero operator.
     rows = hamiltonian.operator_rows(np.concatenate([np.zeros(hamiltonian.n), cd_values]))
-    if hamiltonian.n <= _NORM_DENSE_LIMIT:
-        matrix = hamiltonian.operator_dense(0.0, rows)
-        return float(np.abs(np.linalg.eigvalsh(matrix)).max())
-    return float(np.abs(_lanczos(hamiltonian, 0.0, rows, 1, "LM")).max())
+    return float(_eigenvalues(hamiltonian, 0.0, rows, 1, "LA")[0])
 
 
-def _lanczos(
+def _eigenvalues(
     hamiltonian: DrivenHamiltonian, diagonal: float, rows: np.ndarray, k: int, which: str
 ) -> np.ndarray:
-    """k eigenvalues by ARPACK; every product reads the same ``operator_rows``."""
+    """The k lowest ("SA") or highest ("LA") eigenvalues of diagonal E + rows, ascending."""
+    dim = 1 << hamiltonian.n
+    if hamiltonian.n <= _DENSE_LIMIT:
+        from scipy.linalg import eigh
+
+        matrix = hamiltonian.operator_dense(diagonal, rows)
+        subset = (0, k - 1) if which == "SA" else (dim - k, dim - 1)
+        return eigh(matrix, eigvals_only=True, subset_by_index=subset, driver="evr")
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    dim = 1 << hamiltonian.n
-
     def matvec(v: np.ndarray) -> np.ndarray:
-        psi = np.asarray(v, dtype=np.complex128).reshape(-1)
+        psi = np.asarray(v, dtype=rows.dtype).reshape(-1)
         return hamiltonian.operator_matvec(psi, diagonal, rows)
 
-    linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
+    linop = LinearOperator((dim, dim), matvec=matvec, dtype=rows.dtype)
     # A fixed-seed start keeps the iteration, and hence emitted files,
     # bit-reproducible across runs.  It must be random: on a zero-field
     # instance H commutes with the global spin flip, and a symmetric start
     # such as the uniform vector never sees the odd sector.
     v0 = np.random.default_rng(0).standard_normal(dim)
-    return eigsh(linop, k=k, which=which, v0=v0, return_eigenvectors=False)
+    return np.sort(eigsh(linop, k=k, which=which, v0=v0, return_eigenvectors=False))
 
 
 def gap_curve(

@@ -220,14 +220,15 @@ def _check_trotter_scaling(seed: int) -> CheckResult:
 
 
 def _check_endpoint_gaps(seed: int) -> CheckResult:
-    inst = generate_instance(4, instance_seed(seed, 23))
     sched = Schedule(1.0, 20)
-    none, nc1 = (DrivenHamiltonian(inst, tag) for tag in (Ansatz.NONE, Ansatz.NC1))
     worst = 0.0
-    for t in (0.0, sched.total_time):
-        point = (sched.lam(t), sched.lam_dot(t))
-        gaps = [np.diff(instantaneous_spectrum(h, *point))[0] for h in (none, nc1)]
-        worst = max(worst, float(abs(gaps[0] - gaps[1])))
+    for n, index in ((4, 23), (9, 24)):  # a dense and a Lanczos solve
+        inst = generate_instance(n, instance_seed(seed, index))
+        none, nc1 = (DrivenHamiltonian(inst, tag) for tag in (Ansatz.NONE, Ansatz.NC1))
+        for t in (0.0, sched.total_time):
+            point = (sched.lam(t), sched.lam_dot(t))
+            gaps = [np.diff(instantaneous_spectrum(h, *point))[0] for h in (none, nc1)]
+            worst = max(worst, float(abs(gaps[0] - gaps[1])))
     return CheckResult(
         "endpoint-gap-equality", worst <= 1e-10, f"endpoint mismatch {worst:.2e}"
     )

@@ -391,6 +391,19 @@ def test_sweep_negative_master_seed_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_repeated_size_or_drive_writes_nothing(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    write_config(config, n_values=[4], ansatz=["none"])
+    for repeat in (("--n", "4", "--n", "4"), ("--ansatz", "nc1", "--ansatz", "nc1")):
+        assert run_cli("sweep", "--config", str(config), "--quiet", *repeat) == 2
+        assert "repeats" in single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+    write_config(config, n_values=[4, 4], ansatz=["none", "none"])
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 2
+    assert "repeats" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- gap
 
 

@@ -87,6 +87,17 @@ def test_config_validation():
         ExperimentConfig(trotter_steps=0)
 
 
+def test_config_rejects_repeated_sizes_and_drives():
+    # A repeated size would copy its records, seeds and all; a repeated
+    # drive would evolve twice into one column.
+    with pytest.raises(ParameterError, match="n_values repeats"):
+        ExperimentConfig(n_values=(4, 4))
+    with pytest.raises(ParameterError, match="ansatz repeats"):
+        ExperimentConfig(ansatz=("none", "nc1", "none"))
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_dict({"n_values": [4, 4], "ansatz": ["none", "none"]})
+
+
 def test_config_defaults_partial_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"master_seed": 9, "n_values": [3], "instances_per_n": 2}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 import cdanneal.spectrum as spectrum_mod
 from cdanneal.errors import ParameterError, SingularGaugeError
@@ -136,7 +137,7 @@ def test_lanczos_sees_both_flip_sectors():
     )
     inst = ProblemInstance(n, couplings, (0.0,) * n, seed=0)
     hamiltonian = DrivenHamiltonian(inst, Ansatz.NONE)
-    assert n > spectrum_mod._DENSE_DIAG_LIMIT
+    assert n > spectrum_mod._DENSE_LIMIT
     end = instantaneous_spectrum(hamiltonian, 1.0, 0.0)
     assert end == pytest.approx(np.sort(inst.energies)[:2], abs=1e-9)
     mid = instantaneous_spectrum(hamiltonian, 0.5, 0.0)
@@ -144,11 +145,55 @@ def test_lanczos_sees_both_flip_sectors():
 
 
 def test_lanczos_path_matches_dense(monkeypatch):
-    hamiltonian = DrivenHamiltonian(generate_instance(5, instance_seed(912, 0)), Ansatz.NC1)
-    dense_values = instantaneous_spectrum(hamiltonian, 0.43, 0.8)
-    monkeypatch.setattr(spectrum_mod, "_DENSE_DIAG_LIMIT", 2)
-    lanczos_values = instantaneous_spectrum(hamiltonian, 0.43, 0.8)
-    assert lanczos_values == pytest.approx(dense_values, abs=1e-8)
+    # none runs real symmetric Lanczos, nc1 complex Hermitian.
+    inst = generate_instance(5, instance_seed(912, 0))
+    hamiltonians = [DrivenHamiltonian(inst, ansatz) for ansatz in (Ansatz.NONE, Ansatz.NC1)]
+    dense_values = [instantaneous_spectrum(h, 0.43, 0.8) for h in hamiltonians]
+    monkeypatch.setattr(spectrum_mod, "_DENSE_LIMIT", 2)
+    for hamiltonian, expected in zip(hamiltonians, dense_values):
+        lanczos_values = instantaneous_spectrum(hamiltonian, 0.43, 0.8)
+        assert lanczos_values == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+def test_spectrum_above_the_dense_limit_matches_dense(ansatz):
+    # n = 9 is the smallest size that runs Lanczos; a mid-schedule point
+    # (complex rows for the CD drives) and a lam_dot = 0 point (real rows).
+    n = 9
+    assert n == spectrum_mod._DENSE_LIMIT + 1
+    inst = generate_instance(n, instance_seed(919, 0))
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
+    sched = Schedule(1.0, 20)
+    for lam, lam_dot in ((sched.lam(0.5), sched.lam_dot(0.5)), (0.7, 0.0)):
+        rows = hamiltonian.operator_rows(hamiltonian.coefficients(lam, lam_dot))
+        expected = eigh(
+            hamiltonian.operator_dense(lam, rows), eigvals_only=True, subset_by_index=(0, 1)
+        )
+        low = instantaneous_spectrum(hamiltonian, lam, lam_dot)
+        assert np.abs(low - expected).max() <= 1e-11
+
+
+def test_one_size_rule_for_gaps_and_norms(monkeypatch):
+    # Gap and CD norm go dense at the limit and Lanczos one qubit above it.
+    built = []
+    operator_dense = DrivenHamiltonian.operator_dense
+
+    def spied(self, diagonal, rows):
+        built.append(self.n)
+        return operator_dense(self, diagonal, rows)
+
+    monkeypatch.setattr(DrivenHamiltonian, "operator_dense", spied)
+    limit = spectrum_mod._DENSE_LIMIT
+    assert limit == 8
+    for n, dense_solves in ((limit, 1), (limit + 1, 0)):
+        hamiltonian = DrivenHamiltonian(generate_instance(n, instance_seed(920, n)), Ansatz.NC1)
+        for solve in (
+            lambda: instantaneous_spectrum(hamiltonian, 0.4, 0.9),
+            lambda: cd_norm(hamiltonian, hamiltonian.gauge.sources),
+        ):
+            built.clear()
+            solve()
+            assert built == [n] * dense_solves
 
 
 def test_cd_norm_matches_dense(monkeypatch):
@@ -163,15 +208,15 @@ def test_cd_norm_matches_dense(monkeypatch):
     ]
     for hamiltonian, values, expected in cases:
         assert cd_norm(hamiltonian, values) == pytest.approx(expected, abs=1e-10)
-    monkeypatch.setattr(spectrum_mod, "_NORM_DENSE_LIMIT", 2)
+    monkeypatch.setattr(spectrum_mod, "_DENSE_LIMIT", 2)
     for hamiltonian, values, expected in cases:
         assert cd_norm(hamiltonian, values) == pytest.approx(expected, abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_cd_norm_lanczos_above_crossover(n):
-    # From n = 9 on the norm is a Lanczos solve, while the spectra stay dense.
-    assert spectrum_mod._NORM_DENSE_LIMIT < n <= spectrum_mod._DENSE_DIAG_LIMIT
+    # From n = 9 on the norm is a Lanczos solve.
+    assert n > spectrum_mod._DENSE_LIMIT
     inst = generate_instance(n, instance_seed(914, n))
     for ansatz in (Ansatz.NC1, Ansatz.TWO_LOCAL):
         hamiltonian = DrivenHamiltonian(inst, ansatz)
@@ -182,7 +227,7 @@ def test_cd_norm_lanczos_above_crossover(n):
 
 def test_cd_norm_of_zero_coefficients_on_lanczos_path():
     # A two-local solve can return all-zero coefficients; above the dense
-    # norm limit that must read 0, not start Lanczos on the zero operator.
+    # limit that must read 0, not start Lanczos on the zero operator.
     hamiltonian = DrivenHamiltonian(generate_instance(9, instance_seed(915, 0)), Ansatz.NC1)
     assert cd_norm(hamiltonian, np.zeros(len(hamiltonian.cd_strings))) == 0.0
 
