@@ -60,8 +60,11 @@ class Schedule:
         return math.sin(0.5 * math.pi * inner) ** 2
 
     def lam_dot(self, t: float) -> float:
-        """Analytic time derivative of ``lam``; vanishes at both endpoints."""
+        """Analytic time derivative of ``lam``; exactly 0 at both endpoints."""
         t = self._check_time(t)
+        if t in (0.0, self.total_time):
+            # At t = T the formula's sin(pi) rounds to 1.2e-16, not 0.
+            return 0.0
         v = math.pi * t / (2.0 * self.total_time)
         u = 0.5 * math.pi * math.sin(v) ** 2
         return (

@@ -8,13 +8,20 @@ mixer and CD terms are off-diagonal Pauli strings applied exactly: every
 string P is an involution, so exp(-i theta P) = cos(theta) I - i sin(theta) P.
 A Trotter step runs a ``_StepPlan`` compiled from the string masks: it cuts
 the strings, in canonical order, into runs on at most ``BLOCK_QUBITS``
-qubits and applies each run as one small block unitary in one ``matmul``
-on the state viewed as a stack over the run's contiguous qubits, after at
-most one transposed copy of the state that brings the run's qubits, and
-the next run's behind them, together.  An evolution binds the plan to its
-buffers once and takes its steps in chunks: the CD coefficients, the block
-unitaries and the phases exp(-i dt lam_k E) of every step of a chunk are
-formed in one pass before its first step runs.  The phase table of a grid
+qubits and applies each run as one small real block unitary in one
+``matmul`` on the float64 view of the state, viewed as a stack over the
+run's contiguous qubits, after at most one transposed copy of the state
+that brings the run's qubits, and the next run's behind them, together.
+Every CD string has an odd Y count, so its generator -i P is real.  The
+mixer runs in the frame Q = diag(1, i)**n, where Q^dag X Q = -Y and each
+rotation exp(-i theta X) becomes exp(i theta Y) = cos theta I + sin theta
+Z X, which is real too.  Q is diagonal, so it commutes with the phase: a
+step multiplies the state by Q^dag, runs the mixer, and multiplies by the
+phase table, which has Q folded in, before the CD runs.  Both diagonal
+factors take values in {1, -1, i, -i}, so neither rounds.  An evolution
+binds the plan to its buffers once and takes its steps in chunks: the CD
+coefficients, the block unitaries and the phases of every step of a chunk
+are formed in one pass before its first step runs.  The phase table of a grid
 that fits in one chunk stays with the instance, so every drive of the
 instance that steps the same grid reads one table.
 ``matvec`` and ``dense`` read the strings grouped by X mask instead: for a
@@ -116,7 +123,7 @@ BLOCK_QUBITS = 4
 _MINUS_I_POWERS = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 # What each operation of a step plan does to the state buffers.
-_GATHER, _STACKED, _TRAILING, _PHASE, _COPY = range(5)
+_GATHER, _STACKED, _TRAILING, _PHASE, _COPY, _FRAME = range(6)
 
 # Most string slots of a run whose product expands into one sum of terms.
 _CHUNK = 4
@@ -126,14 +133,35 @@ _CHUNK = 4
 _UNIT = np.array([1.0, 0.0])
 
 
-def _string_phases(x_masks: np.ndarray, z_masks: np.ndarray, power: int = 0) -> np.ndarray:
-    """(-i)**(y + power) per string, where y = popcount(x & z) is its Y count.
+def _string_phases(x_masks: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
+    """(-i)**y per string, where y = popcount(x & z) is its Y count.
 
     This is the phase convention of every compiled form: the string with
     masks (x, z) is P = (-i)**y Z^z X^x, since Y = -i Z X on each site, so
     P |b ^ x> = (-i)**y s_z(b) |b> with s_z(b) = (-1)**popcount(z & b).
     """
-    return np.array(_MINUS_I_POWERS)[(np.bitwise_count(x_masks & z_masks) + power) % 4]
+    return np.array(_MINUS_I_POWERS)[np.bitwise_count(x_masks & z_masks) % 4]
+
+
+def _generators(n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]):
+    """Z masks and signs of the real generators of a step's strings, in their frames.
+
+    The generator of string P = (-i)**y Z^z X^x is -i P = (-i)**(y+1) Z^z
+    X^x.  The n mixer strings come first and run in the frame Q = diag(1,
+    i)**n, where Q^dag X^x Q = i**|x| Z^x X^x, so their generators are
+    (-i)**(y+1-|x|) Z^(z^x) X^x: Z X for an X string.  A generator is real
+    when its power of -i is even, as for every CD string, which has an odd
+    Y count; a string whose generator would be complex raises
+    ``RuntimeError``.  Returns the Z masks and the signs +-1.
+    """
+    x = np.array(x_masks, dtype=np.int64)
+    z = np.array(z_masks, dtype=np.int64)
+    mixer = np.arange(len(x)) < n
+    power = np.bitwise_count(x & z) + 1 - np.where(mixer, np.bitwise_count(x), 0)
+    if (power % 2).any():
+        k = int(np.flatnonzero(power % 2)[0])
+        raise RuntimeError(f"string {k} (x={x_masks[k]}, z={z_masks[k]}) has a complex generator")
+    return np.where(mixer, z ^ x, z), 1.0 - power % 4
 
 
 class _StepPlan:
@@ -143,21 +171,26 @@ class _StepPlan:
     strings, are cut greedily and in order into runs whose combined support
     spans at most ``BLOCK_QUBITS`` qubits; the phase exp(-i dt lam E), which
     follows the mixer, always ends a run.  A run of strings P_k with angles
-    theta_k applies U = prod_k (cos theta_k I + sin theta_k (-i P_k)), the
-    product of its rotations in order, so the step stays the canonical
-    product and only rounding changes.
+    theta_k applies U = prod_k (cos theta_k I + sin theta_k G_k), the
+    product of its rotations in order, where G_k = -i P_k for a CD string.
+    The mixer runs in the frame Q = diag(1, i)**n: a step first multiplies
+    the state by Q^dag in place, the mixer strings X_j have the generators
+    G_j = Q^dag (-i X_j) Q = Z_j X_j, and the phase, which commutes with Q,
+    multiplies by exp(-i dt lam E) Q and so leaves the frame.  Every G_k is
+    real (see ``_generators``), so is every U, and the step stays the
+    canonical product with only the rounding of the block products changed.
 
     The state is held in a layout, an order of the qubits over the bit
     positions of the index, most significant first.  A run whose q qubits
     sit contiguously at offset p of the layout applies its 2**q x 2**q
     unitary U to the state viewed as a (2**p, 2**q, rest) stack in one
-    ``np.matmul`` (a stacked op; a (2**q, rest) matrix when p = 0); when
-    every -i P_k of the run is real, as for every CD string, so is U, and
-    the product runs on the float64 view of the state.  A run whose qubits
-    trail the layout multiplies the state viewed as a (rest, 2**q) matrix by
-    U^T.  Before any other run, one gather copies the state, viewed as a
-    (2,)**n array, transposed by that gather's axes in ``gathers``, so the
-    plan stores no index.  The gather puts the run's qubits in front and
+    ``np.matmul`` (a stacked op; a (2**q, rest) matrix when p = 0) on the
+    float64 view of the state, whose last axis interleaves the real and
+    imaginary parts.  A run whose qubits trail the layout multiplies the
+    float64 view as a (rest, 2**(q+1)) matrix by kron(U^T, I_2).  Before
+    any other run, one gather copies the state, viewed as a (2,)**n array,
+    transposed by that gather's axes in ``gathers``, so the plan stores no
+    index.  The gather puts the run's qubits in front and
     orders them so that the next run's qubits follow contiguously: the
     qubits it shares with the next run last, the next run's new qubits
     right after, then the rest in their order.  The next run is then a
@@ -177,6 +210,7 @@ class _StepPlan:
     def __init__(self, n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]):
         self.n = n
         self.x_masks, self.z_masks = x_masks, z_masks
+        self.generators = _generators(n, x_masks, z_masks)
         runs, start, support = [], 0, 0
         for k, string in enumerate(x | z for x, z in zip(x_masks, z_masks)):
             if k > start and (k == n or (support | string).bit_count() > BLOCK_QUBITS):
@@ -218,15 +252,12 @@ class _StepPlan:
             self.gathers.append(tuple(layout.index(q) for q in natural))
             steps.append((_GATHER, 0))
 
-        # Runs of one shape (qubit count, realness, and string count padded
-        # to a power of two) form their unitaries together: run r is member
-        # b of group g.  A run is real when all its strings have odd Y counts.
-        keys: dict[tuple[int, bool, int], list[int]] = {}
+        # Runs of one shape (qubit count and string count padded to a power
+        # of two) form their unitaries together: run r is member b of group g.
+        keys: dict[tuple[int, int], list[int]] = {}
         members = []
         for r, (start, stop, sites) in enumerate(self.runs):
-            strings = zip(x_masks[start:stop], z_masks[start:stop])
-            real = all((x & z).bit_count() % 2 for x, z in strings)
-            key = (len(sites), real, 1 << (stop - start - 1).bit_length())
+            key = (len(sites), 1 << (stop - start - 1).bit_length())
             group = keys.setdefault(key, [])
             members.append((list(keys).index(key), len(group)))
             group.append(r)
@@ -236,9 +267,10 @@ class _StepPlan:
         # writes a buffer other than the one it reads; the last writes psi.
         # An op is (kind, source, target, item, member, offset): a gather's
         # item indexes ``gathers``; a run is member ``member`` of group
-        # ``item`` and its qubits sit at ``offset`` of the layout.
+        # ``item`` and its qubits sit at ``offset`` of the layout.  The frame
+        # op, first, and the phase multiply their buffer in place.
         writes = sum(kind != _PHASE for kind, _ in steps)
-        self.ops: list[tuple[int, int, int, int, int, int]] = []
+        self.ops: list[tuple[int, int, int, int, int, int]] = [(_FRAME, 0, 0, 0, 0, 0)]
         current, gathers, blocks = 0, 0, 0
         for kind, offset in steps:
             if kind == _PHASE:
@@ -262,7 +294,8 @@ class _StepPlan:
         Each is (kind, first, second, group, member) with the views one
         numpy call of a step reads and writes: a gather or copy writes
         ``first`` from ``second``, a run multiplies ``first`` by its unitary
-        into ``second``, and the phase multiplies ``first`` in place.
+        into ``second``, the frame op multiplies ``first`` in place by
+        ``second``, Q^dag, and the phase multiplies ``first`` in place.
         """
         qubits = (2,) * self.n
         bound = []
@@ -273,16 +306,17 @@ class _StepPlan:
                 bound.append((kind, out.reshape(qubits), transposed, None, None))
             elif kind == _COPY:
                 bound.append((kind, out, state, None, None))
+            elif kind == _FRAME:
+                bound.append((kind, state, _frame(self.n), None, None))
             elif kind == _PHASE:
                 bound.append((kind, state, None, None, None))
             else:
-                width, real = self.groups[item][:2]
+                width = self.groups[item][0]
                 if kind == _TRAILING:
-                    shape = (-1, 1 << width)
+                    shape = (-1, 2 << width)
                 else:
                     shape = (1 << offset, 1 << width, -1) if offset else (1 << width, -1)
-                    if real:
-                        state, out = state.view(np.float64), out.view(np.float64)
+                state, out = state.view(np.float64), out.view(np.float64)
                 bound.append((kind, state.reshape(shape), out.reshape(shape), item, member))
         return bound
 
@@ -290,25 +324,26 @@ class _StepPlan:
     def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Weight factors and, per group, the expanded chunks.
 
-        -i P_k maps |r ^ x> to (-i)**(y+1) s_z(r) |r>, so on the run's qubits
-        it is the matrix M_k with that phase times the sign at row r, column
-        r ^ x (zero in padding slots).  The slots of a run fall into chunks of
-        w = min(slots, 4), and the product over a chunk expands into 2**w
-        terms: for each subset S of its slots, the product of M_t over t in
-        S, later slots on the left.  Every term is exact.  Term S weighs
-        sin theta_t for t in S times cos theta_t for the chunk's other
-        slots; ``factors`` holds, per term of every group in turn, where its
-        four factors sit in (cos thetas, sin thetas, 1, 0): a padding slot
-        has the angle 0, so cos 1 and sin 0, and a chunk narrower than four
-        slots has factors 1 for the slots it lacks.
+        A generator G_k = +-Z^z X^x (see ``_generators``) maps |r ^ x> to
+        +-s_z(r) |r>, so on the run's qubits it is the real matrix M_k with
+        that sign at row r, column r ^ x (zero in padding slots).  The slots
+        of a run fall into chunks of w = min(slots, 4), and the product over
+        a chunk expands into 2**w terms: for each subset S of its slots,
+        the product of M_t over t in S, later slots on the left.  Every term
+        is exact.  Term S weighs sin theta_t for t in S times cos theta_t
+        for the chunk's other slots; ``factors`` holds, per term of every
+        group in turn, where its four factors sit in (cos thetas, sin
+        thetas, 1, 0): a padding slot has the angle 0, so cos 1 and sin 0,
+        and a chunk narrower than four slots has factors 1 for the slots it
+        lacks.
         """
         count = len(self.x_masks)
         x_all = np.array(self.x_masks, dtype=np.int64)
-        z_all = np.array(self.z_masks, dtype=np.int64)
-        phases = np.append(_string_phases(x_all, z_all, 1), 0.0)
+        z_all, signs = self.generators
+        signs = np.append(signs, 0.0)
         one, zero = 2 * count, 2 * count + 1
         factors, expansions = [], []
-        for q, real, slots, runs in self.groups:
+        for q, slots, runs in self.groups:
             dim = 1 << q
             bits = 1 << np.arange(q - 1, -1, -1)
             position = np.full((len(runs), slots), count)
@@ -322,17 +357,14 @@ class _StepPlan:
                 z_local[b, : stop - start] = ((z_all[start:stop, None] >> sites) & 1) @ bits
             position, x_local, z_local = position.ravel(), x_local.ravel(), z_local.ravel()
             rows = np.arange(dim)
-            values = phases[position][:, None] * (
+            values = signs[position][:, None] * (
                 1.0 - 2.0 * (np.bitwise_count(z_local[:, None] & rows) % 2)
             )
-            dtype = float if real else complex
-            generators = np.zeros((len(position), dim, dim), dtype=dtype)
-            generators[np.arange(len(position))[:, None], rows, rows ^ x_local[:, None]] = (
-                values.real if real else values
-            )
+            generators = np.zeros((len(position), dim, dim))
+            generators[np.arange(len(position))[:, None], rows, rows ^ x_local[:, None]] = values
             width = min(slots, _CHUNK)
             chunks = generators.reshape(-1, width, dim, dim)
-            terms = np.broadcast_to(np.eye(dim, dtype=dtype), (len(chunks), 1, dim, dim))
+            terms = np.broadcast_to(np.eye(dim), (len(chunks), 1, dim, dim))
             for t in range(width):
                 terms = np.concatenate([terms, chunks[:, t, None] @ terms], axis=1)
             expansions.append(terms.reshape(len(chunks), 1 << width, dim * dim))
@@ -370,7 +402,7 @@ class _StepPlan:
         weights = np.concatenate((np.cos(thetas), np.sin(thetas), unit), axis=1)
         weights = weights[:, factors].prod(axis=2)
         result, offset = [], 0
-        for (q, _, slots, runs), terms in zip(self.groups, expansions):
+        for (q, slots, runs), terms in zip(self.groups, expansions):
             stop = offset + terms.shape[0] * terms.shape[1]
             rotations = weights[:, offset:stop].reshape(steps, len(terms), 1, -1) @ terms
             rotations = rotations.reshape(steps, len(runs), -1, 1 << q, 1 << q)
@@ -381,17 +413,27 @@ class _StepPlan:
         return result
 
 
+@lru_cache(maxsize=1)
+def _frame(n: int) -> np.ndarray:
+    """Q^dag = diag(1, -i)**n as the read-only vector (-i)**popcount(b)."""
+    frame = np.array(_MINUS_I_POWERS)[np.bitwise_count(np.arange(1 << n)) % 4]
+    frame.flags.writeable = False
+    return frame
+
+
 def _phase_table(energies: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """exp(i s E) per scale s: one row of 2**n phases per step.
+    """exp(i s E) Q per scale s: one row of 2**n phases per step.
 
     One cos and one sin over the products s E, each written into its half
     of the complex table, so every row is bit for bit the phase its step
-    would form alone.
+    would form alone.  The frame Q = diag(1, i)**n (see ``_StepPlan``) then
+    swaps and negates the halves of each entry, exactly.
     """
     angles = np.multiply.outer(scales, energies)
     table = np.empty(angles.shape, dtype=np.complex128)
     np.cos(angles, out=table.real)
     np.sin(angles, out=table.imag)
+    table *= _frame(len(energies).bit_length() - 1).conj()
     return table
 
 
@@ -425,9 +467,9 @@ class DrivenHamiltonian:
         self.z_masks = tuple(s.z_mask for s in strings)
         self.plan = _step_plan(n, self.x_masks, self.z_masks)
         self.row_masks = tuple(dict.fromkeys(self.x_masks))
-        # The energies, 8 bytes an entry; psi, two scratch states and a
-        # step's row of the phase table, 16 bytes an entry each.
-        self._claimed = (1 << n) * (8 + 4 * 16)
+        # The energies, 8 bytes an entry; psi, two scratch states, a step's
+        # row of the phase table and the frame vector, 16 bytes an entry each.
+        self._claimed = (1 << n) * (8 + 5 * 16)
         _check_budget(f"{ansatz.value} drive at n={n}", self._claimed)
         cd_single = sum(1 for s in self.cd_strings if s.weight == 1)
         self.single_count = n + sum(1 for h in inst.fields if h != 0.0) + cd_single
@@ -530,7 +572,10 @@ class DrivenHamiltonian:
             for kind, first, second, group, member in bound:
                 stack = None if group is None else unitaries[group][:, member]
                 if kind == _TRAILING:
-                    stack = stack.swapaxes(1, 2)
+                    # kron(U^T, I_2): the float64 view interleaves re and im.
+                    paired = np.zeros(stack.shape[:2] + (2,) + stack.shape[2:] + (2,))
+                    paired[:, :, 0, :, 0] = paired[:, :, 1, :, 1] = stack.swapaxes(1, 2)
+                    stack = paired.reshape(len(stack), 2 * stack.shape[1], -1)
                 ops.append((kind, first, second, stack))
             for row, phase in enumerate(self._phase_table_for(scales[chunk], whole)):
                 for kind, first, second, stack in ops:
@@ -540,6 +585,8 @@ class DrivenHamiltonian:
                         np.matmul(first, stack[row], out=second)
                     elif kind == _PHASE:
                         np.multiply(first, phase, out=first)
+                    elif kind == _FRAME:
+                        np.multiply(first, second, out=first)
                     else:
                         np.copyto(first, second)
                 # The sum np.linalg.norm forms, bit for bit.

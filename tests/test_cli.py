@@ -478,8 +478,8 @@ def test_gap_overflow_exit_codes(tmp_path, capsys):
 
 
 def test_gap_refuses_rows_over_budget_before_forming_energies(tmp_path, capsys, monkeypatch):
-    # nc1 at n = 10 fits a budget of 73,728 bytes (its energies and four
-    # states), but every gap solve forms its 10 operator rows, which do not:
+    # nc1 at n = 10 fits a budget of 90,112 bytes (its energies and five
+    # state vectors), but every gap solve forms its 10 operator rows, which do not:
     # the command exits 3 before E is formed.
     formed = []
     form = ProblemInstance.energies.func
@@ -493,7 +493,7 @@ def test_gap_refuses_rows_over_budget_before_forming_energies(tmp_path, capsys, 
     monkeypatch.setattr(ProblemInstance, "energies", energies)
     instance = tmp_path / "inst.json"
     save_instance(generate_instance(10, 3), instance)
-    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", 73_728)
+    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", 90_112)
     out = tmp_path / "gap.csv"
     args = ("gap", "--instance", str(instance), "--ansatz", "nc1", "--samples", "5")
     assert run_cli(*args, "--out", str(out)) == 3
@@ -611,19 +611,17 @@ def test_validate_compiled_table_mutation_sensitivity(monkeypatch):
 
 
 def test_validate_step_plan_mutation_sensitivity(monkeypatch):
-    # The first CD string of a plan applies exp(+i theta P) in place of
-    # exp(-i theta P): every expanded term of its chunk that holds it (odd
-    # subsets) changes sign.  The step stays unitary and is wrong from that
-    # rotation on, so the step checks trip; the table checks and unitarity
-    # do not.
+    # The first string of a plan, the mixer's X on its first site, rotates
+    # by the opposite angle: every expanded term of its chunk that holds it
+    # (odd subsets) changes sign.  The step stays unitary and is wrong from
+    # that rotation on, so the step checks trip; the table checks and
+    # unitarity do not.
     def flipped(n, x_masks, z_masks):
         plan = simulator_mod._StepPlan(n, x_masks, z_masks)
         factors, chunks = plan.arrays
-        real = [g for g, (_, is_real, *_) in enumerate(plan.groups) if is_real]
-        if real:
-            chunks = list(chunks)
-            chunks[real[0]] = chunks[real[0]].copy()
-            chunks[real[0]][0, 1::2] *= -1.0
+        chunks = list(chunks)
+        chunks[0] = chunks[0].copy()
+        chunks[0][0, 1::2] *= -1.0
         plan.arrays = factors, chunks
         return plan
 

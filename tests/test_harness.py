@@ -375,15 +375,23 @@ def test_cd_cost_matches_dense_cd_norms(n, ansatz):
 
 def test_cost_report_skips_excluded_drives(monkeypatch):
     # Site 0's field is 1e-7 and it has no coupling, so its local-y
-    # denominator is 2e-14 at lam = 1: the drive is excluded at the last
-    # step, and the cost report must not evaluate it there again.
+    # denominator 2((1 - lam)^2 + 1e-14 lam^2) drops below the floor as lam
+    # nears 1.  The last grid point, t = T, has lam_dot = 0 and reads no
+    # denominator; on a 40-step grid the point before it, step 39, is
+    # singular.  The drive is excluded there, and the cost report must not
+    # evaluate it there again.
     singular = ProblemInstance(2, ((0, 1, 0.0),), (1e-7, 0.7), seed=5)
     monkeypatch.setattr(harness_mod, "generate_instance", lambda n, seed: singular)
     cfg = ExperimentConfig(
-        master_seed=11, n_values=(2,), instances_per_n=1, ansatz=("none", "local-y", "nc1")
+        master_seed=11,
+        n_values=(2,),
+        instances_per_n=1,
+        trotter_steps=40,
+        ansatz=("none", "local-y", "nc1"),
     )
     records = run_ensemble(cfg)
     assert records[0].ps["local-y"] is None
+    assert records[0].exclusions["local-y"][2] == 39
     rows = {r.ansatz: r for r in cost_report(records, cfg)}
     assert rows["local-y"].cd_cost is None
     assert rows["none"].cd_cost == 0.0

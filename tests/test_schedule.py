@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from cdanneal.errors import ParameterError
+from cdanneal.gauge import Ansatz
+from cdanneal.problem import generate_instance, instance_seed
 from cdanneal.schedule import Schedule
+from cdanneal.simulator import DrivenHamiltonian
 
 
 def test_endpoint_values():
@@ -15,10 +18,24 @@ def test_endpoint_values():
 
 
 def test_endpoint_rates_vanish():
+    # Exactly, so that the CD terms switch off exactly at the endpoints,
+    # also at times a hair outside [0, T] that clamp to them.
     for total in (1.0, 2.5, 50.0):
         sched = Schedule(total, 10)
-        assert sched.lam_dot(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert sched.lam_dot(total) == pytest.approx(0.0, abs=1e-12)
+        assert sched.lam_dot(0.0) == sched.lam_dot(total) == 0.0
+        assert sched.lam_dot(-1e-12 * total) == sched.lam_dot(total * (1 + 1e-12)) == 0.0
+        assert sched.grid[-1].lam_dot == 0.0
+
+
+def test_last_grid_point_has_real_operator_rows():
+    # lam_dot = 0 at t = T switches nc1's CD values off, so its operator
+    # rows there are real, and so is the gap solve that reads them.
+    sched = Schedule(1.0, 20)
+    inst = generate_instance(9, instance_seed(20220301, 24))
+    hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
+    last = sched.grid[-1]
+    rows = hamiltonian.operator_rows(hamiltonian.coefficients(last.lam, last.lam_dot))
+    assert rows.dtype == np.float64
 
 
 def test_midpoint_rate_analytic():

@@ -301,11 +301,13 @@ def test_step_plan_structure(point):
     # The weight factors of the expanded terms read each string's angle.
     factors, _ = plan.arrays
     assert set(factors[factors < 2 * count].ravel() % count) == set(range(count))
-    # Replaying the operations: each run finds exactly its qubits in a
-    # contiguous window at its offset (the last qubits for a trailing run),
-    # the phase follows the run that ends at n, and psi ends in the natural
-    # layout, written last.
+    # Replaying the operations: the frame op comes first, in place on psi,
+    # each run finds exactly its qubits in a contiguous window at its
+    # offset (the last qubits for a trailing run), the phase follows the
+    # run that ends at n, and psi ends in the natural layout, written last.
     natural = tuple(range(n - 1, -1, -1))
+    assert plan.ops[0][:3] == (simulator._FRAME, 0, 0)
+    assert [op[0] for op in plan.ops].count(simulator._FRAME) == 1
     layout, done, written = natural, 0, []
     for kind, source, target, item, member, offset in plan.ops:
         if kind == simulator._GATHER:
@@ -314,12 +316,12 @@ def test_step_plan_structure(point):
             start, stop, sites = plan.runs[done]
             assert layout[offset : offset + len(sites)] == sites
             assert kind == simulator._STACKED or offset + len(sites) == n
-            assert plan.groups[item][3][member] == done
+            assert plan.groups[item][2][member] == done
             done += 1
         elif kind == simulator._PHASE:
             assert plan.runs[done - 1][1] == n
             assert layout == natural
-        if kind != simulator._PHASE:
+        if kind not in (simulator._PHASE, simulator._FRAME):
             assert source != target
             written.append(target)
     assert done == len(plan.runs)
@@ -361,6 +363,49 @@ def test_step_plan_refuses_a_phase_out_of_natural_order():
         simulator._StepPlan(12, x_masks, (0,) * 12)
 
 
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+def test_every_run_of_a_step_is_real(ansatz):
+    # The mixer runs in the frame Q = diag(1, i)**n as Z X, every CD string
+    # has an odd Y count: every expanded term and unitary of every plan is
+    # real.  A string whose generator would be complex is refused.
+    rng = np.random.default_rng(626)
+    for n in range(1 if ansatz is not Ansatz.TWO_LOCAL else 2, 11):
+        plan = DrivenHamiltonian(generate_instance(n, instance_seed(626, n)), ansatz).plan
+        _, expansions = plan.arrays
+        assert all(terms.dtype == np.float64 for terms in expansions), n
+        thetas = rng.uniform(-2.0, 2.0, (3, len(plan.x_masks)))
+        assert all(u.dtype == np.float64 for u in plan.unitaries(thetas)), n
+    # X X after the mixer (even Y count), and a Y in the mixer's place.
+    for masks in (((1, 2, 3), (0, 0, 0)), ((1, 2), (1, 0))):
+        with pytest.raises(RuntimeError, match="complex generator"):
+            simulator._StepPlan(2, *masks)
+
+
+def test_frame_vector_is_exact_and_read_only():
+    for n in (1, 4, 9):
+        frame = simulator._frame(n)
+        turns = np.bitwise_count(np.arange(1 << n)) % 4
+        assert np.array_equal(frame, np.array([1, -1j, -1, 1j])[turns])
+        assert set(frame.tolist()) <= {1, -1, 1j, -1j}
+        assert not frame.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 6, 9])
+def test_phase_table_folds_in_the_frame_exactly(n):
+    # Each entry of a kept table is exp(i s E_b) times i**popcount(b): the
+    # cos and sin of its angle swapped and negated, with no rounding, and
+    # the kept table equals a fresh one.
+    inst = generate_instance(n, instance_seed(627, n))
+    trotter_evolve(inst, Schedule(1.0, 20), Ansatz.NONE)
+    scales, table = vars(inst)["phase_table"]
+    assert np.array_equal(table, simulator._phase_table(inst.energies, scales))
+    angles = np.multiply.outer(scales, inst.energies)
+    cos, sin = np.cos(angles), np.sin(angles)
+    turns = np.bitwise_count(np.arange(1 << n)) % 4
+    assert np.array_equal(table.real, np.choose(turns, [cos, -sin, -cos, sin]))
+    assert np.array_equal(table.imag, np.choose(turns, [sin, cos, -sin, -cos]))
+
+
 def test_hamiltonian_is_freed_without_the_cycle_collector():
     # The shared plan must not point back at a Hamiltonian: with no
     # reference cycle, dropping the last reference frees it and its arrays.
@@ -384,10 +429,10 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
         with pytest.raises(ResourceCapError, match="budget"):
             DrivenHamiltonian(inst, ansatz)
     assert "energies" not in vars(inst), "energies formed before the budget check"
-    # nc1 at n = 10: the energies and four state vectors (psi, two scratch
-    # states and the phase); the step plan is not charged.
-    needed = 1024 * (8 + 4 * 16)
-    assert needed == 73_728
+    # nc1 at n = 10: the energies and five state vectors (psi, two scratch
+    # states, the phase and the frame); the step plan is not charged.
+    needed = 1024 * (8 + 5 * 16)
+    assert needed == 90_112
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed - 1)
     with pytest.raises(ResourceCapError):
         DrivenHamiltonian(inst, Ansatz.NC1)
@@ -402,7 +447,7 @@ def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
     # per X mask, add 40 bytes an entry: 16 for the row, 24 for the
     # temporaries that form it.
     inst = generate_instance(10, instance_seed(618, 0))
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 73_728)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 90_112)
     hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
     psi = plus_state(10)
     hamiltonian.step(psi, 0.1, 0.5, 1.0)
@@ -411,7 +456,7 @@ def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
         hamiltonian.operator_rows(values)
     with pytest.raises(ResourceCapError, match="budget"):
         hamiltonian.matvec(psi, 0.5, 1.0)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 73_728 + 10 * 40 * 1024)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 90_112 + 10 * 40 * 1024)
     assert hamiltonian.operator_rows(values).shape == (10, 1024)
 
 
