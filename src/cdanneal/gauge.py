@@ -17,14 +17,15 @@ reduces to a small symmetric linear system.  Every family produces operators
 whose strings carry an odd number of Y factors, hence purely imaginary
 off-diagonals: the driving is deliberately non-stoquastic.
 
-``CompiledGauge`` compiles a drive once per instance: its strings, the
-instance sums of the closed forms, and for the 2-local family the Gram
-matrix and source vector of the action as polynomials of degree two in lam,
-so each coefficient evaluation is one small linear solve, certified by a
-Cholesky factorization to need no truncation (``_solve_certified``).
-``cd_coefficients`` evaluates a drive at one point or at a whole grid of
-points at once.  ``minimize_action`` stays the general PauliSum solver, with
-its eigendecomposition, that the compiled solve is checked against, and
+``CompiledGauge`` compiles a drive once per instance: its string masks
+(``_cd_masks``, which ``cd_terms`` turns into strings), the instance sums of
+the closed forms, and for the 2-local family the Gram matrix and source
+vector of the action as polynomials of degree two in lam, so each
+coefficient evaluation is one small linear solve, certified by a Cholesky
+factorization to need no truncation (``_solve_certified``).
+``cd_coefficients`` evaluates a drive at all its points in one stacked call.
+``minimize_action`` stays the general PauliSum solver, with its
+eigendecomposition, that the compiled solve is checked against, and
 ``assemble_hamiltonian`` the PauliSum driven Hamiltonian that the compiled
 operator is checked against.  Both solvers return a ``GaugeSolution`` whose
 coefficients are a float64 array in basis order.
@@ -94,7 +95,8 @@ def local_y_coefficients(inst: ProblemInstance, lam: float) -> np.ndarray:
     The joint least-squares problem over {Y_i} has a diagonal normal matrix,
     so this site-wise form is the exact joint minimizer.
     """
-    return _local_y(inst.field_array(), _local_y_weights(inst), np.arange(inst.n), lam)
+    lams = np.array([lam], dtype=float)
+    return _local_y(inst.field_array(), _local_y_weights(inst), np.arange(inst.n), lams)[0]
 
 
 def _local_y_weights(inst: ProblemInstance) -> np.ndarray:
@@ -103,24 +105,28 @@ def _local_y_weights(inst: ProblemInstance) -> np.ndarray:
 
 
 def _local_y(
-    fields: np.ndarray, weights: np.ndarray, sites: np.ndarray, lam: float
+    fields: np.ndarray, weights: np.ndarray, sites: np.ndarray, lams: np.ndarray
 ) -> np.ndarray:
-    denominator = 2.0 * ((lam - 1.0) ** 2 + lam**2 * weights)
-    small = np.flatnonzero(np.abs(denominator) < SINGULAR_FLOOR)
-    if small.size:
-        site = int(sites[small[0]])
-        value = float(denominator[small[0]])
+    """beta per point of ``lams`` and site; the first singular point raises,
+    naming its first singular site and, as ``step``, its 1-based index."""
+    points = lams[:, None]
+    denominator = 2.0 * ((points - 1.0) ** 2 + points**2 * weights)
+    small = np.argwhere(np.abs(denominator) < SINGULAR_FLOOR)
+    if len(small):
+        point, column = small[0]
+        site, lam, value = int(sites[column]), float(lams[point]), float(denominator[point, column])
         raise SingularGaugeError(
             f"single-site Y denominator {value:.3e} below floor "
             f"{SINGULAR_FLOOR:.0e} at site {site}, lam={lam}",
             site=site,
             lam=lam,
             value=value,
+            step=int(point) + 1,
         )
     return fields / denominator
 
 
-def nc1_coefficient(gauge: ProblemInstance | CompiledGauge, lam: float) -> float:
+def nc1_coefficient(inst: ProblemInstance, lam: float) -> float:
     """Closed-form global coefficient of the first-order nested-commutator family.
 
     alpha_1 = -(1/4) [sum h_i^2 + 2 sum_{i<j} J_ij^2] / R(lam) with
@@ -134,11 +140,9 @@ def nc1_coefficient(gauge: ProblemInstance | CompiledGauge, lam: float) -> float
     J_ab^2 J_ac^2).  This reading of the shared-index constraint is the one
     that reproduces the variational normal equations; ``minimize_action`` on
     the single nested-commutator basis operator is the authoritative oracle
-    and the validation suite checks the two against each other.  ``gauge``
-    may be an nc1 ``CompiledGauge``, whose stored sums are then read.
+    and the validation suite checks the two against each other.
     """
-    sums = gauge.nc1_sums if isinstance(gauge, CompiledGauge) else _nc1_sums(gauge)
-    return _nc1_alpha(sums, lam)
+    return float(_nc1_alpha(_nc1_sums(inst), np.array([lam], dtype=float))[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # callers check the coefficients
@@ -167,15 +171,21 @@ def _nc1_sums(inst: ProblemInstance) -> tuple[float, float, float]:
     return sum_h2 + 2.0 * sum_j2, quadratic, quartic
 
 
-def _nc1_alpha(sums: tuple[float, float, float], lam: float) -> float:
+@np.errstate(over="ignore", invalid="ignore")  # callers check the coefficients
+def _nc1_alpha(sums: tuple[float, float, float], lams: np.ndarray) -> np.ndarray:
+    """alpha_1 per point of ``lams``; the first singular point raises with
+    its 1-based index as ``step``."""
     numerator, quadratic, quartic = sums
-    denominator = (1.0 - 2.0 * lam) * quadratic + lam**2 * quartic
-    if abs(denominator) < SINGULAR_FLOOR:
+    denominator = (1.0 - 2.0 * lams) * quadratic + lams**2 * quartic
+    small = np.flatnonzero(np.abs(denominator) < SINGULAR_FLOOR)
+    if len(small):
+        lam, value = float(lams[small[0]]), float(denominator[small[0]])
         raise SingularGaugeError(
-            f"nested-commutator denominator {denominator:.3e} below floor "
+            f"nested-commutator denominator {value:.3e} below floor "
             f"{SINGULAR_FLOOR:.0e} at lam={lam}",
             lam=lam,
-            value=float(denominator),
+            value=value,
+            step=int(small[0]) + 1,
         )
     return -0.25 * numerator / denominator
 
@@ -227,15 +237,17 @@ def minimize_action(basis: list[PauliSum], H: PauliSum, dH: PauliSum) -> GaugeSo
 
 
 def two_local_basis(n: int) -> list[PauliSum]:
-    """Symmetrized 2-local basis: {Y_i}, {Z_i Y_j + Z_j Y_i}, {X_i Y_j + X_j Y_i}."""
+    """Symmetrized 2-local basis: {Y_i}, {Z_i Y_j + Z_j Y_i}, {X_i Y_j + X_j Y_i}.
+
+    Its strings are the two-local strings of ``cd_terms``, which depend on n
+    alone: the n Y strings, then each symmetrized pair as two consecutive ones.
+    """
     _check_two_local(n)
-    basis = [PauliSum(n, {PauliString.single(n, i, "Y"): 1.0}) for i in range(n)]
-    for first, second in (("Y", "Z"), ("X", "Y")):
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair = (_two_site(n, i, first, j, second), _two_site(n, i, second, j, first))
-                basis.append(PauliSum(n, dict.fromkeys(pair, 1.0)))
-    return basis
+    strings = cd_terms(ProblemInstance(n, (), (0.0,) * n, seed=0), Ansatz.TWO_LOCAL)
+    pairs = [strings[k : k + 2] for k in range(n, len(strings), 2)]
+    return [PauliSum(n, {s: 1.0}) for s in strings[:n]] + [
+        PauliSum(n, dict.fromkeys(pair, 1.0)) for pair in pairs
+    ]
 
 
 def _check_two_local(n: int) -> None:
@@ -313,8 +325,9 @@ def _certified(grams: np.ndarray) -> np.ndarray:
 class CompiledGauge:
     """The CD drive of one instance, compiled once per (instance, drive).
 
-    Holds the drive's strings (``terms``, in ``cd_terms`` order) and every
-    part of its coefficient solve that does not depend on lam:
+    Holds the drive's strings as int64 ``x_masks`` and ``z_masks`` (in
+    ``cd_terms`` order, see ``_cd_masks``) and every part of its
+    coefficient solve that does not depend on lam:
 
     * local-y: the fields and the lam^2 denominator weights of the sites
       that carry a Y term (h_i != 0); no other site is ever divided for;
@@ -335,7 +348,7 @@ class CompiledGauge:
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
         self.inst = inst
         self.ansatz = ansatz
-        self.terms = cd_terms(inst, ansatz)
+        self.x_masks, self.z_masks = _cd_masks(inst, ansatz)
         if ansatz is Ansatz.LOCAL_Y:
             self.sites = np.flatnonzero(inst.field_array())
             self.fields = inst.field_array()[self.sites]
@@ -377,8 +390,7 @@ class CompiledGauge:
         # Row 0 is dH = H_p - H_x, rows 1..B the images i[B_b, H_x] and rows
         # B+1..2B the images i[B_b, H_p], entries in the order in which the
         # PauliSum commutators visit them.
-        x_b = np.array([s.x_mask for s in self.terms], dtype=np.int64)
-        z_b = np.array([s.z_mask for s in self.terms], dtype=np.int64)
+        x_b, z_b = self.x_masks, self.z_masks
         parts = (
             (np.zeros(len(d_h[0]), dtype=np.int64), *d_h),
             _image_entries(x_b, z_b, 1 + self.string_basis, *mixer),
@@ -486,35 +498,32 @@ def cd_terms(inst: ProblemInstance, ansatz: Ansatz) -> list[PauliString]:
     that are exactly zero for the whole protocol (h_i = 0 for a Y term,
     J_ij = 0 for a coupling term) are dropped for the closed-form families.
     """
-    n = inst.n
-    if ansatz is Ansatz.NONE:
-        return []
-    if ansatz is Ansatz.LOCAL_Y:
-        return [
-            PauliString.single(n, i, "Y") for i in range(n) if inst.fields[i] != 0.0
-        ]
-    if ansatz is Ansatz.NC1:
-        strings = [
-            PauliString.single(n, i, "Y") for i in range(n) if inst.fields[i] != 0.0
-        ]
-        for i, j, value in inst.couplings:
-            if value == 0.0:
-                continue
-            strings.append(_two_site(n, i, "Y", j, "Z"))
-            strings.append(_two_site(n, i, "Z", j, "Y"))
-        return strings
+    x_masks, z_masks = _cd_masks(inst, ansatz)
+    return [PauliString(inst.n, x, z) for x, z in zip(x_masks.tolist(), z_masks.tolist())]
+
+
+def _cd_masks(inst: ProblemInstance, ansatz: Ansatz) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 X and Z masks of the CD strings, in ``cd_terms`` order."""
+    bit = 1 << np.arange(inst.n, dtype=np.int64)
     if ansatz is Ansatz.TWO_LOCAL:
-        strings = [PauliString.single(n, i, "Y") for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                strings.append(_two_site(n, i, "Y", j, "Z"))
-                strings.append(_two_site(n, i, "Z", j, "Y"))
-        for i in range(n):
-            for j in range(i + 1, n):
-                strings.append(_two_site(n, i, "X", j, "Y"))
-                strings.append(_two_site(n, i, "Y", j, "X"))
-        return strings
-    raise ParameterError(f"unknown ansatz {ansatz!r}")
+        y, (i, j) = bit, np.triu_indices(inst.n, 1)
+    elif ansatz in (Ansatz.LOCAL_Y, Ansatz.NC1):
+        y = bit[inst.field_array() != 0.0]
+        table = np.array(inst.couplings if ansatz is Ansatz.NC1 else (), dtype=float)
+        table = table.reshape(-1, 3)
+        i, j = table[table[:, 2] != 0.0, :2].astype(np.int64).T
+    elif ansatz is Ansatz.NONE:
+        y = i = j = np.zeros(0, dtype=np.int64)
+    else:
+        raise ParameterError(f"unknown ansatz {ansatz!r}")
+    # Per pair i < j: Y_i Z_j and Z_i Y_j; for two-local then X_i Y_j and Y_i X_j.
+    single = np.stack([bit[i], bit[j]], axis=1).ravel()
+    both = np.repeat(bit[i] | bit[j], 2)
+    x_masks, z_masks = [y, single], [y, both]
+    if ansatz is Ansatz.TWO_LOCAL:
+        x_masks.append(both)
+        z_masks.append(single.reshape(-1, 2)[:, ::-1].ravel())
+    return np.concatenate(x_masks), np.concatenate(z_masks)
 
 
 def cd_coefficients(
@@ -529,37 +538,32 @@ def cd_coefficients(
     this call alone.  The CD contribution is lam_dot * A(lam), so a point
     with zero rate gets zeros without touching any denominator: the driving
     vanishes identically there regardless of whether A is well defined.
-    The closed forms run point by point, and the first singular point
-    raises ``SingularGaugeError`` with its 1-based index as ``step``; the
-    two-local points are solved as one stack.
+    Every drive solves all points of nonzero rate in one stacked call, and
+    the first singular point raises with its 1-based index as ``step``.
     """
-    if isinstance(gauge, CompiledGauge):
-        if gauge.ansatz is not ansatz:
-            raise ParameterError(
-                f"gauge compiled for {gauge.ansatz.value}, asked for {ansatz.value}"
-            )
-    else:
+    if not isinstance(gauge, CompiledGauge):
         gauge = CompiledGauge(gauge, ansatz)
+    elif gauge.ansatz is not ansatz:
+        raise ParameterError(f"gauge compiled for {gauge.ansatz.value}, asked for {ansatz.value}")
     lams, rates = np.asarray(lam, dtype=float), np.asarray(lam_dot, dtype=float)
     if lams.shape != rates.shape or lams.ndim > 1:
         raise ParameterError("lam and lam_dot must be scalars or equal-length 1-D arrays")
     lams, rates = lams.reshape(-1), rates.reshape(-1)
-    values = np.zeros((len(lams), len(gauge.terms)))
-    live = np.flatnonzero(rates) if gauge.terms else np.zeros(0, dtype=int)
-    if ansatz is Ansatz.TWO_LOCAL:
-        if len(live):
-            coefficients, _ = _solve_certified(*gauge.normal_equations(lams[live]))
-            values[live] = rates[live, None] * coefficients[:, gauge.string_basis]
-    else:
-        for row, point, rate in zip(live, lams[live].tolist(), rates[live].tolist()):
-            try:
-                if ansatz is Ansatz.LOCAL_Y:
-                    values[row] = rate * _local_y(gauge.fields, gauge.weights, gauge.sites, point)
-                else:
-                    values[row] = -2.0 * rate * nc1_coefficient(gauge, point) * gauge.sources
-            except SingularGaugeError as exc:
-                exc.step = int(row) + 1
-                raise
+    values = np.zeros((len(lams), len(gauge.x_masks)))
+    live = np.flatnonzero(rates) if len(gauge.x_masks) else np.zeros(0, dtype=int)
+    points, rate = lams[live], rates[live, None]
+    try:
+        if ansatz is Ansatz.TWO_LOCAL and len(live):
+            coefficients, _ = _solve_certified(*gauge.normal_equations(points))
+            values[live] = rate * coefficients[:, gauge.string_basis]
+        elif ansatz is Ansatz.LOCAL_Y:
+            values[live] = rate * _local_y(gauge.fields, gauge.weights, gauge.sites, points)
+        elif ansatz is Ansatz.NC1:
+            alphas = _nc1_alpha(gauge.nc1_sums, points)[:, None]
+            values[live] = -2.0 * rate * alphas * gauge.sources
+    except SingularGaugeError as exc:
+        exc.step = int(live[exc.step - 1]) + 1
+        raise
     return values if np.ndim(lam) else values[0]
 
 
@@ -578,11 +582,5 @@ def assemble_hamiltonian(
     base = (1.0 - lam) * mixer_hamiltonian(inst.n) + lam * problem_hamiltonian(inst)
     if ansatz is Ansatz.NONE or lam_dot == 0.0:
         return base
-    gauge = CompiledGauge(inst, ansatz)
-    return base + PauliSum(inst.n, zip(gauge.terms, cd_coefficients(gauge, ansatz, lam, lam_dot)))
-
-
-def _two_site(n: int, i: int, axis_i: str, j: int, axis_j: str) -> PauliString:
-    xi, zi = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[axis_i]
-    xj, zj = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[axis_j]
-    return PauliString(n, (xi << i) | (xj << j), (zi << i) | (zj << j))
+    values = cd_coefficients(inst, ansatz, lam, lam_dot)
+    return base + PauliSum(inst.n, zip(cd_terms(inst, ansatz), values))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterError, SingularGaugeError
-from .gauge import Ansatz, cd_coefficients, nc1_coefficient
+from .gauge import Ansatz, _nc1_alpha, cd_coefficients
 from .problem import (
     STATEVECTOR_CAP,
     generate_instance,
@@ -400,20 +400,17 @@ def cd_cost(hamiltonian: DrivenHamiltonian, sched: Schedule) -> float:
     whose norm is solved once; two-local takes one norm solve per point.
     """
     ansatz, gauge = hamiltonian.ansatz, hamiltonian.gauge
-    if not gauge.terms:
+    if not len(gauge.x_masks):
         return 0.0
+    _, lams, rates = np.array(sched.grid).T
     if ansatz is Ansatz.NC1:
-        unit = cd_norm(hamiltonian, gauge.sources)
-        norms = [
-            abs(2.0 * point.lam_dot * nc1_coefficient(gauge, point.lam)) * unit
-            if point.lam_dot != 0.0
-            else 0.0
-            for point in sched.grid
-        ]
+        live = np.flatnonzero(rates)
+        alphas = _nc1_alpha(gauge.nc1_sums, lams[live])
+        norms = np.zeros(len(lams))
+        norms[live] = np.abs(2.0 * rates[live] * alphas) * cd_norm(hamiltonian, gauge.sources)
     else:
         # One coefficient table per grid, solved in the chunks an evolution
         # uses, so that a long grid's stacked two-local solve stays small.
-        _, lams, rates = np.array(sched.grid).T
         chunk = hamiltonian.chunk_steps
         table = np.concatenate(
             [

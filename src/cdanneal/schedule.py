@@ -76,7 +76,8 @@ class Schedule:
         """Per-step coefficient evaluation points t_k = k*dt for k = 1..M.
 
         Each point carries (t, lam, lam_dot), evaluated at the right end of
-        its step.  Formed on first read and kept with the schedule.
+        its step; the last is exactly (T, 1, 0), as M*dt can round below T.
+        Formed on first read and kept with the schedule.
         """
-        times = (min(k * self.dt, self.total_time) for k in range(1, self.steps + 1))
+        times = [k * self.dt for k in range(1, self.steps)] + [self.total_time]
         return tuple(GridPoint(t, self.lam(t), self.lam_dot(t)) for t in times)

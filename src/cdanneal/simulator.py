@@ -50,7 +50,7 @@ from .errors import (
     SingularGaugeError,
 )
 from .gauge import Ansatz, CompiledGauge, cd_coefficients
-from .pauli import DENSE_CAP, PauliString, string_amplitudes
+from .pauli import PauliString, string_amplitudes
 from .problem import STATEVECTOR_CAP, GroundTruth, ProblemInstance
 from .schedule import Schedule
 
@@ -97,13 +97,14 @@ def apply_pauli_exponential(psi: np.ndarray, string: PauliString, theta: float) 
 
 
 #: Bytes a ``DrivenHamiltonian`` may claim: the energy vector and the state
-#: vectors a step or matvec works on, and the rows of ``operator_rows`` while
-#: they exist.  Above it, construction, or the forming of rows, raises
-#: ``ResourceCapError`` before allocating any of them.  The step plan is not
-#: charged: at n = 20 it holds at most 7.75 MiB, under 1% of the budget.  Nor
-#: is a chunk of steps, which ``DrivenHamiltonian.chunk_steps`` sizes to fit
-#: in 1% as well, phase table included; from n = 18 a chunk is one step,
-#: whose row of the table is the state vector charged for the phase.
+#: vectors a step or matvec works on, and the rows of ``operator_rows`` or the
+#: matrix of ``operator_dense`` while they exist.  Above it, construction, or
+#: the forming of rows or a matrix, raises ``ResourceCapError`` before
+#: allocating any of them.  The step plan is not charged: at n = 20 it holds
+#: at most 7.75 MiB, under 1% of the budget.  Nor is a chunk of steps, which
+#: ``DrivenHamiltonian.chunk_steps`` sizes to fit in 1% as well, phase table
+#: included; from n = 18 a chunk is one step, whose row of the table is the
+#: state vector charged for the phase.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -448,8 +449,8 @@ class DrivenHamiltonian:
 
     Built once per (instance, drive).  It reads the instance's energies E,
     the diagonal problem part H_p, shared with every drive of the instance,
-    and holds the drive's ``CompiledGauge`` and the off-diagonal strings: the
-    n mixer X strings by site, then the CD strings in ``cd_terms`` order.
+    and holds the drive's ``CompiledGauge`` and the off-diagonal string masks:
+    the n mixer X strings by site, then the CD strings in ``cd_terms`` order.
     ``steps`` runs the strings' shared ``_StepPlan``.  ``matvec``, ``dense``
     and the ``operator_*`` forms group the strings by X mask instead (see
     ``_string_phases``): for coefficients c, sum_k c_k P_k = sum_x diag(d_x)
@@ -461,22 +462,19 @@ class DrivenHamiltonian:
         self.ansatz = ansatz
         self.n = n
         self.gauge = CompiledGauge(inst, ansatz)
-        self.cd_strings = self.gauge.terms
-        strings = [PauliString.single(n, i, "X") for i in range(n)] + self.cd_strings
-        self.x_masks = tuple(s.x_mask for s in strings)
-        self.z_masks = tuple(s.z_mask for s in strings)
+        cd_x, cd_z = self.gauge.x_masks, self.gauge.z_masks
+        self.x_masks = tuple((1 << np.arange(n)).tolist() + cd_x.tolist())
+        self.z_masks = (0,) * n + tuple(cd_z.tolist())
         self.plan = _step_plan(n, self.x_masks, self.z_masks)
         self.row_masks = tuple(dict.fromkeys(self.x_masks))
         # The energies, 8 bytes an entry; psi, two scratch states, a step's
         # row of the phase table and the frame vector, 16 bytes an entry each.
         self._claimed = (1 << n) * (8 + 5 * 16)
         _check_budget(f"{ansatz.value} drive at n={n}", self._claimed)
-        cd_single = sum(1 for s in self.cd_strings if s.weight == 1)
+        cd_single = int(np.count_nonzero(np.bitwise_count(cd_x | cd_z) == 1))
         self.single_count = n + sum(1 for h in inst.fields if h != 0.0) + cd_single
         self.entangling_count = (
-            sum(1 for _, _, value in inst.couplings if value != 0.0)
-            + len(self.cd_strings)
-            - cd_single
+            sum(1 for _, _, value in inst.couplings if value != 0.0) + len(cd_x) - cd_single
         )
 
     @cached_property
@@ -515,7 +513,7 @@ class DrivenHamiltonian:
         lam = np.asarray(lam, dtype=float)
         values = np.empty(lam.shape + (len(self.x_masks),))
         values[..., : self.n] = np.asarray(-(1.0 - lam))[..., None]
-        if self.cd_strings:
+        if len(self.x_masks) > self.n:
             values[..., self.n :] = cd_coefficients(self.gauge, self.ansatz, lam, lam_dot)
         return values
 
@@ -660,14 +658,16 @@ class DrivenHamiltonian:
         return out
 
     def dense(self, lam: float, lam_dot: float) -> np.ndarray:
-        """Dense matrix of H(lam, lam_dot), real where ``operator_rows`` are; see ``DENSE_CAP``."""
+        """Dense matrix of H(lam, lam_dot), real where ``operator_rows`` are."""
         return self.operator_dense(lam, self.operator_rows(self.coefficients(lam, lam_dot)))
 
     def operator_dense(self, diagonal: float, rows: np.ndarray) -> np.ndarray:
-        """Dense matrix of diagonal E + sum_x diag(d_x) X^x; see ``dense``."""
-        if self.n > DENSE_CAP:
-            raise ResourceCapError(f"dense matrix for n={self.n} exceeds cap {DENSE_CAP}")
+        """Dense matrix of diagonal E + sum_x diag(d_x) X^x, in the dtype of ``rows``.
+
+        The matrix is charged to ``MEMORY_BUDGET`` before it is allocated.
+        """
         dim = 1 << self.n
+        _check_budget(f"dense matrix at n={self.n}", self._claimed + dim * dim * rows.itemsize)
         index = np.arange(dim)
         mat = np.zeros((dim, dim), dtype=rows.dtype)
         mat[index, index] = diagonal * self.energies

@@ -7,6 +7,7 @@ from cdanneal.errors import ParameterError, SingularGaugeError
 from cdanneal.gauge import (
     Ansatz,
     CompiledGauge,
+    _cd_masks,
     adiabatic_pair,
     assemble_hamiltonian,
     cd_coefficients,
@@ -396,8 +397,8 @@ def test_ill_conditioned_grams_take_the_eigh_path(monkeypatch):
 
 @pytest.mark.parametrize("ansatz", [Ansatz.LOCAL_Y, Ansatz.NC1, Ansatz.TWO_LOCAL])
 def test_array_cd_coefficients_equal_stacked_scalar_calls(ansatz):
-    # Zero-rate points are exact zeros; the closed forms run point by point
-    # and keep their bits, the two-local points share one stacked solve.
+    # Zero-rate points are exact zeros; the closed forms keep the bits of
+    # one-point calls, the two-local points share one stacked solve.
     for n in (2, 5, 8):
         inst = generate_instance(n, instance_seed(913, n))
         gauge = CompiledGauge(inst, ansatz)
@@ -407,7 +408,7 @@ def test_array_cd_coefficients_equal_stacked_scalar_calls(ansatz):
         stacked = np.array(
             [cd_coefficients(gauge, ansatz, float(a), float(b)) for a, b in zip(lams, rates)]
         )
-        assert table.shape == stacked.shape == (len(lams), len(gauge.terms))
+        assert table.shape == stacked.shape == (len(lams), len(gauge.x_masks))
         assert np.all(table[[0, 11]] == 0.0)
         if ansatz is Ansatz.TWO_LOCAL:
             assert np.abs(table - stacked).max() <= 1e-12 * np.abs(stacked).max()
@@ -415,6 +416,72 @@ def test_array_cd_coefficients_equal_stacked_scalar_calls(ansatz):
             assert np.array_equal(table, stacked)
     with pytest.raises(ParameterError):
         cd_coefficients(gauge, ansatz, lams, rates[:-1])
+
+
+def reference_cd_words(inst, ansatz):
+    """The CD strings in ``cd_terms``' canonical order, built word by word."""
+    n = inst.n
+
+    def word(*placed):
+        letters = ["I"] * n
+        for site, letter in placed:
+            letters[site] = letter
+        return PauliString.from_label("".join(letters))
+
+    if ansatz is Ansatz.NONE:
+        return []
+    if ansatz is Ansatz.TWO_LOCAL:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        strings = [word((i, "Y")) for i in range(n)]
+        for a, b in (("Y", "Z"), ("X", "Y")):
+            strings += [w for i, j in pairs for w in (word((i, a), (j, b)), word((i, b), (j, a)))]
+        return strings
+    strings = [word((i, "Y")) for i, h in enumerate(inst.fields) if h != 0.0]
+    if ansatz is Ansatz.NC1:
+        for i, j, value in inst.couplings:
+            if value != 0.0:
+                strings += [word((i, "Y"), (j, "Z")), word((i, "Z"), (j, "Y"))]
+    return strings
+
+
+def test_cd_masks_match_the_canonical_words():
+    # Including zero fields and zero couplings, which the closed forms drop.
+    for n in range(1, 9):
+        base = generate_instance(n, instance_seed(912, n))
+        fields = tuple(0.0 if i % 3 == 1 else h for i, h in enumerate(base.fields))
+        couplings = tuple((i, j, 0.0 if (i + j) % 3 == 0 else v) for i, j, v in base.couplings)
+        for inst in (base, ProblemInstance(n, couplings, fields, seed=0)):
+            for ansatz in Ansatz:
+                x_masks, z_masks = _cd_masks(inst, ansatz)
+                assert x_masks.dtype == z_masks.dtype == np.int64
+                words = reference_cd_words(inst, ansatz)
+                assert x_masks.tolist() == [s.x_mask for s in words], (n, ansatz)
+                assert z_masks.tolist() == [s.z_mask for s in words], (n, ansatz)
+                assert cd_terms(inst, ansatz) == words
+
+
+def test_stacked_closed_forms_report_the_first_singular_point():
+    # Site 1 of local-y has a field of 1e-7 and no coupling, so its
+    # denominator is 2e-14 at lam = 1: singular.  nc1 on a lone 1e-7 field
+    # is singular at every lam.  The first singular point of nonzero rate
+    # names its 1-based index among all points; a singular point of zero
+    # rate gets zeros.
+    local_y = ProblemInstance(2, ((0, 1, 0.0),), (1.0, 1e-7), seed=0)
+    nc1 = ProblemInstance(1, (), (1e-7,), seed=0)
+    for inst, ansatz, lams, rates, step in (
+        (local_y, Ansatz.LOCAL_Y, [0.5, 1.0, 1.0, 0.3], [1.0, 1.0, 2.0, 1.0], 2),
+        (local_y, Ansatz.LOCAL_Y, [0.5, 1.0, 0.4, 1.0, 1.0], [1.0, 0.0, 1.0, 2.0, 1.0], 4),
+        (nc1, Ansatz.NC1, [0.3, 0.6, 0.9], [0.0, 1.0, 1.0], 2),
+    ):
+        lams, rates = np.array(lams), np.array(rates)
+        with pytest.raises(SingularGaugeError) as err:
+            cd_coefficients(inst, ansatz, lams, rates)
+        assert err.value.step == step
+        assert err.value.lam == lams[step - 1]
+        assert err.value.site == (1 if ansatz is Ansatz.LOCAL_Y else None)
+        zero = rates == 0.0
+        assert np.all(cd_coefficients(inst, ansatz, lams[zero], rates[zero]) == 0.0)
+        assert np.all(cd_coefficients(inst, ansatz, float(lams[step - 1]), 0.0) == 0.0)
 
 
 def pauli_sum_two_local_blocks(inst):

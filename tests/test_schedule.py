@@ -38,6 +38,19 @@ def test_last_grid_point_has_real_operator_rows():
     assert rows.dtype == np.float64
 
 
+def test_last_grid_point_is_the_end_time():
+    # M * (T / M) rounds below T for some (T, M), e.g. T = 0.1, M = 19; the
+    # last grid point is T itself, with lam = 1 and lam_dot = 0 exactly.
+    short = 0
+    for total in (0.1, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.2, 5.0, 10.0):
+        for steps in range(1, 101):
+            sched = Schedule(total, steps)
+            assert sched.grid[-1] == (total, 1.0, 0.0), (total, steps)
+            assert len(sched.grid) == steps
+            short += steps * (total / steps) < total
+    assert short == 17
+
+
 def test_midpoint_rate_analytic():
     # Frozen from the chain rule at t = T/2, T = 1: pi^2 / 4.
     sched = Schedule(1.0, 20)

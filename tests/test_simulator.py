@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -460,6 +461,43 @@ def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
     assert hamiltonian.operator_rows(values).shape == (10, 1024)
 
 
+def test_dense_matrix_is_charged_before_it_is_allocated():
+    # A complex matrix at n = 13 takes 1 GiB and a real one at n = 14 takes
+    # 2 GiB: each is refused by the budget before the matrix exists.  (A
+    # real one at n = 13, 512 MiB, fits the budget.)
+    for n, ansatz, lam_dot in ((13, Ansatz.NC1, 1.0), (14, Ansatz.NONE, 0.0)):
+        hamiltonian = DrivenHamiltonian(generate_instance(n, instance_seed(619, n)), ansatz)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"dense matrix at n={n}"):
+                hamiltonian.dense(0.5, lam_dot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+        assert "energies" not in vars(hamiltonian.gauge.inst)
+
+
+def test_compiling_a_drive_builds_no_pauli_string(monkeypatch):
+    # Every drive compiles from the masks of _cd_masks alone.
+    built = []
+    check = PauliString.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counted)
+    assert PauliString(2, 1, 0) and len(built) == 1
+    for n in (2, 5):
+        inst = generate_instance(n, instance_seed(617, n))
+        for ansatz in Ansatz:
+            built.clear()
+            hamiltonian = DrivenHamiltonian(inst, ansatz)
+            assert built == [], ansatz
+            assert len(hamiltonian.x_masks) == n + len(cd_terms(inst, ansatz))
+
+
 # ---------------------------------------------------------- trotter_evolve
 
 
@@ -539,9 +577,13 @@ def test_trotter_singular_point_mid_grid_aborts_with_its_step(monkeypatch, helpe
     closed_form = getattr(gauge, helper)
 
     def failing(*args):
-        if args[-1] == singular:
+        # The helpers take an array of points and name a singular one by
+        # its 1-based index among them.
+        hits = np.flatnonzero(args[-1] == singular)
+        if len(hits):
             message = f"synthetic at lam={singular}"
-            raise SingularGaugeError(message, site=1, lam=singular, value=0.0)
+            step = int(hits[0]) + 1
+            raise SingularGaugeError(message, site=1, lam=singular, value=0.0, step=step)
         return closed_form(*args)
 
     monkeypatch.setattr(gauge, helper, failing)
@@ -562,8 +604,8 @@ def test_trotter_non_finite_norm_mid_grid_stops_at_its_step(monkeypatch, chunk):
     closed_form = gauge._nc1_alpha
     overflowing = sched.grid[6].lam
 
-    def overflowing_alpha(sums, lam):
-        return math.inf if lam == overflowing else closed_form(sums, lam)
+    def overflowing_alpha(sums, lams):
+        return np.where(lams == overflowing, math.inf, closed_form(sums, lams))
 
     monkeypatch.setattr(gauge, "_nc1_alpha", overflowing_alpha)
     with pytest.raises(IntegratorError, match=r"state norm nan after grid step 7/20$"):
@@ -680,7 +722,8 @@ def test_trotter_local_y_fieldless_site():
 
 
 def test_gauge_compiled_once_per_instance(monkeypatch):
-    counts = {"cd_terms": 0, "two_local": 0}
+    # _cd_masks is the one source of the CD strings.
+    counts = {"cd_masks": 0, "two_local": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -689,7 +732,7 @@ def test_gauge_compiled_once_per_instance(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(gauge, "cd_terms", counted("cd_terms", gauge.cd_terms))
+    monkeypatch.setattr(gauge, "_cd_masks", counted("cd_masks", gauge._cd_masks))
     monkeypatch.setattr(
         gauge.CompiledGauge,
         "_compile_two_local",
@@ -702,10 +745,10 @@ def test_gauge_compiled_once_per_instance(monkeypatch):
             lambda: trotter_evolve(inst, sched, ansatz),
             lambda: gap_curve(inst, sched, ansatz, samples=5),
         ):
-            counts.update(cd_terms=0, two_local=0)
+            counts.update(cd_masks=0, two_local=0)
             run()
             assert counts == {
-                "cd_terms": 1,
+                "cd_masks": 1,
                 "two_local": int(ansatz is Ansatz.TWO_LOCAL),
             }, ansatz
 

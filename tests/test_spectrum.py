@@ -229,7 +229,7 @@ def test_cd_norm_of_zero_coefficients_on_lanczos_path():
     # A two-local solve can return all-zero coefficients; above the dense
     # limit that must read 0, not start Lanczos on the zero operator.
     hamiltonian = DrivenHamiltonian(generate_instance(9, instance_seed(915, 0)), Ansatz.NC1)
-    assert cd_norm(hamiltonian, np.zeros(len(hamiltonian.cd_strings))) == 0.0
+    assert cd_norm(hamiltonian, np.zeros(len(hamiltonian.gauge.x_masks))) == 0.0
 
 
 def test_lanczos_forms_the_rows_once_per_solve(monkeypatch):
