@@ -486,7 +486,10 @@ def _parse_bool(text: str) -> bool:
 def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
     """Parse the records CSV back into RunRecord objects.
 
-    Returns the records plus the embedded config hash, if any.
+    Returns the records plus the embedded config hash, if any.  A row that
+    repeats an (instance_id, ansatz) pair, or whose n, seed, degenerate or
+    excluded field disagrees with its instance's first row, raises
+    ``ParameterError`` naming its line.
     """
     cfg_hash: str | None = None
     by_id: dict[int, RunRecord] = {}
@@ -527,20 +530,17 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
             delta = float(delta) if delta else None
         except ValueError as exc:
             raise ParameterError(f"line {lineno}: malformed field ({exc})")
-        record = by_id.get(rid)
-        if record is None:
-            record = RunRecord(
-                instance_id=rid,
-                n=n,
-                seed=seed,
-                degenerate=degenerate,
-                excluded=excluded,
-                ps={},
-                wall_ms={},
-                entangling={},
-                delta_min={},
+        instance = (n, seed, degenerate, excluded)
+        if rid not in by_id:
+            by_id[rid] = RunRecord(rid, *instance, ps={}, wall_ms={}, entangling={}, delta_min={})
+        record = by_id[rid]
+        if instance != (record.n, record.seed, record.degenerate, record.excluded):
+            raise ParameterError(
+                f"line {lineno}: instance {rid} disagrees with its first row "
+                "on n, seed, degenerate or excluded"
             )
-            by_id[rid] = record
+        if tag in record.ps:
+            raise ParameterError(f"line {lineno}: instance {rid} repeats ansatz {tag!r}")
         record.ps[tag] = ps
         record.wall_ms[tag] = wall
         record.entangling[tag] = entangling

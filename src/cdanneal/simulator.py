@@ -38,7 +38,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 
 import numpy as np
 
@@ -454,11 +453,15 @@ class DrivenHamiltonian:
     ``steps`` runs the strings' shared ``_StepPlan``.  ``matvec``, ``dense``
     and the ``operator_*`` forms group the strings by X mask instead (see
     ``_string_phases``): for coefficients c, sum_k c_k P_k = sum_x diag(d_x)
-    X^x, with one row d_x per distinct X mask in ``row_masks``.
+    X^x, with one row d_x per distinct X mask in ``row_masks``.  An instance
+    above ``STATEVECTOR_CAP`` qubits raises ``ResourceCapError`` before any
+    of this is formed.
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
         n = inst.n
+        if n > STATEVECTOR_CAP:
+            raise ResourceCapError(f"drive at n={n} exceeds the state-vector cap {STATEVECTOR_CAP}")
         self.ansatz = ansatz
         self.n = n
         self.gauge = CompiledGauge(inst, ansatz)
@@ -481,19 +484,6 @@ class DrivenHamiltonian:
     def phases(self) -> np.ndarray:
         """(-i)**y per string (see ``_string_phases``); formed on first use."""
         return _string_phases(np.array(self.x_masks), np.array(self.z_masks))
-
-    @cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of ``operator_rows``, its strings and their Z masks; formed on first use.
-
-        Member p of row r is string slots[p, r]; a row with fewer members
-        pads with the index past the last string, whose weight is 0.
-        """
-        groups: dict[int, list[int]] = {x: [] for x in self.row_masks}
-        for k, x in enumerate(self.x_masks):
-            groups[x].append(k)
-        slots = np.array(list(zip_longest(*groups.values(), fillvalue=len(self.x_masks))))
-        return slots, np.append(self.z_masks, 0)[slots][..., None]
 
     @property
     def energies(self) -> np.ndarray:
@@ -616,35 +606,38 @@ class DrivenHamiltonian:
     def operator_rows(self, values: np.ndarray) -> np.ndarray:
         """The rows d_x with sum_k values[k] P_k = sum_x diag(d_x) X^x, x in ``row_masks``.
 
-        d_x[b] sums values[k] (-i)**y_k s_z_k(b) over the strings k with X
-        mask x, in string order, so every term and the order of the sum are
-        those of the strings one by one.  The rows are float64 when every
-        nonzero value sits on a string with an even Y count (a real phase):
-        always for ``none``, and for any drive whose CD values vanish, as at
-        lam_dot = 0.  Otherwise they are complex128.  See ``check_rows_budget``.
+        One pass over the strings in order: string k adds its term values[k]
+        (-i)**y_k s_z_k(b) to the row of its X mask, so every term and the
+        order of each row's sum are those of the strings one by one, starting
+        from 0.  The rows are float64 when every nonzero value sits on a
+        string with an even Y count (a real phase): always for ``none``, and
+        for any drive whose CD values vanish, as at lam_dot = 0.  Otherwise
+        they are complex128.  See ``check_rows_budget``.
         """
         self.check_rows_budget()
-        weights = np.append(values * self.phases, 0.0)
+        weights = values * self.phases
         if not weights.imag.any():
             weights = weights.real
-        index = np.arange(1 << self.n)
+        index = np.arange(1 << self.n, dtype=np.int32)  # n <= STATEVECTOR_CAP
         rows = np.zeros((len(self.row_masks), 1 << self.n), dtype=weights.dtype)
-        for members, z_masks in zip(*self._slots):
-            odd = np.bitwise_count(z_masks & index) & 1
-            weight = weights[members, None]
-            rows += np.where(odd, -weight, weight)
+        # As Python scalars: numpy scalars cost more per string than a small row.
+        weights = map(weights.item, range(len(weights)))
+        for x, z, weight in zip(self.x_masks, self.z_masks, weights):
+            if z:
+                weight = np.where(np.bitwise_count(index & z) & 1, -weight, weight)
+            rows[self.row_masks.index(x)] += weight
         return rows
 
     def check_rows_budget(self) -> None:
         """Refuse, before forming any, operator rows that would break ``MEMORY_BUDGET``.
 
-        The rows are charged on top of the Hamiltonian's own bytes, at 40
-        bytes an entry: the complex row and, while it is formed, a complex
-        term and an int64 mask.
+        The rows are charged on top of the Hamiltonian's own bytes at 16
+        bytes an entry, plus 32 bytes per basis state for what forming them
+        holds besides: the int32 index, one string's parities and its term.
         """
         _check_budget(
             f"{self.ansatz.value} drive at n={self.n} with {len(self.row_masks)} operator rows",
-            self._claimed + 40 * len(self.row_masks) * (1 << self.n),
+            self._claimed + (16 * len(self.row_masks) + 32) * (1 << self.n),
         )
 
     def operator_matvec(self, psi: np.ndarray, diagonal: float, rows: np.ndarray) -> np.ndarray:

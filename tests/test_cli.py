@@ -346,6 +346,8 @@ def test_sweep_record_timings(tmp_path):
 def test_sweep_refuses_rows_over_budget_before_evolving(tmp_path, capsys, monkeypatch):
     # Two-local at n = 4 evolves within this budget, but the 10 operator
     # rows its cost report forms do not fit: the sweep exits 3 at once.
+    # Once they fit, the dense 16 x 16 complex matrix that a CD norm at
+    # n = 4 solves claims more than the rows, so the sweep runs at that.
     evolved = []
     real = harness_mod.trotter_evolve
 
@@ -355,7 +357,8 @@ def test_sweep_refuses_rows_over_budget_before_evolving(tmp_path, capsys, monkey
 
     monkeypatch.setattr(harness_mod, "trotter_evolve", counted)
     drive = DrivenHamiltonian(generate_instance(4, instance_seed(13, 0)), Ansatz.TWO_LOCAL)
-    rows = drive._claimed + 40 * len(drive.row_masks) * 16
+    rows = drive._claimed + (16 * len(drive.row_masks) + 32) * 16
+    dense = drive._claimed + 16 * 16 * 16
     config = tmp_path / "config.json"
     write_config(config, n_values=[3, 4], ansatz=["none", "two-local"])
     monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", rows - 1)
@@ -365,7 +368,8 @@ def test_sweep_refuses_rows_over_budget_before_evolving(tmp_path, capsys, monkey
     )
     assert evolved == []
     assert not (tmp_path / "out").exists()
-    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", rows)
+    assert rows < dense
+    monkeypatch.setattr(simulator_mod, "MEMORY_BUDGET", dense)
     assert run_cli("sweep", "--config", str(config), "--quiet") == 0
     assert len(evolved) == 8
     assert (tmp_path / "out" / "cost_report.csv").exists()
@@ -501,6 +505,28 @@ def test_gap_refuses_rows_over_budget_before_forming_energies(tmp_path, capsys, 
     assert formed == [] and not out.exists()
 
 
+def test_gap_refuses_an_instance_above_the_cap(tmp_path, capsys, monkeypatch):
+    # The rows of a gap solve at n = 21 would fit the budget, but no drive
+    # is compiled above the state-vector cap: exit 3 before E is formed.
+    formed = []
+    form = ProblemInstance.energies.func
+
+    def counted(inst):
+        formed.append(inst.n)
+        return form(inst)
+
+    energies = functools.cached_property(counted)
+    energies.__set_name__(ProblemInstance, "energies")
+    monkeypatch.setattr(ProblemInstance, "energies", energies)
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(21, 3), instance)
+    out = tmp_path / "gap.csv"
+    args = ("gap", "--instance", str(instance), "--ansatz", "nc1", "--samples", "5")
+    assert run_cli(*args, "--out", str(out)) == 3
+    assert "cap 20" in single_error_line(capsys.readouterr().err)
+    assert formed == [] and not out.exists()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -519,6 +545,23 @@ def test_report_recomputes_summary(tmp_path):
     )
     again = json.loads((redone / "summary.json").read_text())
     assert again == sweep_summary
+
+
+def test_report_refuses_contradicting_rows(tmp_path, capsys):
+    # A row claiming another n and an exclusion for a recorded instance
+    # would be merged into it; the report refuses it and writes nothing.
+    config = tmp_path / "config.json"
+    write_config(config, output_dir=str(tmp_path / "out"))
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 0
+    records = tmp_path / "records.csv"
+    lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1], fields[4] = "6", "true"
+    records.write_text("\n".join(lines + [",".join(fields)]) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "--records", str(records), "--out-dir", str(tmp_path / "r")) == 2
+    assert f"line {len(lines) + 1}" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "r").exists()
 
 
 def test_report_missing_file(tmp_path):

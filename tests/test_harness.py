@@ -303,6 +303,24 @@ def test_records_csv_rejects_malformed():
             records_from_csv(good + ",".join(bad) + "\n")
 
 
+def test_records_csv_rejects_contradicting_rows():
+    # A row never silently overrides another: a repeated (instance_id,
+    # ansatz) pair, or a row whose instance fields disagree with the first
+    # row of its instance, is refused on its own line.
+    good = records_to_csv([], "x")
+    first = ["0", "4", "17", "false", "false", "none", "0.5", "0.0", "120", ""]
+    other = first[:5] + ["nc1", "0.9", "0.0", "150", ""]
+    parsed, _ = records_from_csv(good + ",".join(first) + "\n" + ",".join(other) + "\n")
+    assert set(parsed[0].ps) == {"none", "nc1"}
+    with pytest.raises(ParameterError, match="line 4.*repeats"):
+        records_from_csv(good + ",".join(first) + "\n" + ",".join(first) + "\n")
+    for field, value in ((1, "6"), (2, "18"), (3, "true"), (4, "true")):
+        # n, seed, degenerate, excluded
+        bad = other[:field] + [value] + other[field + 1:]
+        with pytest.raises(ParameterError, match="line 4.*disagrees"):
+            records_from_csv(good + ",".join(first) + "\n" + ",".join(bad) + "\n")
+
+
 def test_metric_consistency_from_csv():
     cfg = ExperimentConfig(**TINY)
     records = run_ensemble(cfg)

@@ -280,6 +280,47 @@ def test_operator_forms_reproduce_each_string(point, seed):
         assert np.abs(hamiltonian.operator_matvec(psi, 0.0, rows) - matrix @ psi).max() <= 1e-15
 
 
+def scalar_rows(n, strings, values):
+    """Each string's term +-values[k] (-i)**y_k, summed per X mask in string order from 0."""
+    phases = (1.0, -1j, -1.0, 1j)
+    weights = [v * phases[s.y_count % 4] for v, s in zip(values, strings)]
+    zero = 0j
+    if not any(w.imag for w in weights):
+        weights, zero = [w.real for w in weights], 0.0
+    rows = {}
+    for string, weight in zip(strings, weights):
+        row = rows.setdefault(string.x_mask, [zero] * (1 << n))
+        for b in range(1 << n):
+            odd = (string.z_mask & b).bit_count() % 2
+            row[b] += -weight if odd else weight
+    return np.array(list(rows.values()))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(table_instances(max_n=6), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def test_operator_rows_sum_each_string_in_order(point, lam, seed):
+    # The rows are the scalar sums of the strings' terms, bit for bit and
+    # sign bit for sign bit: at lam = 1, where the mixer weight is -0.0, at
+    # lam_dot = 0 (real rows), at a CD point (complex rows for every CD
+    # drive), and for a random vector with zeros.
+    inst, ansatz = point
+    hamiltonian = DrivenHamiltonian(inst, ansatz)
+    n = inst.n
+    strings = [PauliString.single(n, i, "X") for i in range(n)] + cd_terms(inst, ansatz)
+    rng = np.random.default_rng(seed)
+    vectors = [rng.standard_normal(len(strings)) * (rng.random(len(strings)) < 0.6)]
+    for lam_, lam_dot in ((1.0, 0.0), (1.0, 0.7), (lam, 0.0), (lam, 1.3)):
+        try:
+            vectors.append(hamiltonian.coefficients(lam_, lam_dot))
+        except SingularGaugeError:
+            pass
+    for values in vectors:
+        rows = hamiltonian.operator_rows(values)
+        expected = scalar_rows(n, strings, values.tolist())
+        assert rows.dtype == expected.dtype
+        assert rows.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(table_instances())
 def test_step_plan_structure(point):
@@ -445,8 +486,8 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
 def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
     # An evolution forms no rows: nc1 at n = 10 is built and stepped within
     # the budget of the test above.  Its 10 rows of ``operator_rows``, one
-    # per X mask, add 40 bytes an entry: 16 for the row, 24 for the
-    # temporaries that form it.
+    # per X mask, add 16 bytes an entry, and forming them 32 bytes per basis
+    # state: the index, one string's parities and its term.
     inst = generate_instance(10, instance_seed(618, 0))
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", 90_112)
     hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
@@ -457,8 +498,50 @@ def test_operator_rows_are_charged_where_they_are_formed(monkeypatch):
         hamiltonian.operator_rows(values)
     with pytest.raises(ResourceCapError, match="budget"):
         hamiltonian.matvec(psi, 0.5, 1.0)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 90_112 + 10 * 40 * 1024)
+    needed = 90_112 + (10 * 16 + 32) * 1024
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed - 1)
+    with pytest.raises(ResourceCapError, match="10 operator rows"):
+        hamiltonian.operator_rows(values)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", needed)
     assert hamiltonian.operator_rows(values).shape == (10, 1024)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_operator_rows_stay_within_their_charge(n):
+    # Forming the rows holds no more than ``check_rows_budget`` charges
+    # beyond the Hamiltonian's own bytes: 16 bytes a row entry and 32 per
+    # basis state, for every drive, at a point with complex rows.  The
+    # first call also forms the string phases, kept for later calls.
+    inst = generate_instance(n, instance_seed(622, n))
+    inst.energies
+    for ansatz in Ansatz:
+        hamiltonian = DrivenHamiltonian(inst, ansatz)
+        values = hamiltonian.coefficients(0.4, 0.9)
+        hamiltonian.operator_rows(values)
+        tracemalloc.start()
+        try:
+            rows = hamiltonian.operator_rows(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes <= 16 * len(hamiltonian.row_masks) * (1 << n)
+        assert peak <= rows.nbytes + 32 * (1 << n), (ansatz, peak - rows.nbytes)
+
+
+def test_rows_budget_admits_two_local_up_to_18_qubits():
+    # Arithmetic only, nothing is formed: two-local has n + n(n-1)/2 rows,
+    # 171 at n = 18 (684 MiB, 714 MiB with the rest of its charge) and 190
+    # at n = 19 (1,520 MiB, 1,580 MiB in all), which is refused.
+    for n, fits in ((18, True), (19, False)):
+        inst = ProblemInstance(n, (), (0.0,) * n, seed=0)
+        hamiltonian = DrivenHamiltonian(inst, Ansatz.TWO_LOCAL)
+        assert len(hamiltonian.row_masks) == n + n * (n - 1) // 2
+        if fits:
+            hamiltonian.check_rows_budget()
+        else:
+            with pytest.raises(ResourceCapError, match="190 operator rows needs 1580 MiB"):
+                hamiltonian.check_rows_budget()
+        assert "energies" not in vars(inst)
 
 
 def test_dense_matrix_is_charged_before_it_is_allocated():
