@@ -68,7 +68,6 @@ from .spectrum import (
     GapCurve,
     cd_norm,
     gap_curve,
-    gap_rows,
     instantaneous_spectrum,
 )
 from .harness import (

@@ -5,8 +5,7 @@ Subcommands: ``gen`` (write an instance file), ``run`` (single evolution),
 (recompute summary from a records CSV), ``validate`` (oracle check table).
 
 Exit codes: 0 success, 2 usage error, 3 resource cap, 4 numerical failure,
-5 I/O failure.  All randomness flows from explicit seeds; nothing reads the
-wall clock except opt-in timing capture.
+5 I/O failure.  All randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .problem import (
 )
 from .schedule import Schedule
 from .simulator import sample_shots, success_probability, trotter_evolve
-from .spectrum import GAP_SAMPLES, gap_curve, gap_rows
+from .spectrum import GAP_SAMPLES, gap_curve
 from .validate import run_validation_checks
 
 #: Environment variable naming the default output directory.
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=None)
     sweep.add_argument("--compute-gaps", action="store_true", default=None)
     sweep.add_argument("--gap-samples", type=int, default=None)
-    sweep.add_argument("--record-timings", action="store_true", default=None)
     sweep.add_argument("--quiet", action="store_true")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -252,14 +250,15 @@ def cmd_gap(args) -> int:
     inst = load_instance(args.instance)
     ansatz = Ansatz.parse(args.ansatz)
     sched = Schedule(args.total_time, max(args.samples - 1, 1))
-    rows = []
+    lines = ["t,lambda,gap,ansatz,instance_id"]
     for tag in (ansatz, Ansatz.NONE) if ansatz is not Ansatz.NONE else (Ansatz.NONE,):
         curve = gap_curve(inst, sched, tag, args.samples)
-        rows.extend(gap_rows(curve, tag, inst.seed))
+        lines.extend(
+            f"{t!r},{lam!r},{gap!r},{tag.value},{inst.seed}"
+            for t, lam, gap in zip(curve.times, curve.lams, curve.gaps)
+        )
         print(f"{tag.value}: delta_min {curve.delta_min!r} at t={curve.argmin_time!r}")
     out = args.out or _default_output_dir() / f"gap-n{inst.n}-s{inst.seed}.csv"
-    lines = ["t,lambda,gap,ansatz,instance_id"]
-    lines.extend(f"{t!r},{lam!r},{gap!r},{tag},{iid}" for t, lam, gap, tag, iid in rows)
     Path(out).write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0

@@ -3,8 +3,7 @@
 The whole pipeline is a reproducibility instrument: every instance seed is a
 pure function of (master seed, instance index), records are merged in task
 order regardless of worker count, and emitted files embed the configuration
-hash.  Timing capture is opt-in so that default runs are byte-identical
-across invocations.
+hash.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,7 +71,6 @@ _FIELD_TYPES = {
     "jobs": _is_int,
     "compute_gaps": lambda v: isinstance(v, bool),
     "gap_samples": _is_int,
-    "record_timings": lambda v: isinstance(v, bool),
 }
 
 
@@ -92,7 +89,6 @@ class ExperimentConfig:
     jobs: int = 1
     compute_gaps: bool = False
     gap_samples: int = GAP_SAMPLES
-    record_timings: bool = False
 
     def __post_init__(self):
         wrong = [name for name, ok in _FIELD_TYPES.items() if not ok(getattr(self, name))]
@@ -130,11 +126,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        kwargs = dict(payload)
+        # Config files written before timing capture was removed carry this
+        # key, always false on a byte-reproducible run; true stays unknown.
+        if kwargs.get("record_timings") is False:
+            del kwargs["record_timings"]
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise ParameterError(f"unknown config fields {sorted(unknown)}")
-        kwargs = dict(payload)
         for name in ("n_values", "ansatz"):
             if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
@@ -187,7 +187,6 @@ class RunRecord:
     degenerate: bool
     excluded: bool
     ps: dict[str, float | None]
-    wall_ms: dict[str, float]
     entangling: dict[str, int]
     delta_min: dict[str, float | None]
     #: Why each excluded drive was excluded: (site, lam, step) of its
@@ -212,22 +211,18 @@ def _run_task(args: tuple[ExperimentConfig, int, int, int]) -> RunRecord:
     truth = ground_state(inst)
     sched = Schedule(cfg.total_time, cfg.trotter_steps)
     ps: dict[str, float | None] = {}
-    wall: dict[str, float] = {}
     entangling: dict[str, int] = {}
     delta: dict[str, float | None] = {}
     exclusions: dict[str, tuple] = {}
     for a_index, tag in enumerate(cfg.ansatz):
         ansatz = Ansatz.parse(tag)
-        started = time.perf_counter()
         try:
             report = trotter_evolve(inst, sched, ansatz)
         except SingularGaugeError as exc:
             exclusions[tag] = (exc.site, exc.lam, exc.step)
             ps[tag] = None
-            wall[tag] = 0.0
             entangling[tag] = 0
             continue
-        elapsed = time.perf_counter() - started
         if cfg.shots is not None:
             counts = sample_shots(
                 report.final_state, cfg.shots, instance_seed(seed, a_index)
@@ -235,7 +230,6 @@ def _run_task(args: tuple[ExperimentConfig, int, int, int]) -> RunRecord:
             ps[tag] = sum(counts.get(s, 0) for s in truth.states) / cfg.shots
         else:
             ps[tag] = success_probability(report.final_state, truth)
-        wall[tag] = elapsed * 1e3 if cfg.record_timings else 0.0
         entangling[tag] = report.entangling_total
         if cfg.compute_gaps:
             delta[tag] = gap_curve(inst, sched, ansatz, cfg.gap_samples).delta_min
@@ -246,7 +240,6 @@ def _run_task(args: tuple[ExperimentConfig, int, int, int]) -> RunRecord:
         degenerate=truth.degenerate,
         excluded=bool(exclusions),
         ps=ps,
-        wall_ms=wall,
         entangling=entangling,
         delta_min=delta,
         exclusions=exclusions,
@@ -468,7 +461,7 @@ def records_to_csv(records: Iterable[RunRecord], cfg_hash: str) -> str:
                         "true" if record.excluded else "false",
                         tag,
                         _format_float(record.ps.get(tag)),
-                        _format_float(record.wall_ms.get(tag, 0.0)),
+                        "0.0",
                         str(record.entangling.get(tag, 0)),
                         _format_float(record.delta_min.get(tag)),
                     )
@@ -486,10 +479,14 @@ def _parse_bool(text: str) -> bool:
 def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
     """Parse the records CSV back into RunRecord objects.
 
-    Returns the records plus the embedded config hash, if any.  A row that
-    repeats an (instance_id, ansatz) pair, or whose n, seed, degenerate or
-    excluded field disagrees with its instance's first row, raises
-    ``ParameterError`` naming its line.
+    Returns the records plus the embedded config hash, if any.  A row with
+    an unknown drive, a value no run writes (n outside [1, ``STATEVECTOR_CAP``],
+    a negative seed or count, P_s outside [0, 1 + 1e-9], the slack of the
+    unitarity bound, a negative or infinite delta_min, a NaN), a repeated
+    (instance_id, ansatz) pair, or an n, seed, degenerate or excluded field
+    that disagrees with its instance's first row raises ``ParameterError``
+    naming its line.  wall_ms, always 0.0 since timing capture was removed,
+    is parsed and dropped.
     """
     cfg_hash: str | None = None
     by_id: dict[int, RunRecord] = {}
@@ -528,11 +525,22 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
             ps = float(ps) if ps else None
             wall = float(wall) if wall else 0.0
             delta = float(delta) if delta else None
+            Ansatz(tag)
         except ValueError as exc:
             raise ParameterError(f"line {lineno}: malformed field ({exc})")
+        # A NaN fails every comparison, so each range check refuses it.
+        for ok, what in (
+            (1 <= n <= STATEVECTOR_CAP, f"n={n} outside [1, {STATEVECTOR_CAP}]"),
+            (seed >= 0 and entangling >= 0, "negative seed or entangling_count"),
+            (ps is None or 0.0 <= ps <= 1.0 + 1e-9, f"P_s={ps} outside [0, 1]"),
+            (delta is None or 0.0 <= delta < np.inf, f"delta_min={delta} negative or not finite"),
+            (np.isfinite(wall), f"wall_ms={wall} not finite"),
+        ):
+            if not ok:
+                raise ParameterError(f"line {lineno}: {what}")
         instance = (n, seed, degenerate, excluded)
         if rid not in by_id:
-            by_id[rid] = RunRecord(rid, *instance, ps={}, wall_ms={}, entangling={}, delta_min={})
+            by_id[rid] = RunRecord(rid, *instance, ps={}, entangling={}, delta_min={})
         record = by_id[rid]
         if instance != (record.n, record.seed, record.degenerate, record.excluded):
             raise ParameterError(
@@ -542,7 +550,6 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
         if tag in record.ps:
             raise ParameterError(f"line {lineno}: instance {rid} repeats ansatz {tag!r}")
         record.ps[tag] = ps
-        record.wall_ms[tag] = wall
         record.entangling[tag] = entangling
         if delta is not None:
             record.delta_min[tag] = delta

@@ -123,7 +123,7 @@ BLOCK_QUBITS = 4
 _MINUS_I_POWERS = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 # What each operation of a step plan does to the state buffers.
-_GATHER, _STACKED, _TRAILING, _PHASE, _COPY, _FRAME = range(6)
+_GATHER, _STACKED, _TRAILING, _PHASE, _FRAME = range(5)
 
 # Most string slots of a run whose product expands into one sum of terms.
 _CHUNK = 4
@@ -268,13 +268,16 @@ class _StepPlan:
         # An op is (kind, source, target, item, member, offset): a gather's
         # item indexes ``gathers``; a run is member ``member`` of group
         # ``item`` and its qubits sit at ``offset`` of the layout.  The frame
-        # op, first, and the phase multiply their buffer in place.
+        # op, first, and the phase multiply their buffer in place, but a
+        # phase that ends the plan with the state in scratch writes psi.
         writes = sum(kind != _PHASE for kind, _ in steps)
         self.ops: list[tuple[int, int, int, int, int, int]] = [(_FRAME, 0, 0, 0, 0, 0)]
         current, gathers, blocks = 0, 0, 0
         for kind, offset in steps:
             if kind == _PHASE:
-                self.ops.append((_PHASE, current, current, 0, 0, 0))
+                target = 0 if writes == 0 else current
+                self.ops.append((_PHASE, current, target, 0, 0, 0))
+                current = target
                 continue
             writes -= 1
             target = 0 if writes == 0 and current != 0 else (2 if current == 1 else 1)
@@ -285,17 +288,15 @@ class _StepPlan:
                 self.ops.append((kind, current, target, *members[blocks], offset))
                 blocks += 1
             current = target
-        if current != 0:
-            self.ops.append((_COPY, current, 0, 0, 0, 0))
 
     def bind(self, buffers: tuple[np.ndarray, ...]) -> list[tuple]:
         """The operations prepared on ``buffers`` (psi and two scratch states).
 
         Each is (kind, first, second, group, member) with the views one
-        numpy call of a step reads and writes: a gather or copy writes
-        ``first`` from ``second``, a run multiplies ``first`` by its unitary
-        into ``second``, the frame op multiplies ``first`` in place by
-        ``second``, Q^dag, and the phase multiplies ``first`` in place.
+        numpy call of a step reads and writes: a gather writes ``first``
+        from ``second``, a run multiplies ``first`` by its unitary into
+        ``second``, the frame op multiplies ``first`` in place by ``second``,
+        Q^dag, and the phase multiplies ``first`` into ``second``.
         """
         qubits = (2,) * self.n
         bound = []
@@ -304,12 +305,10 @@ class _StepPlan:
             if kind == _GATHER:
                 transposed = state.reshape(qubits).transpose(self.gathers[item])
                 bound.append((kind, out.reshape(qubits), transposed, None, None))
-            elif kind == _COPY:
-                bound.append((kind, out, state, None, None))
             elif kind == _FRAME:
                 bound.append((kind, state, _frame(self.n), None, None))
             elif kind == _PHASE:
-                bound.append((kind, state, None, None, None))
+                bound.append((kind, state, out, None, None))
             else:
                 width = self.groups[item][0]
                 if kind == _TRAILING:
@@ -572,7 +571,7 @@ class DrivenHamiltonian:
                     elif kind == _TRAILING:
                         np.matmul(first, stack[row], out=second)
                     elif kind == _PHASE:
-                        np.multiply(first, phase, out=first)
+                        np.multiply(first, phase, out=second)
                     elif kind == _FRAME:
                         np.multiply(first, second, out=first)
                     else:

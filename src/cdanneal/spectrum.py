@@ -143,14 +143,6 @@ def gap_curve(
     )
 
 
-def gap_rows(curve: GapCurve, ansatz: Ansatz, instance_id) -> list[tuple]:
-    """Plot-ready rows (t, lambda, gap, ansatz, instance_id)."""
-    return [
-        (t, lam, gap, ansatz.value, instance_id)
-        for t, lam, gap in zip(curve.times, curve.lams, curve.gaps)
-    ]
-
-
 def _golden_section(fn, lo: float, hi: float, tol: float, max_iter: int = 80):
     """Minimize a unimodal-ish scalar function on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

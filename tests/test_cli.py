@@ -323,24 +323,28 @@ def test_sweep_flag_overrides(tmp_path):
     assert written["n_values"] == [4]
 
 
-def test_sweep_record_timings(tmp_path):
-    # Timings fill only wall_ms: every other records.csv column and the
-    # summary match a default run byte for byte.
+def test_sweep_reads_older_config_files(tmp_path, capsys):
+    # Sweeps used to write "record_timings": false into config.json; such a
+    # file sweeps to the same bytes as one without the key.  Timing capture
+    # is gone: true is an unknown field, and so is the flag.
     config = tmp_path / "config.json"
-    for label, timed in (("plain", False), ("timed", True)):
-        write_config(config, record_timings=timed, output_dir=str(tmp_path / label))
+    for label, extra in (("plain", {}), ("older", {"record_timings": False})):
+        write_config(config, output_dir=str(tmp_path / label), **extra)
         assert run_cli("sweep", "--config", str(config), "--quiet") == 0
-    plain, timed = (
-        [line.split(",") for line in (tmp_path / label / "records.csv").read_text().splitlines()]
-        for label in ("plain", "timed")
-    )
-    wall = plain[1].index("wall_ms")
-    assert len(plain) == len(timed) == 2 + 4  # hash, header, two records x two drives
-    for row, timed_row in zip(plain[2:], timed[2:]):
-        assert float(row[wall]) == 0.0 and float(timed_row[wall]) > 0.0
-        assert row[:wall] + row[wall + 1 :] == timed_row[:wall] + timed_row[wall + 1 :]
-    summary = [(tmp_path / label / "summary.json").read_bytes() for label in ("plain", "timed")]
-    assert summary[0] == summary[1]
+    plain, older = tmp_path / "plain", tmp_path / "older"
+    names = sorted(p.name for p in plain.iterdir())
+    assert "records.csv" in names and "config.json" in names
+    for name in names:
+        if name != "config.json":
+            assert (plain / name).read_bytes() == (older / name).read_bytes()
+    written = [json.loads((d / "config.json").read_text()) for d in (plain, older)]
+    assert written[0] == dict(written[1], output_dir=str(plain))
+    capsys.readouterr()
+    write_config(config, output_dir=str(tmp_path / "timed"), record_timings=True)
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 2
+    assert "record_timings" in single_error_line(capsys.readouterr().err)
+    assert run_cli("sweep", "--config", str(config), "--record-timings") == 2
+    assert not (tmp_path / "timed").exists()
 
 
 def test_sweep_refuses_rows_over_budget_before_evolving(tmp_path, capsys, monkeypatch):
@@ -426,6 +430,8 @@ def test_gap_single_site(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert abs(float(first[2]) - 2.0) <= 1e-9
+    # Every row names its drive and, as its instance_id, the instance seed.
+    assert {tuple(line.split(",")[3:]) for line in lines[1:]} == {("none", "4")}
 
 
 def test_gap_pairs_baseline_and_endpoints(tmp_path):
@@ -561,6 +567,44 @@ def test_report_refuses_contradicting_rows(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("report", "--records", str(records), "--out-dir", str(tmp_path / "r")) == 2
     assert f"line {len(lines) + 1}" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "r").exists()
+
+
+def test_report_ignores_wall_ms(tmp_path):
+    # Records written with timing capture hold nonzero wall_ms; the summary
+    # recomputed from them is the one of the all-zero file, byte for byte.
+    config = tmp_path / "config.json"
+    write_config(config, output_dir=str(tmp_path / "out"))
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 0
+    lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    wall = lines[1].split(",").index("wall_ms")
+    timed = lines[:2]
+    for k, line in enumerate(lines[2:]):
+        fields = line.split(",")
+        assert fields[wall] == "0.0"
+        fields[wall] = repr(3.25 + k)
+        timed.append(",".join(fields))
+    (tmp_path / "timed").mkdir()
+    (tmp_path / "timed" / "records.csv").write_text("\n".join(timed) + "\n")
+    summaries = []
+    for label in ("out", "timed"):
+        records, out = tmp_path / label / "records.csv", tmp_path / f"r-{label}"
+        assert run_cli("report", "--records", str(records), "--out-dir", str(out)) == 0
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
+def test_report_refuses_a_row_no_run_writes(tmp_path, capsys):
+    # A NaN success probability would reach summary.json as NaN, which
+    # strict JSON parsers reject; the report refuses its line instead.
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "# config_hash=x\n"
+        "instance_id,n,seed,degenerate,excluded,ansatz,P_s,wall_ms,entangling_count,delta_min\n"
+        "0,4,17,false,false,none,nan,0.0,120,\n"
+    )
+    assert run_cli("report", "--records", str(records), "--out-dir", str(tmp_path / "r")) == 2
+    assert "line 3" in single_error_line(capsys.readouterr().err)
     assert not (tmp_path / "r").exists()
 
 

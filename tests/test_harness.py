@@ -67,6 +67,11 @@ def test_config_rejects_unknown(tmp_path):
     path.write_text(json.dumps({"master_seed": 1, "bogus": True}))
     with pytest.raises(ParameterError):
         ExperimentConfig.from_file(path)
+    # Older config files carry "record_timings": false, which reads as
+    # absent; timing capture itself is gone, so true is an unknown field.
+    assert ExperimentConfig.from_dict({"record_timings": False}) == ExperimentConfig()
+    with pytest.raises(ParameterError, match="record_timings"):
+        ExperimentConfig.from_dict({"record_timings": True})
 
 
 def test_config_validation():
@@ -202,7 +207,6 @@ def make_record(rid, n, ps, delta=None, excluded=False):
         degenerate=False,
         excluded=excluded,
         ps=dict(ps),
-        wall_ms={t: 0.0 for t in tags},
         entangling={t: 60 for t in tags},
         delta_min=dict(delta or {}),
     )
@@ -296,11 +300,26 @@ def test_records_csv_rejects_malformed():
     with pytest.raises(ParameterError):
         records_from_csv(good + "1,2\n")
     row = ["0", "4", "17", "false", "false", "none", "0.5", "0.0", "120", ""]
-    for field, value in ((6, "abc"), (2, "abc"), (8, "abc"), (3, "TRUE"), (4, "TRUE")):
+    for field, value in (
         # P_s, seed, entangling_count, degenerate, excluded
+        (6, "abc"), (2, "abc"), (8, "abc"), (3, "TRUE"), (4, "TRUE"),
+        # A value no run can write: an unknown drive, n outside [1, 20], a
+        # negative seed or count, P_s outside [0, 1], a negative or
+        # infinite gap, and NaN anywhere.
+        (5, "bogus"), (1, "0"), (1, "-3"), (1, "21"), (2, "-1"), (8, "-7"),
+        (6, "nan"), (6, "1.5"), (6, "-0.25"), (6, "inf"),
+        (9, "-inf"), (9, "inf"), (9, "nan"), (9, "-0.5"), (7, "nan"), (7, "inf"),
+    ):
         bad = row[:field] + [value] + row[field + 1:]
         with pytest.raises(ParameterError, match="line 3"):
             records_from_csv(good + ",".join(bad) + "\n")
+    with pytest.raises(ParameterError, match="line 3"):
+        records_from_csv(good + "0,-3,-1,false,false,bogus,0.5,nan,-7,\n")
+    # P_s may exceed 1 by norm drift within the unitarity bound; any wall_ms
+    # an older run wrote reads, and is dropped.
+    edge = row[:6] + ["1.0000000005", "12.5"] + row[8:9] + ["0.0"]
+    (record,), _ = records_from_csv(good + ",".join(edge) + "\n")
+    assert record.ps == {"none": 1.0000000005} and record.delta_min == {"none": 0.0}
 
 
 def test_records_csv_rejects_contradicting_rows():
@@ -453,7 +472,7 @@ def test_cost_report_entangling_total_is_largest_kept():
 
     def record(index, count, excluded=False):
         return RunRecord(
-            index, 4, index, False, excluded, {"none": 0.5}, {"none": 1.0}, {"none": count}, {}
+            index, 4, index, False, excluded, {"none": 0.5}, {"none": count}, {}
         )
 
     records = [record(0, 5 * 20), record(1, 6 * 20), record(2, 9 * 20, excluded=True)]

@@ -20,7 +20,6 @@ from cdanneal.simulator import DrivenHamiltonian
 from cdanneal.spectrum import (
     cd_norm,
     gap_curve,
-    gap_rows,
     instantaneous_spectrum,
 )
 
@@ -327,12 +326,3 @@ def test_gap_increase_fraction_small_sample():
         driven = min(gap_curve(inst, sched, Ansatz.NC1, samples=51).gaps)
         increased += driven > none
     assert increased / total > 0.5
-
-
-def test_gap_rows_format():
-    inst = ProblemInstance(1, (), (0.5,), seed=42)
-    curve = gap_curve(inst, Schedule(1.0, 10), Ansatz.NONE, samples=5)
-    rows = gap_rows(curve, Ansatz.NONE, instance_id=42)
-    assert len(rows) == 5
-    assert rows[0][3] == "none"
-    assert rows[0][4] == 42
