@@ -481,9 +481,10 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
 
     Returns the records plus the embedded config hash, if any.  A row with
     an unknown drive, a value no run writes (n outside [1, ``STATEVECTOR_CAP``],
-    a negative seed or count, P_s outside [0, 1 + 1e-9], the slack of the
-    unitarity bound, a negative or infinite delta_min, a NaN), a repeated
-    (instance_id, ansatz) pair, or an n, seed, degenerate or excluded field
+    a negative instance_id, seed or count, P_s outside [0, 1 + 1e-9], the
+    slack of the unitarity bound, an empty P_s on an instance not excluded,
+    a negative or infinite delta_min, a NaN), a repeated (instance_id,
+    ansatz) pair, or an n, seed, degenerate or excluded field
     that disagrees with its instance's first row raises ``ParameterError``
     naming its line.  wall_ms, always 0.0 since timing capture was removed,
     is parsed and dropped.
@@ -531,8 +532,13 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
         # A NaN fails every comparison, so each range check refuses it.
         for ok, what in (
             (1 <= n <= STATEVECTOR_CAP, f"n={n} outside [1, {STATEVECTOR_CAP}]"),
-            (seed >= 0 and entangling >= 0, "negative seed or entangling_count"),
+            (
+                rid >= 0 and seed >= 0 and entangling >= 0,
+                "negative instance_id, seed or entangling_count",
+            ),
             (ps is None or 0.0 <= ps <= 1.0 + 1e-9, f"P_s={ps} outside [0, 1]"),
+            # Only a drive excluded on a singular gauge leaves P_s empty.
+            (ps is not None or excluded, "empty P_s on an instance not excluded"),
             (delta is None or 0.0 <= delta < np.inf, f"delta_min={delta} negative or not finite"),
             (np.isfinite(wall), f"wall_ms={wall} not finite"),
         ):

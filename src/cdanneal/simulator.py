@@ -12,6 +12,9 @@ qubits and applies each run as one small real block unitary in one
 ``matmul`` on the float64 view of the state, viewed as a stack over the
 run's contiguous qubits, after at most one transposed copy of the state
 that brings the run's qubits, and the next run's behind them, together.
+The plan holds each run's expanded chunk terms, signed permutations, as
+exact int8 matrices and widens a few chunks at a time to float64 when it
+forms the unitaries, so it holds an eighth of their float64 bytes.
 Every CD string has an odd Y count, so its generator -i P is real.  The
 mixer runs in the frame Q = diag(1, i)**n, where Q^dag X Q = -Y and each
 rotation exp(-i theta X) becomes exp(i theta Y) = cos theta I + sin theta
@@ -100,10 +103,10 @@ def apply_pauli_exponential(psi: np.ndarray, string: PauliString, theta: float) 
 #: matrix of ``operator_dense`` while they exist.  Above it, construction, or
 #: the forming of rows or a matrix, raises ``ResourceCapError`` before
 #: allocating any of them.  The step plan is not charged: at n = 20 it holds
-#: at most 7.75 MiB, under 1% of the budget.  Nor is a chunk of steps, which
-#: ``DrivenHamiltonian.chunk_steps`` sizes to fit in 1% as well, phase table
-#: included; from n = 18 a chunk is one step, whose row of the table is the
-#: state vector charged for the phase.
+#: at most 0.94 MiB (two-local), under 0.1% of the budget.  Nor is a chunk of
+#: steps, which ``DrivenHamiltonian.chunk_steps`` sizes to fit in 1% as well,
+#: phase table included; from n = 18 a chunk is one step, whose row of the
+#: table is the state vector charged for the phase.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -128,9 +131,12 @@ _GATHER, _STACKED, _TRAILING, _PHASE, _FRAME = range(5)
 # Most string slots of a run whose product expands into one sum of terms.
 _CHUNK = 4
 
-# 1 and 0: cos and sin of a padding slot's angle 0; 1 also stands in for
-# the factors of the slots a narrow chunk lacks.
-_UNIT = np.array([1.0, 0.0])
+# Most chunks whose terms ``_StepPlan.unitaries`` widens to float64 at once.
+_BLOCK_CHUNKS = 8
+
+# Per chunk width w, the (2**w, w) subset bits: slot t is in subset S when
+# bit t of S is set.
+_SUBSETS = tuple((np.arange(1 << w)[:, None] >> np.arange(w)) & 1 for w in range(_CHUNK + 1))
 
 
 def _string_phases(x_masks: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
@@ -204,7 +210,9 @@ class _StepPlan:
     The plan depends only on the string masks, so instances with the same
     strings share it (``_step_plan``), and it holds no reference to any
     Hamiltonian or buffer; ``bind`` prepares its operations on the buffers
-    of one evolution.  Its arrays are built on first use and read-only.
+    of one evolution.  Its arrays are built on first use and read-only: the
+    int8 terms take 4**q bytes each, plus 8 bytes per slot of a chunk for
+    its angle position (see ``arrays``).
     """
 
     def __init__(self, n: int, x_masks: tuple[int, ...], z_masks: tuple[int, ...]):
@@ -320,8 +328,8 @@ class _StepPlan:
         return bound
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Weight factors and, per group, the expanded chunks.
+    def arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per group, the angle positions and the expanded terms of its chunks.
 
         A generator G_k = +-Z^z X^x (see ``_generators``) maps |r ^ x> to
         +-s_z(r) |r>, so on the run's qubits it is the real matrix M_k with
@@ -329,19 +337,20 @@ class _StepPlan:
         of a run fall into chunks of w = min(slots, 4), and the product over
         a chunk expands into 2**w terms: for each subset S of its slots,
         the product of M_t over t in S, later slots on the left.  Every term
-        is exact.  Term S weighs sin theta_t for t in S times cos theta_t
-        for the chunk's other slots; ``factors`` holds, per term of every
-        group in turn, where its four factors sit in (cos thetas, sin
-        thetas, 1, 0): a padding slot has the angle 0, so cos 1 and sin 0,
-        and a chunk narrower than four slots has factors 1 for the slots it
-        lacks.
+        is a signed permutation on the run's states, or zero, so its entries
+        are exactly 0, 1 or -1 and it is stored as int8: 4**q bytes, an
+        eighth of its float64 form (a 16 x 16 term holds 256 bytes).  Term S
+        weighs sin theta_t for t in S times cos theta_t for the chunk's
+        other slots; ``positions`` holds, per chunk, the index of each
+        slot's string, or the string count for a padding slot, whose angle
+        is 0.  Per group: positions (chunks, w) and terms (chunks, 2**w,
+        4**q).
         """
         count = len(self.x_masks)
         x_all = np.array(self.x_masks, dtype=np.int64)
         z_all, signs = self.generators
         signs = np.append(signs, 0.0)
-        one, zero = 2 * count, 2 * count + 1
-        factors, expansions = [], []
+        arrays = []
         for q, slots, runs in self.groups:
             dim = 1 << q
             bits = 1 << np.arange(q - 1, -1, -1)
@@ -356,59 +365,69 @@ class _StepPlan:
                 z_local[b, : stop - start] = ((z_all[start:stop, None] >> sites) & 1) @ bits
             position, x_local, z_local = position.ravel(), x_local.ravel(), z_local.ravel()
             rows = np.arange(dim)
+            width = min(slots, _CHUNK)
+            # M_t at row r: its sign, and the column r ^ x of its nonzero.
             values = signs[position][:, None] * (
                 1.0 - 2.0 * (np.bitwise_count(z_local[:, None] & rows) % 2)
             )
-            generators = np.zeros((len(position), dim, dim))
-            generators[np.arange(len(position))[:, None], rows, rows ^ x_local[:, None]] = values
-            width = min(slots, _CHUNK)
-            chunks = generators.reshape(-1, width, dim, dim)
-            terms = np.broadcast_to(np.eye(dim), (len(chunks), 1, dim, dim))
+            values = values.astype(np.int8).reshape(-1, width, 1, dim, 1)
+            columns = (rows ^ x_local[:, None]).reshape(-1, width, 1, dim)
+            terms = np.repeat(np.eye(dim, dtype=np.int8)[None, None], len(values), axis=0)
             for t in range(width):
-                terms = np.concatenate([terms, chunks[:, t, None] @ terms], axis=1)
-            expansions.append(terms.reshape(len(chunks), 1 << width, dim * dim))
-            subsets = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
-            position = position.reshape(-1, 1, width)
-            factor = np.full((len(chunks), 1 << width, _CHUNK), one)
-            factor[..., :width] = np.where(
-                position == count, np.where(subsets, zero, one), position + count * subsets
-            )
-            factors.append(factor.reshape(-1, _CHUNK))
-        factors = np.concatenate(factors)
-        for array in expansions + [factors]:
+                # Row r of M_t T is row r ^ x of T times the sign at r: a
+                # gather of whole rows from the terms stacked row by row.
+                row_zero = dim * np.arange(len(values) << t).reshape(len(values), -1, 1)
+                moved = terms.reshape(-1, dim)[row_zero + columns[:, t]].reshape(terms.shape)
+                terms = np.concatenate([terms, moved * values[:, t]], axis=1)
+            arrays.append((position.reshape(-1, width), terms.reshape(len(terms), 1 << width, -1)))
+        for array in (array for pair in arrays for array in pair):
             array.flags.writeable = False
-        return factors, expansions
+        return arrays
 
     @property
     def step_bytes(self) -> int:
-        """Bytes of one step's unitaries as first formed, one matrix per chunk of a run."""
-        _, expansions = self.arrays
-        return sum(len(terms) * terms.shape[2] * terms.itemsize for terms in expansions)
+        """Bytes of the float64 chunk sums one step forms, one matrix per chunk of a run."""
+        return sum(8 * terms.shape[0] * terms.shape[2] for _, terms in self.arrays)
 
     def unitaries(self, thetas: np.ndarray) -> list[np.ndarray]:
         """Per group, the (steps, runs, 2**q, 2**q) run unitaries at a table of angles.
 
         ``thetas`` holds one row of string angles per step.  A chunk's
-        product is the weighted sum of its terms; the chunks of a run then
-        multiply pairwise, later chunks on the left.  Padding slots weigh in
-        as the identity, exactly.  Every matrix product is the one a single
-        step would form, so each step's unitaries are those of a one-row
-        table, bit for bit.
+        product is the weighted sum of its terms, widened to float64 for at
+        most ``_BLOCK_CHUNKS`` chunks, or one run, at a time; the chunks of a
+        run then multiply pairwise, later chunks on the left.  Padding slots
+        weigh in as the identity, exactly.  Every matrix product is the one a
+        single step would form, so each step's unitaries are those of a
+        one-row table, bit for bit.
         """
-        factors, expansions = self.arrays
-        steps = len(thetas)
-        unit = np.broadcast_to(_UNIT, (steps, 2))
-        weights = np.concatenate((np.cos(thetas), np.sin(thetas), unit), axis=1)
-        weights = weights[:, factors].prod(axis=2)
-        result, offset = [], 0
-        for (q, slots, runs), terms in zip(self.groups, expansions):
-            stop = offset + terms.shape[0] * terms.shape[1]
-            rotations = weights[:, offset:stop].reshape(steps, len(terms), 1, -1) @ terms
-            rotations = rotations.reshape(steps, len(runs), -1, 1 << q, 1 << q)
-            while rotations.shape[2] > 1:
-                rotations = rotations[:, :, 1::2] @ rotations[:, :, 0::2]
-            result.append(rotations[:, :, 0])
-            offset = stop
+        steps, count = thetas.shape
+        # cos theta per string, then 1, sin theta per string, then 0: the
+        # last of each half stands for a padding slot.
+        trig = np.concatenate(
+            (np.cos(thetas), np.ones((steps, 1)), np.sin(thetas), np.zeros((steps, 1))), axis=1
+        )
+        result = []
+        for (q, slots, runs), (positions, terms) in zip(self.groups, self.arrays):
+            width = positions.shape[1]
+            # Where each term's factor for slot t sits in trig: cos theta_t,
+            # or sin theta_t when the slot is in the term's subset.
+            factors = positions[:, None, :] + (count + 1) * _SUBSETS[width]
+            # The weight of each term, its factors multiplied in slot order,
+            # gathered one slot at a time.
+            weights = trig[:, factors[..., 0]]
+            for t in range(1, width):
+                weights *= trig[:, factors[..., t]]
+            per_run = len(terms) // len(runs)
+            block = max(1, _BLOCK_CHUNKS // per_run)
+            unitaries = np.empty((steps, len(runs), 1 << q, 1 << q))
+            for first in range(0, len(runs), block):
+                chunks = slice(first * per_run, (first + block) * per_run)
+                rotations = weights[:, chunks, None, :] @ terms[chunks].astype(np.float64)
+                rotations = rotations.reshape(steps, -1, per_run, 1 << q, 1 << q)
+                while rotations.shape[2] > 1:
+                    rotations = rotations[:, :, 1::2] @ rotations[:, :, 0::2]
+                unitaries[:, first : first + block] = rotations[:, :, 0]
+            result.append(unitaries)
         return result
 
 
@@ -423,15 +442,16 @@ def _frame(n: int) -> np.ndarray:
 def _phase_table(energies: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """exp(i s E) Q per scale s: one row of 2**n phases per step.
 
-    One cos and one sin over the products s E, each written into its half
-    of the complex table, so every row is bit for bit the phase its step
-    would form alone.  The frame Q = diag(1, i)**n (see ``_StepPlan``) then
-    swaps and negates the halves of each entry, exactly.
+    The products s E are written into the imaginary half of the complex
+    table, their cos into the real half and their sin in place, so no angle
+    array is formed and every row is bit for bit the phase its step would
+    form alone.  The frame Q = diag(1, i)**n (see ``_StepPlan``) then swaps
+    and negates the halves of each entry, exactly.
     """
-    angles = np.multiply.outer(scales, energies)
-    table = np.empty(angles.shape, dtype=np.complex128)
-    np.cos(angles, out=table.real)
-    np.sin(angles, out=table.imag)
+    table = np.empty((len(scales), len(energies)), dtype=np.complex128)
+    np.multiply.outer(scales, energies, out=table.imag)
+    np.cos(table.imag, out=table.real)
+    np.sin(table.imag, out=table.imag)
     table *= _frame(len(energies).bit_length() - 1).conj()
     return table
 
@@ -511,9 +531,10 @@ class DrivenHamiltonian:
         """How many steps ``steps`` prepares at once.
 
         At least one, and as many as fit in 1% of ``MEMORY_BUDGET`` with
-        their unitaries as first formed, their rows of the phase table and
-        the angles those are formed from, and, for two-local, their stacked
-        normal equations: the argument that leaves the step plan uncharged.
+        their float64 chunk sums (``_StepPlan.step_bytes``), 24 bytes per
+        basis state for their rows of the phase table, which hold 16, and,
+        for two-local, their stacked normal equations: the argument that
+        leaves the step plan uncharged.
         """
         per_step = self.plan.step_bytes + self.gauge.point_bytes + 24 * (1 << self.n)
         return max(1, MEMORY_BUDGET // 100 // per_step)

@@ -6,6 +6,9 @@ is shared between the ordering and metrics criteria.
 """
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -52,14 +55,17 @@ def desk_ensemble():
 
 @pytest.fixture(scope="module")
 def gap_ensemble():
+    # The 100 curves run in two worker processes, started fresh, that
+    # inherit this process's environment and so the one BLAS thread
+    # conftest.py sets; map returns them in task order.
     sched = Schedule(1.0, 20)
-    minima = []
-    for k in range(50):
-        inst = generate_instance(8, instance_seed(MASTER_SEED, k))
-        bare = gap_curve(inst, sched, Ansatz.NONE)
-        driven = gap_curve(inst, sched, Ansatz.NC1)
-        minima.append((bare, driven))
-    return minima
+    drives = (Ansatz.NONE, Ansatz.NC1)
+    instances = [generate_instance(8, instance_seed(MASTER_SEED, k)) for k in range(50)]
+    tasks = [inst for inst in instances for _ in drives]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        curves = list(pool.map(gap_curve, tasks, repeat(sched), drives * len(instances)))
+    return list(zip(curves[0::2], curves[1::2]))
 
 
 def test_criterion_1_nc1_closed_form_equivalence():

@@ -608,6 +608,25 @@ def test_report_refuses_a_row_no_run_writes(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_report_refuses_rows_of_no_instance_a_sweep_writes(tmp_path, capsys):
+    # An empty P_s on an instance not excluded, or a negative instance id,
+    # would be averaged as if a sweep had written it; the report refuses it.
+    header = (
+        "# config_hash=x\n"
+        "instance_id,n,seed,degenerate,excluded,ansatz,P_s,wall_ms,entangling_count,delta_min\n"
+    )
+    for rows, line in (
+        (["0,4,17,false,false,none,,0.0,120,"], 3),
+        (["0,4,17,false,false,none,0.5,0.0,120,", "-5,4,18,false,false,none,0.25,0.0,120,"], 4),
+    ):
+        records = tmp_path / "records.csv"
+        records.write_text(header + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--records", str(records), "--out-dir", str(tmp_path / "r")) == 2
+        assert f"line {line}" in single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+
 def test_report_missing_file(tmp_path):
     assert run_cli("report", "--records", str(tmp_path / "none.csv")) == 5
 
@@ -705,11 +724,12 @@ def test_validate_step_plan_mutation_sensitivity(monkeypatch):
     # unitarity do not.
     def flipped(n, x_masks, z_masks):
         plan = simulator_mod._StepPlan(n, x_masks, z_masks)
-        factors, chunks = plan.arrays
-        chunks = list(chunks)
-        chunks[0] = chunks[0].copy()
-        chunks[0][0, 1::2] *= -1.0
-        plan.arrays = factors, chunks
+        arrays = list(plan.arrays)
+        positions, terms = arrays[0]
+        terms = terms.copy()
+        terms[0, 1::2] *= -1
+        arrays[0] = positions, terms
+        plan.arrays = arrays
         return plan
 
     monkeypatch.setattr(simulator_mod, "_step_plan", flipped)

@@ -304,9 +304,11 @@ def test_records_csv_rejects_malformed():
         # P_s, seed, entangling_count, degenerate, excluded
         (6, "abc"), (2, "abc"), (8, "abc"), (3, "TRUE"), (4, "TRUE"),
         # A value no run can write: an unknown drive, n outside [1, 20], a
-        # negative seed or count, P_s outside [0, 1], a negative or
-        # infinite gap, and NaN anywhere.
-        (5, "bogus"), (1, "0"), (1, "-3"), (1, "21"), (2, "-1"), (8, "-7"),
+        # negative instance id, seed or count, P_s outside [0, 1] or empty
+        # on an instance not excluded, a negative or infinite gap, and NaN
+        # anywhere.
+        (5, "bogus"), (1, "0"), (1, "-3"), (1, "21"), (0, "-5"), (2, "-1"), (8, "-7"),
+        (6, ""),
         (6, "nan"), (6, "1.5"), (6, "-0.25"), (6, "inf"),
         (9, "-inf"), (9, "inf"), (9, "nan"), (9, "-0.5"), (7, "nan"), (7, "inf"),
     ):
@@ -320,6 +322,11 @@ def test_records_csv_rejects_malformed():
     edge = row[:6] + ["1.0000000005", "12.5"] + row[8:9] + ["0.0"]
     (record,), _ = records_from_csv(good + ",".join(edge) + "\n")
     assert record.ps == {"none": 1.0000000005} and record.delta_min == {"none": 0.0}
+    # An excluded instance leaves the P_s of its singular drive empty.
+    kept = row[:4] + ["true"] + row[5:]
+    singular = kept[:5] + ["nc1", ""] + kept[7:8] + ["0", ""]
+    (record,), _ = records_from_csv(good + ",".join(kept) + "\n" + ",".join(singular) + "\n")
+    assert record.excluded and record.ps == {"none": 0.5, "nc1": None}
 
 
 def test_records_csv_rejects_contradicting_rows():

@@ -340,9 +340,10 @@ def test_step_plan_structure(point):
             support |= x | z
         assert sorted(sites) == [q for q in range(n) if support >> q & 1]
         assert len(sites) <= simulator.BLOCK_QUBITS
-    # The weight factors of the expanded terms read each string's angle.
-    factors, _ = plan.arrays
-    assert set(factors[factors < 2 * count].ravel() % count) == set(range(count))
+    # The chunks read each string's angle exactly once; the position count
+    # marks a padding slot.
+    positions = np.concatenate([p.ravel() for p, _ in plan.arrays])
+    assert sorted(positions[positions < count]) == list(range(count))
     # Replaying the operations: the frame op comes first, in place on psi,
     # each run finds exactly its qubits in a contiguous window at its
     # offset (the last qubits for a trailing run), the phase follows the
@@ -409,19 +410,141 @@ def test_step_plan_refuses_a_phase_out_of_natural_order():
 @pytest.mark.parametrize("ansatz", list(Ansatz))
 def test_every_run_of_a_step_is_real(ansatz):
     # The mixer runs in the frame Q = diag(1, i)**n as Z X, every CD string
-    # has an odd Y count: every expanded term and unitary of every plan is
-    # real.  A string whose generator would be complex is refused.
+    # has an odd Y count: every expanded term of every plan is real, held
+    # exactly as int8, and every unitary is float64.  A string whose
+    # generator would be complex is refused.
     rng = np.random.default_rng(626)
     for n in range(1 if ansatz is not Ansatz.TWO_LOCAL else 2, 11):
         plan = DrivenHamiltonian(generate_instance(n, instance_seed(626, n)), ansatz).plan
-        _, expansions = plan.arrays
-        assert all(terms.dtype == np.float64 for terms in expansions), n
+        assert all(terms.dtype == np.int8 for _, terms in plan.arrays), n
         thetas = rng.uniform(-2.0, 2.0, (3, len(plan.x_masks)))
         assert all(u.dtype == np.float64 for u in plan.unitaries(thetas)), n
     # X X after the mixer (even Y count), and a Y in the mixer's place.
     for masks in (((1, 2, 3), (0, 0, 0)), ((1, 2), (1, 0))):
         with pytest.raises(RuntimeError, match="complex generator"):
             simulator._StepPlan(2, *masks)
+
+
+def float64_unitaries(plan, thetas):
+    """The run unitaries per group, and the expanded terms, formed in dense float64.
+
+    A copy of the formation that held every expanded term as a float64
+    matrix: generators as dense matrices, chunk terms as their matrix
+    products, four weight factors per term gathered from (cos, sin, 1, 0),
+    and one product of weights and terms per (step, chunk) over all chunks
+    of a group at once.
+    """
+    count = len(plan.x_masks)
+    x_all = np.array(plan.x_masks, dtype=np.int64)
+    z_all, signs = plan.generators
+    signs = np.append(signs, 0.0)
+    one, zero = 2 * count, 2 * count + 1
+    factors, expansions = [], []
+    for q, slots, runs in plan.groups:
+        dim = 1 << q
+        bits = 1 << np.arange(q - 1, -1, -1)
+        position = np.full((len(runs), slots), count)
+        x_local = np.zeros((len(runs), slots), dtype=np.int64)
+        z_local = np.zeros_like(x_local)
+        for b, r in enumerate(runs):
+            start, stop, sites = plan.runs[r]
+            sites = np.array(sites)
+            position[b, : stop - start] = np.arange(start, stop)
+            x_local[b, : stop - start] = ((x_all[start:stop, None] >> sites) & 1) @ bits
+            z_local[b, : stop - start] = ((z_all[start:stop, None] >> sites) & 1) @ bits
+        position, x_local, z_local = position.ravel(), x_local.ravel(), z_local.ravel()
+        rows = np.arange(dim)
+        values = signs[position][:, None] * (
+            1.0 - 2.0 * (np.bitwise_count(z_local[:, None] & rows) % 2)
+        )
+        generators = np.zeros((len(position), dim, dim))
+        generators[np.arange(len(position))[:, None], rows, rows ^ x_local[:, None]] = values
+        width = min(slots, 4)
+        chunks = generators.reshape(-1, width, dim, dim)
+        terms = np.broadcast_to(np.eye(dim), (len(chunks), 1, dim, dim))
+        for t in range(width):
+            terms = np.concatenate([terms, chunks[:, t, None] @ terms], axis=1)
+        expansions.append(terms.reshape(len(chunks), 1 << width, dim * dim))
+        subsets = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+        position = position.reshape(-1, 1, width)
+        factor = np.full((len(chunks), 1 << width, 4), one)
+        factor[..., :width] = np.where(
+            position == count, np.where(subsets, zero, one), position + count * subsets
+        )
+        factors.append(factor.reshape(-1, 4))
+    factors = np.concatenate(factors)
+    steps = len(thetas)
+    unit = np.broadcast_to(np.array([1.0, 0.0]), (steps, 2))
+    weights = np.concatenate((np.cos(thetas), np.sin(thetas), unit), axis=1)
+    weights = weights[:, factors].prod(axis=2)
+    result, offset = [], 0
+    for (q, slots, runs), terms in zip(plan.groups, expansions):
+        stop = offset + terms.shape[0] * terms.shape[1]
+        rotations = weights[:, offset:stop].reshape(steps, len(terms), 1, -1) @ terms
+        rotations = rotations.reshape(steps, len(runs), -1, 1 << q, 1 << q)
+        while rotations.shape[2] > 1:
+            rotations = rotations[:, :, 1::2] @ rotations[:, :, 0::2]
+        result.append(rotations[:, :, 0])
+        offset = stop
+    return result, expansions
+
+
+def assert_unitaries_match_float64_formation(plan, rng):
+    _, expansions = float64_unitaries(plan, np.zeros((1, len(plan.x_masks))))
+    for (_, terms), dense in zip(plan.arrays, expansions):
+        assert terms.dtype == np.int8 and np.array_equal(terms, dense)
+    for rows in (1, 7, 20):
+        thetas = rng.uniform(-2.0, 2.0, (rows, len(plan.x_masks)))
+        expected, _ = float64_unitaries(plan, thetas)
+        formed = plan.unitaries(thetas)
+        assert len(formed) == len(expected)
+        for unitaries, reference in zip(formed, expected):
+            assert unitaries.dtype == np.float64 and unitaries.shape == reference.shape
+            assert unitaries.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(table_instances(), st.integers(0, 2**32 - 1))
+def test_unitaries_bit_identical_to_float64_terms(point, seed):
+    # Zero fields and couplings drop strings, so runs end short and chunks
+    # hold padding slots; every table size forms the bits of dense float64
+    # terms.
+    inst, ansatz = point
+    plan = DrivenHamiltonian(inst, ansatz).plan
+    assert_unitaries_match_float64_formation(plan, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+def test_unitaries_bit_identical_to_float64_terms_at_every_size(ansatz):
+    # Every size from 1 to 8, on generated instances and with half the
+    # fields and a third of the couplings set to zero.
+    rng = np.random.default_rng(629)
+    for n in range(1 if ansatz is not Ansatz.TWO_LOCAL else 2, 9):
+        inst = generate_instance(n, instance_seed(629, n))
+        sparse = ProblemInstance(
+            n,
+            tuple((i, j, 0.0 if (i + j) % 3 == 0 else v) for i, j, v in inst.couplings),
+            tuple(0.0 if i % 2 == 0 else h for i, h in enumerate(inst.fields)),
+            seed=0,
+        )
+        for case in (inst, sparse):
+            plan = DrivenHamiltonian(case, ansatz).plan
+            assert_unitaries_match_float64_formation(plan, rng)
+
+
+def test_desk_plans_hold_exact_int8_terms():
+    # The 15 plans of the desk protocol (n = 4..12, none/local-y/nc1) hold
+    # their terms as int8 entries in {-1, 0, 1}: 0.55 MiB of plan arrays
+    # together, where float64 terms held 4.41 MiB.
+    total = 0
+    for n in (4, 6, 8, 10, 12):
+        for ansatz in (Ansatz.NONE, Ansatz.LOCAL_Y, Ansatz.NC1):
+            plan = DrivenHamiltonian(generate_instance(n, instance_seed(630, n)), ansatz).plan
+            for positions, terms in plan.arrays:
+                assert terms.dtype == np.int8
+                assert set(np.unique(terms).tolist()) <= {-1, 0, 1}
+                total += positions.nbytes + terms.nbytes
+    assert total <= 0.6 * 2**20
 
 
 def test_frame_vector_is_exact_and_read_only():
@@ -730,6 +853,22 @@ def test_chunk_steps_fit_one_percent_of_the_budget():
         per_step = hamiltonian.plan.step_bytes + hamiltonian.gauge.point_bytes + 24 * 2**8
         assert hamiltonian.chunk_steps * per_step <= simulator.MEMORY_BUDGET // 100
         assert hamiltonian.chunk_steps >= 20
+
+
+@pytest.mark.parametrize("n", [2, 8, 12, 16, 20])
+def test_chunk_steps_count_float64_chunk_sums(n):
+    # Chunks are sized by the float64 sums a step forms, not by the int8
+    # terms the plan stores: these are the chunk sizes of float64 terms.
+    sizes = {
+        2: (47934, 30504, 30504, 12427),
+        8: (1048, 748, 223, 59),
+        12: (102, 97, 56, 14),
+        16: (6, 6, 6, 3),
+        20: (1, 1, 1, 1),
+    }
+    inst = generate_instance(n, instance_seed(628, n))
+    chunks = tuple(DrivenHamiltonian(inst, ansatz).chunk_steps for ansatz in Ansatz)
+    assert chunks == sizes[n]
 
 
 def count_phase_tables(monkeypatch):
