@@ -79,6 +79,7 @@ from .harness import (
     config_hash,
     cost_report,
     emit_report,
+    emit_sweep,
     enhancement_metrics,
     records_from_csv,
     records_to_csv,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -27,10 +26,9 @@ from .errors import (
 from .gauge import Ansatz
 from .harness import (
     ExperimentConfig,
+    _sorted_json,
     check_sweep_budget,
-    config_hash,
-    cost_report,
-    emit_report,
+    emit_sweep,
     enhancement_metrics,
     records_from_csv,
     run_ensemble,
@@ -173,7 +171,7 @@ def cmd_run(args) -> int:
         for index, count in top:
             print(f"  {format(index, f'0{inst.n}b')}  {count}")
     if args.out is not None:
-        Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        Path(args.out).write_text(_sorted_json(payload))
         print(f"wrote {args.out}")
     return 0
 
@@ -216,22 +214,9 @@ def cmd_sweep(args) -> int:
     check_sweep_budget(cfg)
     records = run_ensemble(cfg, progress=progress)
     summary = enhancement_metrics(records)
-    out_dir = Path(cfg.output_dir)
-    if not out_dir.is_absolute() and OUTPUT_DIR_ENV in os.environ:
-        out_dir = _default_output_dir() / out_dir
-    paths = emit_report(summary, records, cfg, out_dir)
-    cfg.to_file(out_dir / "config.json")
-
-    costs = cost_report(records, cfg)
-    lines = ["n,ansatz,entangling_per_step,entangling_total,cd_cost"]
-    for row in costs:
-        cost = "" if row.cd_cost is None else repr(row.cd_cost)
-        lines.append(
-            f"{row.n},{row.ansatz},{row.entangling_per_step},{row.entangling_total},{cost}"
-        )
-    (out_dir / "cost_report.csv").write_text(
-        f"# config_hash={config_hash(cfg)}\n" + "\n".join(lines) + "\n"
-    )
+    # An absolute output_dir replaces the default directory.
+    out_dir = _default_output_dir() / cfg.output_dir
+    paths = emit_sweep(summary, records, cfg, out_dir)
 
     for n, data in sorted(summary.per_n.items()):
         _print_avg_ps(n, data)
@@ -269,9 +254,8 @@ def cmd_report(args) -> int:
     summary = enhancement_metrics(records)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.records).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = summary_to_dict(summary, embedded_hash or "unknown")
     out = out_dir / "summary.json"
-    out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    out.write_text(_sorted_json(summary_to_dict(summary, embedded_hash or "unknown")))
     for n, data in sorted(summary.per_n.items()):
         _print_avg_ps(n, data)
     print(f"wrote {out}")

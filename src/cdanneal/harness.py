@@ -12,7 +12,9 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -52,6 +54,20 @@ _CSV_HEADER = (
     "instance_id,n,seed,degenerate,excluded,ansatz,P_s,wall_ms,"
     "entangling_count,delta_min"
 )
+
+
+def _format_float(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def _hashed_csv(cfg_hash: str, header: str, rows: Iterable[str]) -> str:
+    """Every CSV a sweep writes: its config hash line, its header, one line per row."""
+    return "\n".join([f"# config_hash={cfg_hash}", header, *rows]) + "\n"
+
+
+def _sorted_json(payload) -> str:
+    """Every JSON file the tool writes with sorted keys, one space of indent."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def _is_int(value) -> bool:
@@ -94,6 +110,8 @@ class ExperimentConfig:
         wrong = [name for name, ok in _FIELD_TYPES.items() if not ok(getattr(self, name))]
         if wrong:
             raise ParameterError(f"wrongly typed config fields {wrong}")
+        # An int would reach config_hash as 1, not 1.0: one protocol, two hashes.
+        object.__setattr__(self, "total_time", float(self.total_time))
         if self.master_seed < 0:
             raise ParameterError("master_seed must be >= 0")
         if self.instances_per_n < 1:
@@ -151,7 +169,7 @@ class ExperimentConfig:
         return cls.from_dict(payload)
 
     def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
+        Path(path).write_text(_sorted_json(self.to_dict()))
 
 
 #: Fields that define the experimental protocol; execution details such as
@@ -270,8 +288,9 @@ def run_ensemble(
 
     Deterministic for a fixed config regardless of ``jobs``: per-instance
     seeds depend only on (master seed, instance index) and records merge in
-    task order.  Gauge singularities mark the record excluded instead of
-    aborting the sweep.
+    task order.  ``jobs`` is an upper bound: no more workers start than there
+    are tasks or CPUs this process may run on, and one runs serially.  Gauge
+    singularities mark the record excluded instead of aborting the sweep.
     """
     tasks = []
     record_id = 0
@@ -279,19 +298,15 @@ def run_ensemble(
         for index in range(cfg.instances_per_n):
             tasks.append((cfg, record_id, n, index))
             record_id += 1
+    # A fork pool starts all its workers at the first submit.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.jobs, len(tasks), cpus or 1)
     records: list[RunRecord] = []
-    if cfg.jobs == 1:
-        for task in tasks:
-            record = _run_task(task)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for record in pool.map(_run_task, tasks, chunksize=4) if pool else map(_run_task, tasks):
             if progress is not None:
                 progress(record)
             records.append(record)
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for record in pool.map(_run_task, tasks, chunksize=4):
-                if progress is not None:
-                    progress(record)
-                records.append(record)
     return records
 
 
@@ -443,31 +458,15 @@ def cost_report(records: Iterable[RunRecord], cfg: ExperimentConfig) -> list[Cos
     return rows
 
 
-def _format_float(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def records_to_csv(records: Iterable[RunRecord], cfg_hash: str) -> str:
-    lines = [f"# config_hash={cfg_hash}", _CSV_HEADER]
-    for record in records:
-        for tag in record.ps:
-            lines.append(
-                ",".join(
-                    (
-                        str(record.instance_id),
-                        str(record.n),
-                        str(record.seed),
-                        "true" if record.degenerate else "false",
-                        "true" if record.excluded else "false",
-                        tag,
-                        _format_float(record.ps.get(tag)),
-                        "0.0",
-                        str(record.entangling.get(tag, 0)),
-                        _format_float(record.delta_min.get(tag)),
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        f"{r.instance_id},{r.n},{r.seed},{str(r.degenerate).lower()},{str(r.excluded).lower()},"
+        f"{tag},{_format_float(r.ps.get(tag))},0.0,{r.entangling.get(tag, 0)},"
+        f"{_format_float(r.delta_min.get(tag))}"
+        for r in records
+        for tag in r.ps
+    )
+    return _hashed_csv(cfg_hash, _CSV_HEADER, rows)
 
 
 def _parse_bool(text: str) -> bool:
@@ -590,50 +589,68 @@ def emit_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(cfg)
-    paths: dict[str, Path] = {}
-
-    paths["records"] = out / "records.csv"
+    paths = {"records": out / "records.csv", "summary": out / "summary.json"}
     paths["records"].write_text(records_to_csv(records, cfg_hash))
+    paths["summary"].write_text(_sorted_json(summary_to_dict(summary, cfg_hash)))
+    per_n, edges = sorted(summary.per_n.items()), summary.histogram_edges
+    figures = {
+        "fig_avg_ps_vs_n": (
+            "n,ansatz,avg_ps",
+            (
+                f"{n},{tag},{_format_float(value)}"
+                for n, data in per_n
+                for tag, value in data["avg_ps"].items()
+            ),
+        ),
+        "fig_ps_histogram": (
+            "n,ansatz,bin_lo,bin_hi,count",
+            (
+                f"{n},{tag},{edges[b]!r},{edges[b + 1]!r},{count}"
+                for n, hist in sorted(summary.histograms.items())
+                for tag, counts in hist.items()
+                for b, count in enumerate(counts)
+            ),
+        ),
+        "fig_enhancement_vs_n": (
+            "n,ansatz,p_enh_avg,r_enh",
+            (
+                f"{n},{tag},{_format_float(data['p_enh_avg'][tag])},{_format_float(value)}"
+                for n, data in per_n
+                for tag, value in data["r_enh"].items()
+            ),
+        ),
+        "fig_min_gap": (
+            "n,instance_id,ansatz,delta_min",
+            (
+                f"{r.n},{r.instance_id},{tag},{value!r}"
+                for r in records
+                for tag, value in r.delta_min.items()
+                if value is not None
+            ),
+        ),
+    }
+    for name, (header, rows) in figures.items():
+        paths[name] = out / f"{name}.csv"
+        paths[name].write_text(_hashed_csv(cfg_hash, header, rows))
+    return paths
 
-    paths["summary"] = out / "summary.json"
-    paths["summary"].write_text(
-        json.dumps(summary_to_dict(summary, cfg_hash), indent=1, sort_keys=True) + "\n"
+
+def emit_sweep(
+    summary: EnsembleSummary, records: list[RunRecord], cfg: ExperimentConfig, out_dir: str | Path
+) -> dict[str, Path]:
+    """Write every file of a sweep: ``emit_report``'s, ``config.json`` and ``cost_report.csv``.
+
+    Returns the written paths keyed by file stem.
+    """
+    paths = emit_report(summary, records, cfg, out_dir)
+    paths["config"] = Path(out_dir) / "config.json"
+    cfg.to_file(paths["config"])
+    header = "n,ansatz,entangling_per_step,entangling_total,cd_cost"
+    rows = (
+        f"{row.n},{row.ansatz},{row.entangling_per_step},{row.entangling_total},"
+        f"{_format_float(row.cd_cost)}"
+        for row in cost_report(records, cfg)
     )
-
-    header = f"# config_hash={cfg_hash}\n"
-
-    lines = [header + "n,ansatz,avg_ps"]
-    for n, data in sorted(summary.per_n.items()):
-        for tag, value in data["avg_ps"].items():
-            lines.append(f"{n},{tag},{_format_float(value)}")
-    paths["fig_avg_ps_vs_n"] = out / "fig_avg_ps_vs_n.csv"
-    paths["fig_avg_ps_vs_n"].write_text("\n".join(lines) + "\n")
-
-    lines = [header + "n,ansatz,bin_lo,bin_hi,count"]
-    edges = summary.histogram_edges
-    for n, hist in sorted(summary.histograms.items()):
-        for tag, counts in hist.items():
-            for b, count in enumerate(counts):
-                lines.append(f"{n},{tag},{edges[b]!r},{edges[b + 1]!r},{count}")
-    paths["fig_ps_histogram"] = out / "fig_ps_histogram.csv"
-    paths["fig_ps_histogram"].write_text("\n".join(lines) + "\n")
-
-    lines = [header + "n,ansatz,p_enh_avg,r_enh"]
-    for n, data in sorted(summary.per_n.items()):
-        for tag in data["r_enh"]:
-            lines.append(
-                f"{n},{tag},{_format_float(data['p_enh_avg'][tag])},"
-                f"{_format_float(data['r_enh'][tag])}"
-            )
-    paths["fig_enhancement_vs_n"] = out / "fig_enhancement_vs_n.csv"
-    paths["fig_enhancement_vs_n"].write_text("\n".join(lines) + "\n")
-
-    lines = [header + "n,instance_id,ansatz,delta_min"]
-    for record in records:
-        for tag, value in record.delta_min.items():
-            if value is not None:
-                lines.append(f"{record.n},{record.instance_id},{tag},{value!r}")
-    paths["fig_min_gap"] = out / "fig_min_gap.csv"
-    paths["fig_min_gap"].write_text("\n".join(lines) + "\n")
-
+    paths["cost_report"] = Path(out_dir) / "cost_report.csv"
+    paths["cost_report"].write_text(_hashed_csv(config_hash(cfg), header, rows))
     return paths

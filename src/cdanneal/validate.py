@@ -28,7 +28,7 @@ from .gauge import (
     nc1_operator,
     two_local_basis,
 )
-from .pauli import PauliString, PauliSum, commutator, multiply, to_dense, trace_inner
+from .pauli import PauliString, PauliSum, commutator, is_stoquastic, multiply, to_dense, trace_inner
 from .problem import generate_instance, instance_seed
 from .schedule import Schedule
 from .simulator import DrivenHamiltonian, apply_pauli_exponential, ode_reference, trotter_evolve
@@ -201,6 +201,22 @@ def _check_compiled_table(seed: int) -> CheckResult:
     )
 
 
+def _check_cd_non_stoquastic(seed: int) -> CheckResult:
+    """The paper's premise: every CD drive leaves the stoquastic class, and ``none`` stays.
+
+    At one point of nonzero rate, n = 2 to 4.  The CD strings have odd Y
+    counts, which put imaginary entries off the diagonal.
+    """
+    wrong = []
+    for n in (2, 3, 4):
+        inst = generate_instance(n, instance_seed(seed, 700 + n))
+        for tag in Ansatz:
+            if is_stoquastic(assemble_hamiltonian(inst, 0.4, 1.3, tag)) != (tag is Ansatz.NONE):
+                wrong.append(f"{tag.value} at n={n}")
+    detail = f"wrong class: {', '.join(wrong)}" if wrong else "only none is stoquastic"
+    return CheckResult("cd-non-stoquastic", not wrong, detail)
+
+
 def _check_trotter_scaling(seed: int) -> CheckResult:
     ratios = []
     for tag in (Ansatz.NONE, Ansatz.LOCAL_Y, Ansatz.NC1):
@@ -255,6 +271,7 @@ def run_validation_checks(*, seed: int = 20220301) -> list[CheckResult]:
         ("two-local-oracle", lambda: _check_two_local(seed)),
         ("closed-form-blocks", lambda: _check_closed_form_blocks(seed)),
         ("compiled-table", lambda: _check_compiled_table(seed)),
+        ("cd-non-stoquastic", lambda: _check_cd_non_stoquastic(seed)),
         ("trotter-scaling", lambda: _check_trotter_scaling(seed)),
         ("endpoint-gap-equality", lambda: _check_endpoint_gaps(seed)),
         ("unitarity", lambda: _check_unitarity(seed)),

@@ -236,17 +236,41 @@ def write_config(path, **overrides):
     return payload
 
 
+SWEEP_FILES = (
+    "records.csv",
+    "summary.json",
+    "fig_avg_ps_vs_n.csv",
+    "fig_ps_histogram.csv",
+    "fig_enhancement_vs_n.csv",
+    "fig_min_gap.csv",
+    "config.json",
+    "cost_report.csv",
+)
+
+
 def test_sweep_tiny_csv(tmp_path, capsys):
     config = tmp_path / "config.json"
     write_config(config, ansatz=["none"], output_dir=str(tmp_path / "out"))
     assert run_cli("sweep", "--config", str(config), "--quiet") == 0
-    rows = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    out = tmp_path / "out"
+    rows = (out / "records.csv").read_text().splitlines()
     assert len(rows) == 4  # hash, header, two records x one ansatz
-    assert "avg P_s" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "avg P_s" in stdout
+    # The sweep names every file it wrote, and every CSV opens with the
+    # config hash line of the records.
+    assert sorted(p.name for p in out.iterdir()) == sorted(SWEEP_FILES)
+    for name in SWEEP_FILES:
+        assert f": {out / name}\n" in stdout
+    for path in out.glob("*.csv"):
+        assert path.read_text().splitlines()[0] == rows[0]
 
 
-def test_sweep_repeatable_and_jobs_invariant(tmp_path):
+def test_sweep_repeatable_and_jobs_invariant(tmp_path, monkeypatch):
     # Every drive, and at n = 6 each Trotter step runs dozens of rotations.
+    # The worker cap reads the CPU affinity; four CPUs let --jobs 2 and 3
+    # start a pool on any machine.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     config = tmp_path / "config.json"
     for label, jobs in (("out1", "1"), ("out2", "1"), ("out3", "2"), ("out4", "3")):
         write_config(
@@ -306,6 +330,19 @@ def test_sweep_progress_reports_rate_and_exclusions(tmp_path, capsys, monkeypatc
     for name in names:
         if name != "config.json":
             assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+
+
+def test_sweep_integer_total_time_is_the_float_protocol(tmp_path, monkeypatch):
+    # "total_time": 1 and 1.0 are one protocol: one hash, the same bytes in
+    # every file, config.json included.
+    config = tmp_path / "config.json"
+    for label, total_time in (("int", 1), ("float", 1.0)):
+        monkeypatch.setenv("CDANNEAL_OUTPUT_DIR", str(tmp_path / label))
+        write_config(config, output_dir="sweep", total_time=total_time)
+        assert run_cli("sweep", "--config", str(config), "--quiet") == 0
+    for name in SWEEP_FILES:
+        blobs = [(tmp_path / label / "sweep" / name).read_bytes() for label in ("int", "float")]
+        assert blobs[0] == blobs[1], name
 
 
 def test_sweep_flag_overrides(tmp_path):
@@ -551,6 +588,8 @@ def test_report_recomputes_summary(tmp_path):
     )
     again = json.loads((redone / "summary.json").read_text())
     assert again == sweep_summary
+    summaries = [d / "summary.json" for d in (tmp_path / "out", redone)]
+    assert summaries[0].read_bytes() == summaries[1].read_bytes()
 
 
 def test_report_refuses_contradicting_rows(tmp_path, capsys):
@@ -646,6 +685,7 @@ def test_validate_passes(capsys):
         "two-local-oracle",
         "closed-form-blocks",
         "compiled-table",
+        "cd-non-stoquastic",
     ):
         assert name in out
     assert "FAIL" not in out
@@ -665,6 +705,15 @@ def test_validate_mutation_sensitivity(monkeypatch):
     results = {r.name: r for r in run_validation_checks()}
     assert not results["nc1-oracle"].passed
     assert results["local-y-oracle"].passed
+
+
+def test_validate_cd_non_stoquastic_mutation_sensitivity(monkeypatch):
+    # With every CD coefficient zero, each drive is the stoquastic bare
+    # interpolation, and the premise check must say so.
+    real = gauge_mod.cd_coefficients
+    monkeypatch.setattr(gauge_mod, "cd_coefficients", lambda *args: 0.0 * real(*args))
+    results = {r.name: r for r in run_validation_checks()}
+    assert not results["cd-non-stoquastic"].passed
 
 
 def test_validate_two_local_mutation_sensitivity(monkeypatch):

@@ -60,6 +60,8 @@ def test_config_hash_is_pinned_and_reads_the_config_once(monkeypatch):
     assert len(calls) == 1
     moved = dict(TINY, jobs=2, output_dir="elsewhere")
     assert config_hash(ExperimentConfig(**moved)) == "38f0c574bf5dbea1"
+    # An integer total time is the same protocol as its float.
+    assert config_hash(ExperimentConfig(**TINY, total_time=1)) == "38f0c574bf5dbea1"
 
 
 def test_config_rejects_unknown(tmp_path):
@@ -134,6 +136,36 @@ def test_ensemble_deterministic_and_jobs_invariant():
     parallel = run_ensemble(ExperimentConfig(**{**TINY, "jobs": 2}))
     for a, b in zip(first, parallel):
         assert a == RunRecord(**{**b.__dict__})
+
+
+def test_ensemble_workers_capped_by_tasks_and_cpus(monkeypatch):
+    # A fork pool starts every worker at the first submit, so --jobs N must
+    # not reach the pool unbounded.  A fake pool records its size and maps
+    # serially; no worker process starts.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", SerialPool)
+    serial = run_ensemble(ExperimentConfig(**TINY))
+    for jobs, cpus, expected in ((64, 2, [2]), (3, 8, [3]), (100_000, 8, [4]), (8, 1, [])):
+        monkeypatch.setattr(
+            harness_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        started.clear()
+        assert run_ensemble(ExperimentConfig(**{**TINY, "jobs": jobs})) == serial
+        assert started == expected, (jobs, cpus)
 
 
 def test_ensemble_progress_callback():

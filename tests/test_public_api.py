@@ -14,12 +14,6 @@ import cdanneal
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Public names kept without a caller, each for a stated reason.
-#: ``is_stoquastic``: the tests use it to check that the CD terms are
-#: non-stoquastic, which is the paper's premise.
-UNCALLED = {"is_stoquastic"}
-
-
 def _references(tree: ast.AST) -> set[str]:
     """Names and attributes used outside the def or class that binds them."""
     found: set[str] = set()
@@ -50,8 +44,7 @@ def test_public_functions_and_classes_have_callers():
         value = getattr(cdanneal, name)
         if inspect.isfunction(value) or inspect.isclass(value):
             public.add(name)
-    assert public - UNCALLED - referenced == set()
-    assert UNCALLED <= public
+    assert public - referenced == set()
 
 
 #: Defaulted parameters kept without a caller that sets them, each for a
