@@ -5,17 +5,21 @@ Subcommands: ``gen`` (write an instance file), ``run`` (single evolution),
 (recompute summary from a records CSV), ``validate`` (oracle check table).
 
 Exit codes: 0 success, 2 usage error, 3 resource cap, 4 numerical failure,
-5 I/O failure.  All randomness flows from explicit seeds.
+5 I/O failure.  All randomness flows from explicit seeds.  Every command runs
+on one BLAS thread (see ``_one_blas_thread``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     IntegratorError,
@@ -48,6 +52,22 @@ from .validate import run_validation_checks
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "CDANNEAL_OUTPUT_DIR"
+
+
+def _one_blas_thread() -> None:
+    """Run this process, and every process it starts, on one BLAS thread.
+
+    numpy and scipy each bundle an OpenBLAS, and a second thread moves the
+    last bits of some solves.  Each library reads ``OPENBLAS_NUM_THREADS``
+    when it loads: scipy's loads with the first solve that needs it, and
+    ``--jobs`` workers inherit the environment.  numpy's is loaded by the
+    time a command runs, so its count is set through the function it
+    exports.  A numpy build without that library keeps its own count.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_(1)
 
 
 def _default_output_dir() -> Path:
@@ -280,6 +300,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _one_blas_thread()
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -302,7 +301,13 @@ def run_ensemble(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cfg.jobs, len(tasks), cpus or 1)
     records: list[RunRecord] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool = None
+    if workers > 1:
+        # Only a pool needs the process machinery, so only a pool imports it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool or nullcontext():
         for record in pool.map(_run_task, tasks, chunksize=4) if pool else map(_run_task, tasks):
             if progress is not None:
                 progress(record)

@@ -35,21 +35,40 @@ def single_error_line(err):
 # --------------------------------------------------------------- import
 
 
+def package_env(**overrides):
+    """This environment, with the package's source first on PYTHONPATH."""
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **overrides)
+
+
+def fresh_modules(code):
+    """What ``code`` prints when a fresh interpreter runs it."""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
 def test_cli_import_leaves_the_integrator_unloaded():
     # Only validation and the tests integrate, and only spectra and CD norms
     # solve eigenproblems, so starting the tool must not import any part of
     # scipy: each function that needs it imports it.
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
         "import sys, cdanneal.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert fresh_modules(code) == "[]"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a sweep that starts worker processes needs the pool, and it
+    # imports the pool when it starts one.
+    code = (
+        "import sys, cdanneal, cdanneal.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
     )
-    assert result.stdout.strip() == "[]"
+    assert fresh_modules(code) == "[]"
 
 
 # ------------------------------------------------------------------ gen
@@ -248,6 +267,14 @@ SWEEP_FILES = (
 )
 
 
+def without_fields(config_json, *fields):
+    """A written ``config.json`` without the lines of the named fields."""
+    prefixes = tuple(f' "{field}": '.encode() for field in fields)
+    return b"\n".join(
+        line for line in config_json.split(b"\n") if not line.startswith(prefixes)
+    )
+
+
 def test_sweep_tiny_csv(tmp_path, capsys):
     config = tmp_path / "config.json"
     write_config(config, ansatz=["none"], output_dir=str(tmp_path / "out"))
@@ -280,22 +307,45 @@ def test_sweep_repeatable_and_jobs_invariant(tmp_path, monkeypatch):
             output_dir=str(tmp_path / label),
         )
         assert run_cli("sweep", "--config", str(config), "--quiet", "--jobs", jobs) == 0
-    names = [
-        "records.csv",
-        "summary.json",
-        "fig_avg_ps_vs_n.csv",
-        "fig_ps_histogram.csv",
-        "fig_enhancement_vs_n.csv",
-        "fig_min_gap.csv",
-        "cost_report.csv",
-    ]
-    for name in names:
+    for name in SWEEP_FILES:
         blobs = [(tmp_path / f"out{k}" / name).read_bytes() for k in (1, 2, 3, 4)]
         # output_dir and jobs are execution details outside the protocol
         # hash, so the emitted artifacts must be byte-identical
         if name == "config.json":
-            continue
+            blobs = [without_fields(blob, "jobs", "output_dir") for blob in blobs]
         assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+
+
+def test_sweep_identical_at_any_blas_thread_count(tmp_path):
+    # Each command sets one BLAS thread, whatever the environment asks for.
+    # A second thread used to move delta_min of the two-local gap curve at
+    # n = 8 in its last digits.
+    config = tmp_path / "config.json"
+    write_config(
+        config,
+        master_seed=99,
+        n_values=[8],
+        instances_per_n=1,
+        ansatz=["none", "two-local"],
+        compute_gaps=True,
+        gap_samples=21,
+    )
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        subprocess.run(
+            [sys.executable, "-m", "cdanneal.cli", "sweep", "--config", str(config)]
+            + ["--quiet", "--output-dir", out],
+            env=package_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            check=True,
+        )
+    one, two = tmp_path / "threads1", tmp_path / "threads2"
+    assert sorted(p.name for p in two.iterdir()) == sorted(SWEEP_FILES)
+    for name in SWEEP_FILES:
+        blobs = [(one / name).read_bytes(), (two / name).read_bytes()]
+        if name == "config.json":
+            blobs = [without_fields(blob, "output_dir") for blob in blobs]
+        assert blobs[0] == blobs[1], name
 
 
 def test_sweep_progress_reports_rate_and_exclusions(tmp_path, capsys, monkeypatch):

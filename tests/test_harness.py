@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 
@@ -141,7 +142,9 @@ def test_ensemble_deterministic_and_jobs_invariant():
 def test_ensemble_workers_capped_by_tasks_and_cpus(monkeypatch):
     # A fork pool starts every worker at the first submit, so --jobs N must
     # not reach the pool unbounded.  A fake pool records its size and maps
-    # serially; no worker process starts.
+    # serially; no worker process starts.  run_ensemble imports the pool
+    # class from concurrent.futures when it starts one, so it is replaced
+    # there.
     started = []
 
     class SerialPool:
@@ -157,7 +160,7 @@ def test_ensemble_workers_capped_by_tasks_and_cpus(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = run_ensemble(ExperimentConfig(**TINY))
     for jobs, cpus, expected in ((64, 2, [2]), (3, 8, [3]), (100_000, 8, [4]), (8, 1, [])):
         monkeypatch.setattr(
