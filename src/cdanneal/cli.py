@@ -12,14 +12,11 @@ on one BLAS thread (see ``_one_blas_thread``).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     IntegratorError,
@@ -47,7 +44,7 @@ from .problem import (
 )
 from .schedule import Schedule
 from .simulator import sample_shots, success_probability, trotter_evolve
-from .spectrum import GAP_SAMPLES, gap_curve
+from .spectrum import GAP_SAMPLES, _numpy_openblas, gap_curve
 from .validate import run_validation_checks
 
 #: Environment variable naming the default output directory.
@@ -58,16 +55,19 @@ def _one_blas_thread() -> None:
     """Run this process, and every process it starts, on one BLAS thread.
 
     numpy and scipy each bundle an OpenBLAS, and a second thread moves the
-    last bits of some solves.  Each library reads ``OPENBLAS_NUM_THREADS``
-    when it loads: scipy's loads with the first solve that needs it, and
-    ``--jobs`` workers inherit the environment.  numpy's is loaded by the
-    time a command runs, so its count is set through the function it
-    exports.  A numpy build without that library keeps its own count.
+    last bits of some solves.  Dense spectra run on numpy's (see
+    ``cdanneal.spectrum``); scipy's loads only with the first Lanczos solve
+    or ODE reference.  Each library reads ``OPENBLAS_NUM_THREADS`` when it
+    loads, and ``--jobs`` workers inherit the environment.  numpy's is
+    loaded by the time a command runs, so its count is set through the
+    function it exports.  A numpy build without that library keeps its own
+    count.
     """
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
-        ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_(1)
+    lib = _numpy_openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
 
 
 def _default_output_dir() -> Path:

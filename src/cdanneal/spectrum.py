@@ -3,17 +3,28 @@
 Every solve reads ``DrivenHamiltonian.operator_rows``, H = diag(lam E) +
 sum_x diag(d_x) X^x, formed once per solve, in the rows' own dtype: real
 symmetric wherever the CD coefficients vanish (always for ``none``, and at
-lam_dot = 0 for every drive), complex Hermitian elsewhere.  Up to
-``_DENSE_LIMIT`` qubits LAPACK's MRRR solver (``evr``) returns only the wanted
-eigenvalues of the dense matrix; above it ARPACK's Lanczos runs on the matvec.
-scipy is imported by the solver, so importing the package, or running only
-evolutions, never loads it.
+lam_dot = 0 for every drive), complex Hermitian elsewhere.  A row or a
+diagonal entry that is not finite raises ``IntegratorError`` before any
+solver sees it.  Up to ``_DENSE_LIMIT`` qubits LAPACK's MRRR solver
+(``?syevr``/``?heevr``) returns only the wanted eigenvalues of the dense
+matrix.  It runs from the OpenBLAS that numpy bundles, reached through
+``ctypes``, on the C-ordered matrix read as column-major with ``uplo='L'``:
+no copy is made.  The matrix is exactly Hermitian, so LAPACK reads H^T =
+conj(H), whose arithmetic mirrors H's exactly: the eigenvalues are those of
+scipy's ``eigh(..., driver="evr")`` bit for bit.  Where numpy bundles no
+OpenBLAS, or it lacks those routines, the dense solve is that ``eigh``.
+Above the limit ARPACK's Lanczos runs on the matvec.  scipy is imported by
+the solver that needs it, so importing the package, running only
+evolutions, or solving gaps and CD norms up to the limit on numpy's
+OpenBLAS never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -54,12 +65,9 @@ def instantaneous_spectrum(
     """The two lowest eigenvalues of the compiled driven Hamiltonian, ascending.
 
     A coefficient or classical energy that overflowed to inf or NaN raises
-    ``IntegratorError``: no solver takes such a matrix.
+    ``IntegratorError`` (see ``_eigenvalues``).
     """
-    values = hamiltonian.coefficients(lam, lam_dot)
-    if not (np.isfinite(values).all() and np.isfinite(hamiltonian.energies).all()):
-        raise IntegratorError(f"non-finite coefficient or energy at lam={lam}, lam_dot={lam_dot}")
-    return _eigenvalues(hamiltonian, lam, hamiltonian.operator_rows(values), 2, "SA")
+    return _eigenvalues(hamiltonian, lam, hamiltonian.coefficients(lam, lam_dot), 2, "SA")
 
 
 def cd_norm(hamiltonian: DrivenHamiltonian, cd_values: np.ndarray) -> float:
@@ -67,24 +75,41 @@ def cd_norm(hamiltonian: DrivenHamiltonian, cd_values: np.ndarray) -> float:
 
     Every CD string has an odd Y count, so the sum is iK with K real and
     antisymmetric: its spectrum is symmetric about 0, so the top is the norm.
+    A non-finite value or energy raises ``IntegratorError`` (see ``_eigenvalues``).
     """
     if not np.any(cd_values):
         return 0.0  # Lanczos cannot start on the zero operator.
-    rows = hamiltonian.operator_rows(np.concatenate([np.zeros(hamiltonian.n), cd_values]))
-    return float(_eigenvalues(hamiltonian, 0.0, rows, 1, "LA")[0])
+    values = np.concatenate([np.zeros(hamiltonian.n), cd_values])
+    return float(_eigenvalues(hamiltonian, 0.0, values, 1, "LA")[0])
 
 
 def _eigenvalues(
-    hamiltonian: DrivenHamiltonian, diagonal: float, rows: np.ndarray, k: int, which: str
+    hamiltonian: DrivenHamiltonian, diagonal: float, values: np.ndarray, k: int, which: str
 ) -> np.ndarray:
-    """The k lowest ("SA") or highest ("LA") eigenvalues of diagonal E + rows, ascending."""
+    """The k lowest ("SA") or highest ("LA") eigenvalues of H, ascending.
+
+    H = diagonal E + sum_k values[k] P_k over the Hamiltonian's off-diagonal
+    strings.  An operator row or diagonal entry that is not finite raises
+    ``IntegratorError``: no solver takes such a matrix.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below, not warned of
+        rows = hamiltonian.operator_rows(values)
+        finite = np.isfinite(rows).all() and np.isfinite(diagonal * hamiltonian.energies).all()
+    if not finite:
+        raise IntegratorError(
+            f"non-finite coefficient or energy in the n={hamiltonian.n} operator"
+            f" with diagonal {diagonal} E"
+        )
     dim = 1 << hamiltonian.n
     if hamiltonian.n <= _DENSE_LIMIT:
-        from scipy.linalg import eigh
-
         matrix = hamiltonian.operator_dense(diagonal, rows)
         subset = (0, k - 1) if which == "SA" else (dim - k, dim - 1)
-        return eigh(matrix, eigvals_only=True, subset_by_index=subset, driver="evr")
+        evr = _lapacke_evr()
+        if evr is None:
+            from scipy.linalg import eigh
+
+            return eigh(matrix, eigvals_only=True, subset_by_index=subset, driver="evr")
+        return _evr_eigenvalues(evr, matrix, subset)
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -98,6 +123,89 @@ def _eigenvalues(
     # such as the uniform vector never sees the odd sector.
     v0 = np.random.default_rng(0).standard_normal(dim)
     return np.sort(eigsh(linop, k=k, which=which, v0=v0, return_eigenvectors=False))
+
+
+@cache
+def _numpy_openblas():
+    """The OpenBLAS numpy bundles, as a ``ctypes.CDLL``; None where it bundles none.
+
+    numpy loaded the library on import, so opening it again loads nothing.
+    Its symbols carry the ``scipy_`` prefix and, for 64-bit integers, the
+    ``64_`` suffix.
+    """
+    import ctypes
+
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        return ctypes.CDLL(str(path))
+    return None
+
+
+@cache
+def _lapacke_evr():
+    """LAPACKE ``dsyevr`` and ``zheevr`` of ``_numpy_openblas`` by matrix dtype, or None.
+
+    None where numpy bundles no OpenBLAS or it lacks either routine.
+    Both take (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
+    m, w, z, ldz, isuppz) with 64-bit integers and return ``info``.
+    """
+    import ctypes
+
+    lib = _numpy_openblas()
+    names = {np.dtype(np.float64): "dsyevr", np.dtype(np.complex128): "zheevr"}
+    try:
+        routines = {dtype: getattr(lib, f"scipy_LAPACKE_{name}64_") for dtype, name in names.items()}
+    except AttributeError:  # no library (None has no such attribute), or no such symbol
+        return None
+    i64, double, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    for routine in routines.values():
+        routine.argtypes = (
+            [ctypes.c_int] + [ctypes.c_char] * 3 + [i64, pointer, i64]
+            + [double, double, i64, i64, double]
+            + [ctypes.POINTER(i64), pointer, pointer, i64, pointer]
+        )
+        routine.restype = i64
+    return routines
+
+
+#: LAPACKE's ``LAPACK_COL_MAJOR`` matrix layout.
+_COL_MAJOR = 102
+
+
+def _evr_eigenvalues(evr: dict, matrix: np.ndarray, subset: tuple[int, int]) -> np.ndarray:
+    """Eigenvalues subset[0]..subset[1] of a Hermitian matrix, ascending, by LAPACK's evr.
+
+    ``matrix`` must be a writeable, C-contiguous square float64 or
+    complex128 array, and holds garbage afterwards: LAPACK reduces it in
+    place.  Read as column-major with ``uplo='L'`` it is H^T = conj(H), the
+    exact mirror of what scipy passes (H, copied to Fortran order).
+    """
+    import ctypes
+
+    dim = len(matrix)
+    routine = evr.get(matrix.dtype)
+    flags = matrix.flags
+    if routine is None or matrix.shape != (dim, dim) or not (flags.c_contiguous and flags.writeable):
+        raise ParameterError(
+            f"evr needs a writeable C-contiguous square float64 or complex128 matrix,"
+            f" got {matrix.dtype} {matrix.shape}"
+        )
+    values = np.empty(dim)
+    unused_z = np.empty(1, dtype=matrix.dtype)  # jobz='N' reads no eigenvectors
+    unused_support = np.empty(2 * dim, dtype=np.int64)
+    found = ctypes.c_int64()
+    # jobz='N', range='I' with 1-based bounds (vl and vu unread), uplo='L' and
+    # abstol 0, as scipy passes them.
+    info = routine(
+        _COL_MAJOR, b"N", b"I", b"L", dim, matrix.ctypes.data, dim, 0.0, 0.0,
+        subset[0] + 1, subset[1] + 1, 0.0, ctypes.byref(found), values.ctypes.data,
+        unused_z.ctypes.data, 1, unused_support.ctypes.data,
+    )
+    wanted = subset[1] - subset[0] + 1
+    if info != 0 or found.value != wanted:
+        raise IntegratorError(
+            f"LAPACK evr at dim={dim} returned info={info} with {found.value} of {wanted} eigenvalues"
+        )
+    return values[:wanted]
 
 
 def gap_curve(

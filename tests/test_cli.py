@@ -12,6 +12,7 @@ import cdanneal.cli as cli_mod
 import cdanneal.gauge as gauge_mod
 import cdanneal.harness as harness_mod
 import cdanneal.simulator as simulator_mod
+import cdanneal.spectrum as spectrum_mod
 import cdanneal.validate as validate_mod
 from cdanneal.cli import main
 from cdanneal.errors import SingularGaugeError
@@ -67,6 +68,25 @@ def test_import_leaves_the_process_pool_unloaded():
     code = (
         "import sys, cdanneal, cdanneal.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    assert fresh_modules(code) == "[]"
+
+
+def test_dense_gaps_and_norms_load_no_scipy():
+    # Up to the dense limit the spectra solve with the LAPACK numpy bundles:
+    # a gap curve and a CD norm at n = 8 leave every part of scipy unloaded.
+    if spectrum_mod._lapacke_evr() is None:
+        pytest.skip("numpy bundles no OpenBLAS with LAPACKE dsyevr/zheevr")
+    code = (
+        "import sys\n"
+        "from cdanneal import Ansatz, DrivenHamiltonian, Schedule, cd_norm, gap_curve\n"
+        "from cdanneal import generate_instance, instance_seed\n"
+        "inst = generate_instance(8, instance_seed(934, 0))\n"
+        "for ansatz in Ansatz:\n"
+        "    gap_curve(inst, Schedule(1.0, 20), ansatz, 5)\n"
+        "hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)\n"
+        "assert cd_norm(hamiltonian, hamiltonian.gauge.sources) > 0.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert fresh_modules(code) == "[]"
 
@@ -227,11 +247,25 @@ def test_run_non_finite_total_time(tmp_path, capsys):
     for total_time in ("inf", "nan", "1e308", "1e-310"):
         assert run_cli("run", "--instance", str(instance), "--T", total_time) == 2
         assert "finite" in single_error_line(capsys.readouterr().err)
-    # Energies that overflow stop the evolution at the first non-finite norm
-    # instead of printing P_s nan, and numpy warns of no overflow.
+    # Energies that overflow are refused before the evolution, by the phase
+    # bound, instead of printing P_s nan, and numpy warns of no overflow.
     save_instance(ProblemInstance(2, ((0, 1, 1e308),), (1e308, 1e308), seed=0), instance)
     assert run_cli("run", "--instance", str(instance)) == 4
-    assert "norm" in single_error_line(capsys.readouterr().err)
+    assert "max|E| = inf" in single_error_line(capsys.readouterr().err)
+
+
+def test_run_refuses_phases_without_information(tmp_path, capsys):
+    # Every field and coupling 1e300: the energies are finite, but rounding
+    # moves each step's phase by ~1e284 rad.  Refused before evolving.
+    instance = tmp_path / "inst.json"
+    instance.write_text(
+        '{"n": 3, "seed": 1, "h": [1e300, 1e300, 1e300],'
+        ' "J": [[0, 1, 1e300], [0, 2, 1e300], [1, 2, 1e300]]}'
+    )
+    assert run_cli("run", "--instance", str(instance), "--ansatz", "none") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "phase rounding" in single_error_line(captured.err)
 
 
 def test_usage_error_exit_code():

@@ -819,6 +819,22 @@ def test_trotter_non_finite_norm_mid_grid_stops_at_its_step(monkeypatch, chunk):
         trotter_evolve(generate_instance(4, instance_seed(621, 0)), sched, Ansatz.NC1)
 
 
+def test_trotter_refuses_phases_past_the_rounding_bound(monkeypatch):
+    # One qubit, E = (h, -h): eps dt |h| just inside PHASE_TOLERANCE evolves,
+    # just outside it is refused before the first step.
+    sched = Schedule(1.0, 20)
+    edge = simulator.PHASE_TOLERANCE / (np.finfo(float).eps * sched.dt)
+    inside = trotter_evolve(ProblemInstance(1, (), (0.99 * edge,), seed=0), sched, Ansatz.NONE)
+    assert inside.step_norms[-1] == pytest.approx(1.0, abs=1e-12)
+    steps = []
+    monkeypatch.setattr(DrivenHamiltonian, "steps", lambda self, *args: steps.append(args))
+    for h in (1.01 * edge, 1e300):
+        inst = ProblemInstance(1, (), (h,), seed=0)
+        with pytest.raises(IntegratorError, match=r"phase rounding eps\*dt\*max\|E\| = .* rad"):
+            trotter_evolve(inst, sched, Ansatz.NONE)
+    assert steps == []
+
+
 @pytest.mark.parametrize("ansatz", list(Ansatz))
 def test_chunked_steps_bit_identical_to_single_steps(ansatz):
     # Steps prepared one at a time, all at once, or by trotter_evolve leave

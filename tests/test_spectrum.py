@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 import cdanneal.spectrum as spectrum_mod
-from cdanneal.errors import ParameterError, SingularGaugeError
+from cdanneal.errors import IntegratorError, ParameterError, SingularGaugeError
 from cdanneal.gauge import Ansatz, assemble_hamiltonian, cd_coefficients
 from cdanneal.pauli import to_dense
 from cdanneal.problem import (
@@ -252,6 +252,93 @@ def test_lanczos_forms_the_rows_once_per_solve(monkeypatch):
     assert cd_norm(hamiltonian, hamiltonian.gauge.sources) > 0.0
     assert calls["rows"] == 1
     assert calls["products"] > 10
+
+
+@pytest.mark.parametrize("n", [4, 9])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_cd_norm_refuses_non_finite_values(n, bad):
+    # Checked before any solver sees the matrix, dense (n = 4) or Lanczos
+    # (n = 9): LAPACK reached through raw pointers checks for no inf.
+    hamiltonian = DrivenHamiltonian(generate_instance(n, instance_seed(932, n)), Ansatz.NC1)
+    values = hamiltonian.gauge.sources.copy()
+    values[1] = bad
+    with pytest.raises(IntegratorError, match="non-finite"):
+        cd_norm(hamiltonian, values)
+
+
+def _numpy_lapack():
+    evr = spectrum_mod._lapacke_evr()
+    if evr is None:
+        pytest.skip("numpy bundles no OpenBLAS with LAPACKE dsyevr/zheevr")
+    return evr
+
+
+@pytest.fixture
+def fresh_lapack_binding():
+    """Rebinds LAPACK after the test, whatever locator the test left patched."""
+    spectrum_mod._lapacke_evr.cache_clear()
+    yield
+    spectrum_mod._lapacke_evr.cache_clear()
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+def test_dense_solves_identical_through_numpy_and_scipy(ansatz, monkeypatch, fresh_lapack_binding):
+    # numpy's LAPACK, the scipy fallback (locator forced to None) and
+    # scipy's eigh(driver="evr") itself agree byte for byte: n = 1-8, real
+    # rows (lam_dot = 0) and complex rows, the gap's "SA" k = 2 and the
+    # norm's "LA" k = 1.
+    _numpy_lapack()
+    solves = []
+    evr_eigenvalues = spectrum_mod._evr_eigenvalues
+
+    def counted(*args):
+        solves.append(args[1].dtype)
+        return evr_eigenvalues(*args)
+
+    monkeypatch.setattr(spectrum_mod, "_evr_eigenvalues", counted)
+    cases = []
+    for n in range(2 if ansatz is Ansatz.TWO_LOCAL else 1, spectrum_mod._DENSE_LIMIT + 1):
+        hamiltonian = DrivenHamiltonian(generate_instance(n, instance_seed(933, n)), ansatz)
+        for lam, lam_dot in ((0.35, 0.0), (0.35, 1.2), (0.8, 2.1)):
+            values = hamiltonian.coefficients(lam, lam_dot)
+            for k, which in ((2, "SA"), (1, "LA")):
+                cases.append((hamiltonian, lam, values, k, which))
+    numpy_path = [spectrum_mod._eigenvalues(*case).tobytes() for case in cases]
+    assert len(solves) == len(cases)
+    dtypes = {np.dtype(np.float64)} if ansatz is Ansatz.NONE else {np.dtype(np.complex128)}
+    assert set(solves) == dtypes | {np.dtype(np.float64)}
+
+    monkeypatch.setattr(spectrum_mod, "_numpy_openblas", lambda: None)
+    spectrum_mod._lapacke_evr.cache_clear()
+    solves.clear()
+    fallback = [spectrum_mod._eigenvalues(*case).tobytes() for case in cases]
+    assert solves == []
+    assert fallback == numpy_path
+    for (hamiltonian, lam, values, k, which), got in zip(cases, numpy_path):
+        dim = 1 << hamiltonian.n
+        subset = (0, k - 1) if which == "SA" else (dim - k, dim - 1)
+        matrix = hamiltonian.operator_dense(lam, hamiltonian.operator_rows(values))
+        expected = eigh(matrix, eigvals_only=True, subset_by_index=subset, driver="evr")
+        assert expected.tobytes() == got
+
+
+def test_numpy_lapack_checks_its_matrix_before_the_call():
+    evr = _numpy_lapack()
+    good = np.diag([3.0, 1.0, 2.0])
+    assert spectrum_mod._evr_eigenvalues(evr, good.copy(), (0, 1)).tolist() == [1.0, 2.0]
+    read_only = good.copy()
+    read_only.flags.writeable = False
+    for matrix in (
+        good.astype(np.float32),
+        np.zeros((4, 4))[:, ::2][:2],  # square but not contiguous
+        np.zeros((2, 3)),
+        read_only,
+    ):
+        with pytest.raises(ParameterError):
+            spectrum_mod._evr_eigenvalues(evr, matrix, (0, 0))
+    # LAPACK refuses an index range past the matrix with a nonzero info.
+    with pytest.raises(IntegratorError, match="info=-11"):
+        spectrum_mod._evr_eigenvalues(evr, good.copy(), (2, 3))
 
 
 def test_assembled_hamiltonians_hermitian():
