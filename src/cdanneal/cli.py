@@ -209,7 +209,7 @@ def cmd_sweep(args) -> int:
     overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     cfg = ExperimentConfig.from_dict(ExperimentConfig.from_file(args.config).to_dict() | overrides)
 
-    progress = None
+    progress = cost_progress = None
     if not args.quiet:
         total = len(cfg.n_values) * cfg.instances_per_n
         started = time.perf_counter()
@@ -231,12 +231,15 @@ def cmd_sweep(args) -> int:
                     file=sys.stderr,
                 )
 
+        def cost_progress(n, seed, k, total_jobs):
+            print(f"cost sample n={n} seed={seed} done, {k}/{total_jobs}", file=sys.stderr)
+
     check_sweep_budget(cfg)
     records = run_ensemble(cfg, progress=progress)
     summary = enhancement_metrics(records)
     # An absolute output_dir replaces the default directory.
     out_dir = _default_output_dir() / cfg.output_dir
-    paths = emit_sweep(summary, records, cfg, out_dir)
+    paths = emit_sweep(summary, records, cfg, out_dir, progress=cost_progress)
 
     for n, data in sorted(summary.per_n.items()):
         _print_avg_ps(n, data)

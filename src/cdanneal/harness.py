@@ -9,11 +9,9 @@ hash.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -46,7 +44,8 @@ ZERO_BASELINE_FLOOR = 1e-12
 #: Histogram binning for success-probability distributions.
 HISTOGRAM_BINS = 50
 
-#: Regenerated instances per (size, drive) that the cost report averages.
+#: The cost report averages each drive's CD cost over the first this many
+#: records of a size on which that drive was not excluded.
 COST_SAMPLES = 5
 
 _CSV_HEADER = (
@@ -278,6 +277,24 @@ def check_sweep_budget(cfg: ExperimentConfig) -> None:
             DrivenHamiltonian(inst, Ansatz.parse(tag)).check_rows_budget()
 
 
+def _map_in_order(fn: Callable, tasks: list, jobs: int) -> Iterable:
+    """``map(fn, tasks)`` on at most ``jobs`` workers, but no more than tasks or usable CPUs."""
+    # A fork pool starts all its workers at the first submit.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    # Only a pool needs the process machinery, so only a pool imports it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Up to four tasks a chunk, and four chunks or more a worker, so that a
+    # handful of long tasks still spreads across the workers.
+    chunksize = min(4, max(1, len(tasks) // (4 * workers)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks, chunksize=chunksize)
+
+
 def run_ensemble(
     cfg: ExperimentConfig,
     *,
@@ -297,21 +314,11 @@ def run_ensemble(
         for index in range(cfg.instances_per_n):
             tasks.append((cfg, record_id, n, index))
             record_id += 1
-    # A fork pool starts all its workers at the first submit.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cfg.jobs, len(tasks), cpus or 1)
     records: list[RunRecord] = []
-    pool = None
-    if workers > 1:
-        # Only a pool needs the process machinery, so only a pool imports it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    with pool or nullcontext():
-        for record in pool.map(_run_task, tasks, chunksize=4) if pool else map(_run_task, tasks):
-            if progress is not None:
-                progress(record)
-            records.append(record)
+    for record in _map_in_order(_run_task, tasks, cfg.jobs):
+        if progress is not None:
+            progress(record)
+        records.append(record)
     return records
 
 
@@ -438,28 +445,52 @@ def cd_cost(hamiltonian: DrivenHamiltonian, sched: Schedule) -> float:
     return sched.dt * float(np.sum(norms))
 
 
-def cost_report(records: Iterable[RunRecord], cfg: ExperimentConfig) -> list[CostRow]:
+def _cost_task(args: tuple[ExperimentConfig, int, int, list[str]]) -> tuple[int, int, dict]:
+    cfg, n, seed, tags = args
+    inst = generate_instance(n, seed)
+    sched = Schedule(cfg.total_time, cfg.trotter_steps)
+    costs = {tag: cd_cost(DrivenHamiltonian(inst, Ansatz.parse(tag)), sched) for tag in tags}
+    return n, seed, costs
+
+
+def cost_report(
+    records: Iterable[RunRecord],
+    cfg: ExperimentConfig,
+    *,
+    progress: Callable[[int, int, int, int], None] | None = None,
+) -> list[CostRow]:
     """Entangling-exponential counts and the time-integrated CD cost.
 
-    The CD cost is ``cd_cost`` averaged over up to ``COST_SAMPLES``
-    regenerated instances on which the drive was not excluded.
+    The CD cost is ``cd_cost`` averaged over the first ``COST_SAMPLES``
+    records of each (size, drive) on which the drive was not excluded.  Each
+    sampled instance is one task on the sweep's workers, in record order:
+    it is regenerated once for all of its sampled drives.
+    ``progress(n, seed, k, K)`` follows the k-th of K finished tasks.
     """
-    sched = Schedule(cfg.total_time, cfg.trotter_steps)
+    records = list(records)
     by_key: dict[tuple[int, str], list[RunRecord]] = {}
     for record in records:
         for tag in record.ps:
             by_key.setdefault((record.n, tag), []).append(record)
-    regenerate = functools.cache(generate_instance)  # once per sampled (n, seed)
+    # A drive excluded on an instance is singular somewhere on this grid.
+    kept = {
+        (n, tag): [r.seed for r in group if r.ps[tag] is not None][:COST_SAMPLES]
+        for (n, tag), group in by_key.items()
+    }
+    tasks = [(cfg, r.n, r.seed, [t for t in r.ps if r.seed in kept[r.n, t]]) for r in records]
+    tasks = [task for task in tasks if task[3]]
+    costs = {}
+    for k, (n, seed, result) in enumerate(_map_in_order(_cost_task, tasks, cfg.jobs), 1):
+        costs[n, seed] = result
+        if progress is not None:
+            progress(n, seed, k, len(tasks))
     rows = []
     for (n, tag), group in sorted(by_key.items()):
-        ansatz = Ansatz.parse(tag)
         totals = [r.entangling[tag] for r in group if not r.excluded]
         total = int(max(totals)) if totals else 0
         per_step = total // cfg.trotter_steps if total else 0
-        # A drive excluded on an instance is singular somewhere on this grid.
-        kept = [r for r in group if r.ps[tag] is not None][:COST_SAMPLES]
-        costs = [cd_cost(DrivenHamiltonian(regenerate(n, r.seed), ansatz), sched) for r in kept]
-        rows.append(CostRow(n, tag, per_step, total, float(np.mean(costs)) if costs else None))
+        sampled = [costs[n, seed][tag] for seed in kept[n, tag]]
+        rows.append(CostRow(n, tag, per_step, total, float(np.mean(sampled)) if sampled else None))
     return rows
 
 
@@ -641,10 +672,16 @@ def emit_report(
 
 
 def emit_sweep(
-    summary: EnsembleSummary, records: list[RunRecord], cfg: ExperimentConfig, out_dir: str | Path
+    summary: EnsembleSummary,
+    records: list[RunRecord],
+    cfg: ExperimentConfig,
+    out_dir: str | Path,
+    *,
+    progress: Callable[[int, int, int, int], None] | None = None,
 ) -> dict[str, Path]:
     """Write every file of a sweep: ``emit_report``'s, ``config.json`` and ``cost_report.csv``.
 
+    ``progress`` follows the cost report's tasks, as in ``cost_report``.
     Returns the written paths keyed by file stem.
     """
     paths = emit_report(summary, records, cfg, out_dir)
@@ -654,7 +691,7 @@ def emit_sweep(
     rows = (
         f"{row.n},{row.ansatz},{row.entangling_per_step},{row.entangling_total},"
         f"{_format_float(row.cd_cost)}"
-        for row in cost_report(records, cfg)
+        for row in cost_report(records, cfg, progress=progress)
     )
     paths["cost_report"] = Path(out_dir) / "cost_report.csv"
     paths["cost_report"].write_text(_hashed_csv(config_hash(cfg), header, rows))

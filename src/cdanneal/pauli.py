@@ -33,8 +33,9 @@ _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 #: Coefficients below this magnitude are dropped after every algebraic step.
 PRUNE_TOLERANCE = 1e-12
 
-#: Largest qubit count for which dense 2^n x 2^n matrices are built.
-DENSE_CAP = 14
+#: Largest qubit count for which dense 2^n x 2^n matrices are built: 256 MiB at
+#: 12, leaving room in ``simulator.MEMORY_BUDGET`` for ``is_stoquastic``'s copy.
+DENSE_CAP = 12
 
 _AXIS_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_AXIS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}

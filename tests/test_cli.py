@@ -400,12 +400,17 @@ def test_sweep_progress_reports_rate_and_exclusions(tmp_path, capsys, monkeypatc
     assert run_cli("sweep", "--config", str(config)) == 0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 5
     assert lines[0].startswith("instance 0 (n=3) done, 1/2, ")
     assert "instances/s, ETA " in lines[0]
     assert lines[1] == "  excluded nc1: singular gauge at site 2, lam=0.375, step 7"
     assert lines[2].startswith("instance 1 (n=3) done, 2/2, ")
     assert lines[2].endswith("ETA 0 s")
+    # Then one line per cost task: instance 0 is still sampled for none.
+    assert lines[3:] == [
+        f"cost sample n=3 seed={first_seed} done, 1/2",
+        f"cost sample n=3 seed={instance_seed(13, 1)} done, 2/2",
+    ]
     assert "instances/s" not in captured.out
     # The diagnostics reach stderr only: every emitted file is unchanged.
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"

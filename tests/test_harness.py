@@ -1,6 +1,8 @@
 import concurrent.futures
+import dataclasses
 import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,17 +141,19 @@ def test_ensemble_deterministic_and_jobs_invariant():
         assert a == RunRecord(**{**b.__dict__})
 
 
-def test_ensemble_workers_capped_by_tasks_and_cpus(monkeypatch):
-    # A fork pool starts every worker at the first submit, so --jobs N must
-    # not reach the pool unbounded.  A fake pool records its size and maps
-    # serially; no worker process starts.  run_ensemble imports the pool
-    # class from concurrent.futures when it starts one, so it is replaced
-    # there.
-    started = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool with one that records its size and chunks and maps serially.
+
+    No worker process starts.  The sweep imports the pool class from
+    concurrent.futures when it starts one, so it is replaced there.  Returns
+    the started pool sizes and the chunk size of each map.
+    """
+    started = SimpleNamespace(sizes=[], chunks=[])
 
     class SerialPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            started.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -158,9 +162,17 @@ def test_ensemble_workers_capped_by_tasks_and_cpus(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            started.chunks.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_ensemble_workers_capped_by_tasks_and_cpus(monkeypatch, recording_pool):
+    # A fork pool starts every worker at the first submit, so --jobs N must
+    # not reach the pool unbounded.
+    started = recording_pool.sizes
     serial = run_ensemble(ExperimentConfig(**TINY))
     for jobs, cpus, expected in ((64, 2, [2]), (3, 8, [3]), (100_000, 8, [4]), (8, 1, [])):
         monkeypatch.setattr(
@@ -505,6 +517,61 @@ def test_energies_formed_once_per_task_and_cost_sample(monkeypatch):
     formed.clear()
     cost_report(records, cfg)
     assert formed == [(r.n, r.seed) for r in records]
+
+
+def test_cost_report_runs_on_the_sweep_workers(monkeypatch, recording_pool):
+    # Two sizes with one sample each: two cost tasks start a pool of two,
+    # and the rows match the serial report.
+    monkeypatch.setattr(harness_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = ExperimentConfig(**{**TINY, "n_values": (3, 4), "instances_per_n": 1})
+    records = run_ensemble(cfg)
+    serial = cost_report(records, cfg)
+    assert recording_pool.sizes == []
+    parallel = cost_report(records, dataclasses.replace(cfg, jobs=2))
+    assert recording_pool.sizes == [2]
+    assert parallel == serial
+
+
+def test_task_runner_chunk_size(monkeypatch, recording_pool):
+    # A desk-size sweep sends four tasks a chunk; a handful of long cost
+    # tasks go one a chunk, so that they spread across the workers.
+    monkeypatch.setattr(harness_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for count in (1000, 20, 5):
+        tasks = list(range(-count, 0))
+        assert list(harness_mod._map_in_order(abs, tasks, 2)) == [abs(t) for t in tasks]
+    assert recording_pool.chunks == [4, 2, 1]
+
+
+def test_cost_report_samples_the_first_kept_records(monkeypatch):
+    # nc1 is excluded on instance 1 of 7, so its five samples are instances
+    # 0 and 2-5: the sixth instance is sampled, the seventh is not, and
+    # each sampled instance is generated once for all of its drives.
+    cfg = ExperimentConfig(master_seed=41, n_values=(3,), ansatz=("none", "nc1"))
+    seeds = [instance_seed(41, i) for i in range(7)]
+    records = [
+        RunRecord(i, 3, seed, False, i == 1, {"none": 0.5, "nc1": None if i == 1 else 0.6}, {}, {})
+        for i, seed in enumerate(seeds)
+    ]
+    for record in records:
+        record.entangling = {tag: 60 for tag, ps in record.ps.items() if ps is not None}
+    generated = []
+    real = harness_mod.generate_instance
+
+    def counted(n, seed):
+        generated.append(seed)
+        return real(n, seed)
+
+    monkeypatch.setattr(harness_mod, "generate_instance", counted)
+    progress = []
+    rows = {r.ansatz: r for r in cost_report(records, cfg, progress=lambda *a: progress.append(a))}
+    assert generated == seeds[:6]
+    assert progress == [(3, seed, k, 6) for k, seed in enumerate(seeds[:6], 1)]
+    sched = Schedule(cfg.total_time, cfg.trotter_steps)
+    expected = np.mean(
+        [cd_cost(DrivenHamiltonian(real(3, seeds[i]), Ansatz.NC1), sched) for i in (0, 2, 3, 4, 5)]
+    )
+    assert rows["nc1"].cd_cost == float(expected)
+    assert rows["none"].cd_cost == 0.0
 
 
 def test_cost_report_entangling_total_is_largest_kept():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,9 +210,23 @@ def test_to_dense_matches_kron():
 
 
 def test_to_dense_cap():
-    # Refused before the 2^n x 2^n matrix is allocated.
+    # Refused before the 2^n x 2^n matrix is allocated.  A complex matrix at
+    # n = 13 takes 1 GiB, the whole memory budget, and is_stoquastic would
+    # add a mask and a copy: both refuse it first.
+    assert DENSE_CAP == 12
     with pytest.raises(ResourceCapError):
         to_dense(PauliSum.zero(DENSE_CAP + 1))
+    n = DENSE_CAP + 1
+    op = PauliSum(n, {PauliString.single(n, i, "X"): -1.0 for i in range(n)})
+    for dense_check in (to_dense, is_stoquastic):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="n=13 exceeds cap 12"):
+                dense_check(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (dense_check.__name__, peak)
 
 
 # ------------------------------------------------------------ is_stoquastic
