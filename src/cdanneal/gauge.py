@@ -19,11 +19,31 @@ off-diagonals: the driving is deliberately non-stoquastic.
 
 ``CompiledGauge`` compiles a drive once per instance: its string masks
 (``_cd_masks``, which ``cd_terms`` turns into strings), the instance sums of
-the closed forms, and for the 2-local family the Gram matrix and source
-vector of the action as polynomials of degree two in lam, so each
-coefficient evaluation is one small linear solve, certified by a Cholesky
-factorization to need no truncation (``_solve_certified``).
-``cd_coefficients`` evaluates a drive at all its points in one stacked call.
+the closed forms, and for the 2-local family the blocks of the action's
+Gram matrix G(lam) = (1-lam)^2 G_xx + lam (1-lam) G_xp + lam^2 G_pp and
+source vector s(lam) = (1-lam) v_x + lam v_p.  These are products of one
+string table, dH and the commutator images of the basis.  What depends on
+n alone is formed once per size (``_two_local_frame``): the strings, the
+mixer images and the table's cells for an instance on which nothing
+prunes, so such an instance's table is one weighted sum per cell.
+
+The 2-local solve rests on a lemma.  Split the basis as A = {Y_i} u
+{Z_i Y_j} (k = n(n+1)/2 elements) and XY = {X_i Y_j} (m = n(n-1)/2).  Then
+G_xx is the diagonal 4 on Y, 32 on ZY and 8 on XY for every instance; the
+XY x XY block of G_pp is diagonal and its A x XY block zero; G_xp is zero
+outside XY x A and its transpose, which is B; and the XY sources are 0.  So
+
+    G = [[A, w B^T], [w B, D]],  w = lam (1-lam),  D = (1-lam)^2 G_xx,XY + lam^2 G_pp,XY
+
+with D diagonal, and the minimizer solves the k x k Schur complement
+S = A - w^2 B^T D^-1 B: S c_A = -s_A, then c_XY = -w D^-1 B c_A.  A point
+is solved so only when G - shift I, shift = ``CERTIFIED_FRACTION`` *
+trace(G) / n^2, is certified positive definite blockwise: D - shift > 0
+and (A - shift I) - w^2 B^T (D - shift)^-1 B has a Cholesky factor
+(Haynsworth).  Any other point takes the eigendecomposition of its full
+Gram matrix (``_solve_normal``).  The test suite checks the lemma on the
+PauliSum commutators.  ``cd_coefficients`` evaluates a drive at all its
+points in one stacked call.
 ``minimize_action`` stays the general PauliSum solver, with its
 eigendecomposition, that the compiled solve is checked against, and
 ``assemble_hamiltonian`` the PauliSum driven Hamiltonian that the compiled
@@ -35,6 +55,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +72,7 @@ CONDITION_THRESHOLD = 1e12
 
 #: A compiled 2-local Gram matrix skips the eigendecomposition when one
 #: Cholesky factorization certifies its smallest eigenvalue to be at least
-#: this fraction of its mean eigenvalue (see ``_solve_certified``).
+#: this fraction of its mean eigenvalue (see ``CompiledGauge._solve``).
 CERTIFIED_FRACTION = 1e-3
 
 
@@ -259,7 +281,7 @@ def _solve_normal(gram: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, boo
     """Minimizer of c^T gram c + 2 c^T source, truncated as a pseudo-inverse.
 
     The reference solve: ``minimize_action`` always takes it, and the compiled
-    2-local solve only for a Gram matrix that ``_solve_certified`` cannot
+    2-local solve only for a Gram matrix that ``CompiledGauge._solve`` cannot
     certify.  Eigenvalues of the symmetric ``gram`` below
     max(eig)/CONDITION_THRESHOLD are dropped; the flag reports whether any
     were.  A kept direction whose projected source is within rounding of
@@ -279,49 +301,6 @@ def _solve_normal(gram: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, boo
     return eigenvectors @ scaled, bool((~keep).any())
 
 
-def _solve_certified(
-    grams: np.ndarray, sources: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_solve_normal`` for a stack of Gram matrices, without eigendecompositions.
-
-    A Gram matrix whose shifted copy gram - shift I, shift = CERTIFIED_FRACTION
-    * trace / size, has a Cholesky factor has every eigenvalue at or above
-    ``shift``: far above the truncation cutoff, and so far above zero that
-    the rounding-level sources ``_solve_normal`` drops would move a
-    coefficient by at most size * eps * |source| / shift.  Such a matrix is
-    solved directly, unflagged.  Any other, such as a zero Gram matrix or one
-    with a symmetry-forbidden direction, takes ``_solve_normal`` itself.
-    Returns the (points, size) coefficients and the per-point flags.
-    """
-    coefficients = np.empty_like(sources)
-    flags = np.zeros(len(grams), dtype=bool)
-    certified = _certified(grams)
-    if certified.any():
-        coefficients[certified] = np.linalg.solve(
-            grams[certified], -sources[certified, :, None]
-        )[..., 0]
-    for k in np.flatnonzero(~certified):
-        coefficients[k], flags[k] = _solve_normal(grams[k], sources[k])
-    return coefficients, flags
-
-
-def _certified(grams: np.ndarray) -> np.ndarray:
-    """Per stacked Gram matrix, whether its shifted copy has a Cholesky factor.
-
-    The whole stack is factored at once; only a stack that fails is taken
-    apart, to find the matrices that fail.
-    """
-    size = grams.shape[-1]
-    shift = np.trace(grams, axis1=1, axis2=2) * (CERTIFIED_FRACTION / size)
-    try:
-        np.linalg.cholesky(grams - shift[:, None, None] * np.eye(size))
-    except np.linalg.LinAlgError:
-        if len(grams) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_certified(gram[None]) for gram in grams])
-    return np.ones(len(grams), dtype=bool)
-
-
 class CompiledGauge:
     """The CD drive of one instance, compiled once per (instance, drive).
 
@@ -333,21 +312,26 @@ class CompiledGauge:
       that carry a Y term (h_i != 0); no other site is ever divided for;
     * nc1: the three instance sums of the closed form and each string's
       source value (h_i for Y_i, J_ij for both strings of a coupling);
-    * two-local: the action as a quadratic in lam.  With H = (1-lam) H_x +
-      lam H_p the images i[B_b, H] are (1-lam) i[B_b, H_x] + lam i[B_b, H_p],
-      so the Gram matrix is (1-lam)^2 G_xx + lam (1-lam) G_xp + lam^2 G_pp,
-      the source vector is (1-lam) v_x + lam v_p, and the action at the
-      minimizer needs only ||dH||^2 besides.  Each lam then costs one
-      Cholesky factorization and one small linear solve, and the points of
-      a grid are stacked into one call of each (``_solve_certified``).
+    * two-local: the action as a quadratic in lam, kept as the blocks the
+      lemma of the module docstring leaves: ``xx_diagonal`` (G_xx, the same
+      for every instance of a size), ``pp_a`` (the A block of G_pp),
+      ``pp_xy`` (the diagonal XY block of G_pp), ``xp_b`` (B, the XY x A
+      block of G_xp), ``source_x_a`` and ``source_p_a`` (the A parts of
+      v_x and v_p) and ``norm_dh`` = ||dH||^2.  Each grid is solved in one
+      stacked call on the k x k Schur complement of the diagonal XY block.
 
     ``string_basis`` maps each two-local string to its basis element: the
-    symmetrized ZY and XY elements own two strings each.
+    symmetrized ZY and XY elements own two strings each.  The masks,
+    ``string_basis``, G_xx and the string table's layout come from one
+    per-size ``_two_local_frame``.
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
         self.inst = inst
         self.ansatz = ansatz
+        if ansatz is Ansatz.TWO_LOCAL:
+            self._compile_two_local()
+            return
         self.x_masks, self.z_masks = _cd_masks(inst, ansatz)
         if ansatz is Ansatz.LOCAL_Y:
             self.sites = np.flatnonzero(inst.field_array())
@@ -359,91 +343,298 @@ class CompiledGauge:
             self.sources = np.array(
                 [h for h in inst.fields if h != 0.0] + list(np.repeat(pairs, 2))
             )
-        elif ansatz is Ansatz.TWO_LOCAL:
-            self._compile_two_local()
 
     def _compile_two_local(self) -> None:
         n = self.inst.n
         _check_two_local(n)
-        # n Y elements, then n(n-1)/2 ZY and n(n-1)/2 XY elements.
-        size = n * n
-        self.string_basis = np.concatenate(
-            [np.arange(n), np.repeat(np.arange(n, size), 2)]
-        )
-        # H_x = -sum X_i and H_p (couplings, then fields) as (x, z, coefficient)
-        # arrays in PauliSum order, pruned as PauliSum prunes.
-        inst, zeros = self.inst, np.zeros(n, dtype=np.int64)
-        mixer = (1 << np.arange(n, dtype=np.int64), zeros, np.full(n, -1.0))
+        frame = _two_local_frame(n)
+        self.x_masks, self.z_masks = frame.x_masks, frame.z_masks
+        self.string_basis, self.xx_diagonal = frame.string_basis, frame.xx_diagonal
+        # H_p (couplings, then fields) as Z-string masks and coefficients in
+        # PauliSum order, before the prune.
+        inst, size, k = self.inst, n * n, n * (n + 1) // 2
         z_p = np.array(
             [(1 << i) | (1 << j) for i, j, _ in inst.couplings] + [1 << i for i in range(n)],
             dtype=np.int64,
         )
         c_p = np.array([value for *_, value in inst.couplings] + list(inst.fields))
-        kept = np.abs(c_p) > PRUNE_TOLERANCE
-        problem = (np.zeros(kept.sum(), dtype=np.int64), z_p[kept], c_p[kept])
-        self.problem_scale = float(np.abs(problem[2]).max(initial=0.0))
-        d_h = (
-            np.concatenate([problem[0], mixer[0]]),
-            np.concatenate([problem[1], zeros]),
-            np.concatenate([problem[2], np.ones(n)]),
-        )
-        # Row 0 is dH = H_p - H_x, rows 1..B the images i[B_b, H_x] and rows
-        # B+1..2B the images i[B_b, H_p], entries in the order in which the
-        # PauliSum commutators visit them.
-        x_b, z_b = self.x_masks, self.z_masks
-        parts = (
-            (np.zeros(len(d_h[0]), dtype=np.int64), *d_h),
-            _image_entries(x_b, z_b, 1 + self.string_basis, *mixer),
-            _image_entries(x_b, z_b, 1 + size + self.string_basis, *problem),
-        )
-        table = _string_table(n, 1 + 2 * size, *(np.concatenate(c) for c in zip(*parts)))
+        scale = float(np.abs(c_p).max(initial=0.0))
+        self.problem_scale = scale if scale > PRUNE_TOLERANCE else 0.0
+        table = frame.table(z_p, c_p)
         source, image_x, image_p = table[0], table[1 : 1 + size], table[1 + size :]
-        self.gram_xx = image_x @ image_x.T
-        cross = image_x @ image_p.T
-        self.gram_xp = cross + cross.T
-        self.gram_pp = image_p @ image_p.T
-        self.source_x = image_x @ source
-        self.source_p = image_p @ source
+        self.pp_a = image_p[:k] @ image_p[:k].T
+        self.pp_xy = np.einsum("ij,ij->i", image_p[k:], image_p[k:])
+        self.xp_b = image_x[k:] @ image_p[:k].T + (image_x[:k] @ image_p[k:].T).T
+        self.source_x_a = image_x[:k] @ source
+        self.source_p_a = image_p[:k] @ source
         self.norm_dh = float(source @ source)
 
-    def normal_equations(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Gram matrix and source vector of the two-local action at ``lam``.
+    def _blocks(self, lams: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The two-local action's blocks at each point of the 1-D ``lams``.
 
-        ``lam`` is a scalar, or a 1-D array of points that becomes the
-        leading axis of both results.  H = (1-lam) H_x + lam H_p as
-        ``adiabatic_pair`` builds it: a part whose every coefficient is at or
-        below ``PRUNE_TOLERANCE`` is the zero operator, as ``PauliSum``
-        prunes it.  So within 1e-12 of lam = 1 on an instance without fields
-        or couplings, H is zero and the solve takes the pseudo-inverse path,
-        as ``minimize_action`` does.
+        Returns A(lam) (points, k, k), the coupling weight lam (1-lam), the
+        diagonal D(lam) (points, m) and s_A(lam) (points, k).  H = (1-lam) H_x
+        + lam H_p as ``adiabatic_pair`` builds it: a part whose every
+        coefficient is at or below ``PRUNE_TOLERANCE`` is the zero operator,
+        as ``PauliSum`` prunes it.  ``_full`` assembles the full Gram matrix
+        (1-lam)^2 G_xx + lam (1-lam) G_xp + lam^2 G_pp from these blocks.
         """
         if self.ansatz is not Ansatz.TWO_LOCAL:
             raise ParameterError(f"gauge compiled for {self.ansatz.value}, not two-local")
+        mix = np.where(np.abs(1.0 - lams) > PRUNE_TOLERANCE, 1.0 - lams, 0.0)
+        lam = np.where(np.abs(lams) * self.problem_scale > PRUNE_TOLERANCE, lams, 0.0)
+        k = len(self.pp_a)
+        a = (lam**2)[:, None, None] * self.pp_a
+        a.reshape(len(lams), -1)[:, :: k + 1] += (mix**2)[:, None] * self.xx_diagonal[:k]
+        d = (mix**2)[:, None] * self.xx_diagonal[k:] + (lam**2)[:, None] * self.pp_xy
+        s = mix[:, None] * self.source_x_a + lam[:, None] * self.source_p_a
+        return a, lam * mix, d, s
+
+    def _full(self, a, weight, d, s) -> tuple[np.ndarray, np.ndarray]:
+        """The full (points, n^2, n^2) Gram matrices and (points, n^2) sources of stacked blocks."""
+        points, k = a.shape[:2]
+        size = k + d.shape[-1]
+        gram = np.zeros((points, size, size))
+        gram[:, :k, :k] = a
+        gram[:, k:, :k] = weight[:, None, None] * self.xp_b
+        gram[:, :k, k:] = gram[:, k:, :k].swapaxes(1, 2)
+        gram.reshape(points, -1)[:, k * (size + 1) :: size + 1] = d
+        source = np.zeros((points, size))
+        source[:, :k] = s
+        return gram, source
+
+    def normal_equations(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Full Gram matrix and source vector of the two-local action at ``lam``.
+
+        ``lam`` is a scalar, or a 1-D array of points that becomes the
+        leading axis of both results.  Within 1e-12 of lam = 1 on an
+        instance without fields or couplings, H is zero and the solve takes
+        the pseudo-inverse path, as ``minimize_action`` does.
+        """
         lam = np.asarray(lam, dtype=float)
-        mix = np.where(np.abs(1.0 - lam) > PRUNE_TOLERANCE, 1.0 - lam, 0.0)[..., None]
-        lam = np.where(np.abs(lam) * self.problem_scale > PRUNE_TOLERANCE, lam, 0.0)[..., None]
-        gram = (
-            (mix**2)[..., None] * self.gram_xx
-            + (lam * mix)[..., None] * self.gram_xp
-            + (lam**2)[..., None] * self.gram_pp
-        )
-        return gram, mix * self.source_x + lam * self.source_p
+        gram, source = self._full(*self._blocks(lam.reshape(-1)))
+        return gram.reshape(lam.shape + gram.shape[1:]), source.reshape(lam.shape + (-1,))
+
+    def _solve(self, a, weight, d, s) -> tuple[np.ndarray, np.ndarray]:
+        """``_solve_normal`` for stacked blocks, on the Schur complement of D.
+
+        A point is certified when G - shift I, shift = CERTIFIED_FRACTION *
+        trace(G) / n^2, is positive definite: by Haynsworth, when D - shift
+        is positive and (A - shift I) - w^2 B^T (D - shift)^-1 B, w = lam
+        (1-lam), has a Cholesky factor.  Every eigenvalue of G is then at
+        least ``shift``: far above the truncation cutoff, and so far above
+        zero that the rounding-level sources ``_solve_normal`` drops would
+        move a coefficient by at most n^2 eps |source| / shift.  A certified
+        point solves S c_A = -s_A with S = A - w^2 B^T D^-1 B and sets
+        c_XY = -w D^-1 B c_A, unflagged.  D - shift is checked before it
+        divides.  Any other point, such as a zero Gram matrix or one with a
+        symmetry-forbidden direction, takes ``_solve_normal`` on its full
+        Gram matrix.  Returns the (points, n^2) coefficients and the
+        per-point flags.
+        """
+        k, size = a.shape[-1], a.shape[-1] + d.shape[-1]
+        shift = (np.trace(a, axis1=1, axis2=2) + d.sum(axis=1)) * (CERTIFIED_FRACTION / size)
+        gap = d - shift[:, None]
+        certified = (gap > 0.0).all(axis=1)
+        live = np.flatnonzero(certified)
+        shifted = a[live] - shift[live, None, None] * np.eye(k)
+        certified[live] = _has_cholesky(self._schur(shifted, weight[live], gap[live]))
+        del shifted
+        live = np.flatnonzero(certified)
+        coefficients = np.empty((len(a), size))
+        flags = np.zeros(len(a), dtype=bool)
+        if len(live):
+            schur = self._schur(a[live], weight[live], d[live])
+            c_a = np.linalg.solve(schur, -s[live, :, None])[..., 0]
+            coefficients[live, :k] = c_a
+            # One product per point, so that a point gets the same bits in any stack.
+            coupled = (self.xp_b @ c_a[:, :, None])[..., 0]
+            coefficients[live, k:] = -weight[live, None] * coupled / d[live]
+        for p in np.flatnonzero(~certified):
+            gram, source = self._full(a[p : p + 1], weight[p : p + 1], d[p : p + 1], s[p : p + 1])
+            coefficients[p], flags[p] = _solve_normal(gram[0], source[0])
+        return coefficients, flags
+
+    def _schur(self, a: np.ndarray, weight: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """a - w^2 B^T diag(1 / d) B per point; every entry of ``d`` is positive."""
+        update = (self.xp_b.T / d[:, None, :]) @ self.xp_b
+        update *= (weight**2)[:, None, None]
+        return a - update
 
     @property
     def point_bytes(self) -> int:
         """Bytes one point of a stacked two-local solve holds at its peak (0 otherwise).
 
-        Three Gram-sized arrays: the sum being formed and two of its terms,
-        or the Gram matrix, its shifted copy and the Cholesky factor.
+        Four k x k arrays, the A block, its shifted copy, B^T (D - shift)^-1 B
+        and their difference, which its Cholesky factor then replaces, and
+        the k x m scaled B^T.
         """
-        return 3 * self.gram_xx.nbytes if self.ansatz is Ansatz.TWO_LOCAL else 0
+        if self.ansatz is not Ansatz.TWO_LOCAL:
+            return 0
+        return self.pp_a.nbytes * 4 + self.xp_b.nbytes
 
     def solve_two_local(self, lam: float) -> GaugeSolution:
         """The two-local action minimizer at ``lam``, as ``minimize_action`` gives it."""
-        gram, source = self.normal_equations(lam)
-        (coefficients,), (warning,) = _solve_certified(gram[None], source[None])
-        residual = self.norm_dh + 2.0 * coefficients @ source + coefficients @ gram @ coefficients
+        a, weight, d, s = blocks = self._blocks(np.array([lam], dtype=float))
+        (coefficients,), (warning,) = self._solve(*blocks)
+        k = a.shape[-1]
+        c_a, c_xy = coefficients[:k], coefficients[k:]
+        residual = (
+            self.norm_dh
+            + 2.0 * c_a @ s[0]
+            + c_a @ a[0] @ c_a
+            + 2.0 * weight[0] * (c_xy @ self.xp_b @ c_a)
+            + c_xy @ (d[0] * c_xy)
+        )
         return GaugeSolution(coefficients, max(0.0, float(residual)), bool(warning))
+
+
+def _has_cholesky(stack: np.ndarray) -> np.ndarray:
+    """Per stacked symmetric matrix, whether it has a Cholesky factor.
+
+    The whole stack is factored at once; only a stack that fails is taken
+    apart, to find the matrices that fail.
+    """
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_has_cholesky(matrix[None]) for matrix in stack])
+    return np.ones(len(stack), dtype=bool)
+
+
+class _TableLayout(NamedTuple):
+    """The string table of every instance whose cells all survive the prune.
+
+    Its entries are those of ``_TwoLocalFrame.table`` when H_p holds every
+    coupling, in lexicographic order, and every field: dH, the mixer images,
+    then the problem images.  Entry e is ``factors[e]`` times coefficient
+    ``terms[e]`` of (H_p's coefficients, 1), exactly.
+    """
+
+    problem_z: np.ndarray
+    factors: np.ndarray
+    terms: np.ndarray
+    #: Each entry's (row, string) group, and each group's table cell.
+    inverse: np.ndarray
+    rows: np.ndarray
+    columns: np.ndarray
+    width: int
+    height: int
+
+    def table(self, z_p: np.ndarray, c_p: np.ndarray) -> np.ndarray | None:
+        """``_string_table`` for H_p = sum c_p Z(z_p), or None where its layout differs.
+
+        None when a string of H_p is missing, out of order or at or below
+        ``PRUNE_TOLERANCE``, or when a cell sums to at or below it.  Every
+        cell is summed over the same entries in the same order, so the
+        table is ``_string_table``'s bit for bit.
+        """
+        if not np.array_equal(z_p, self.problem_z) or np.any(np.abs(c_p) <= PRUNE_TOLERANCE):
+            return None
+        values = self.factors * np.append(c_p, 1.0)[self.terms]
+        sums = np.bincount(self.inverse, weights=values, minlength=len(self.rows))
+        if np.any(np.abs(sums) <= PRUNE_TOLERANCE):
+            return None
+        table = np.zeros((self.height, self.width))
+        table[self.rows, self.columns] = sums
+        return table
+
+
+class _TwoLocalFrame(NamedTuple):
+    """The part of a two-local compile that depends on n alone."""
+
+    n: int
+    x_masks: np.ndarray
+    z_masks: np.ndarray
+    string_basis: np.ndarray
+    #: (row, x, z, value) entries of the images i[B_b, H_x], H_x = -sum X_i.
+    mixer_entries: tuple[np.ndarray, ...]
+    #: The diagonal of G_xx: 4 on Y, 32 on ZY, 8 on XY.
+    xx_diagonal: np.ndarray
+    full_layout: _TableLayout
+
+    def table(self, z_p: np.ndarray, c_p: np.ndarray) -> np.ndarray:
+        """dH and the images of the basis as one string table, for H_p = sum c_p Z(z_p).
+
+        Row 0 is dH = H_p - H_x, rows 1..B the images i[B_b, H_x] and rows
+        B+1..2B the images i[B_b, H_p], with H_p pruned as ``PauliSum``
+        prunes it and entries in the order in which the PauliSum
+        commutators visit them.  ``full_layout`` forms it where it applies.
+        """
+        table = self.full_layout.table(z_p, c_p)
+        if table is not None:
+            return table
+        kept = np.abs(c_p) > PRUNE_TOLERANCE
+        problem = (np.zeros(kept.sum(), dtype=np.int64), z_p[kept], c_p[kept])
+        rows = 1 + len(self.xx_diagonal) + self.string_basis
+        parts = (
+            _dh_entries(self.n, *problem[1:]),
+            self.mixer_entries,
+            _image_entries(self.x_masks, self.z_masks, rows, *problem),
+        )
+        height = 1 + 2 * len(self.xx_diagonal)
+        return _string_table(self.n, height, *(np.concatenate(c) for c in zip(*parts)))
+
+
+@lru_cache(maxsize=16)
+def _two_local_frame(n: int) -> _TwoLocalFrame:
+    """The two-local strings, their basis map, the mixer images and G_xx for size n.
+
+    The strings are those of ``cd_terms``: n Y elements, then n(n-1)/2 ZY
+    and n(n-1)/2 XY elements of two strings each.  Every array is read-only.
+    """
+    size = n * n
+    x_masks, z_masks = _cd_masks(ProblemInstance(n, (), (0.0,) * n, seed=0), Ansatz.TWO_LOCAL)
+    string_basis = np.concatenate([np.arange(n), np.repeat(np.arange(n, size), 2)])
+    mixer = (1 << np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.full(n, -1.0))
+    entries = _image_entries(x_masks, z_masks, 1 + string_basis, *mixer)
+    images = _string_table(n, 1 + size, *entries)[1:]
+    # H_p with every coupling, in lexicographic order, and every field.  Its
+    # image entries are (e - 2) 2 c_t for the coefficient c_t of their term
+    # t: formed with every c_t = 1 they give the factors, with c_t = t the
+    # terms times the factors.
+    i, j = np.triu_indices(n, 1)
+    problem_z = np.concatenate([(1 << i) | (1 << j), 1 << np.arange(n)])
+    count = len(problem_z)
+    problem = (1 + size + string_basis, np.zeros(count, dtype=np.int64), problem_z)
+    unit = _image_entries(x_masks, z_masks, *problem, np.ones(count))
+    terms = _image_entries(x_masks, z_masks, *problem, np.arange(count, dtype=float))[3] / unit[3]
+    parts = (_dh_entries(n, problem_z, np.ones(count)), entries, unit)
+    row, x, z, factors = (np.concatenate(c) for c in zip(*parts))
+    key = (x << n) | z
+    group, first, inverse = np.unique(
+        (row << (2 * n)) | key, return_index=True, return_inverse=True
+    )
+    layout = _TableLayout(
+        problem_z,
+        factors,
+        # dH's H_p strings, then its X strings and the mixer images, which
+        # scale with the trailing 1.
+        np.concatenate([np.arange(count), np.full(n + len(entries[0]), count), terms]).astype(
+            np.int64
+        ),
+        inverse,
+        *_cells(n, group, key[first], first),
+        1 + 2 * size,
+    )
+    frame = _TwoLocalFrame(
+        n, x_masks, z_masks, string_basis, entries, (images**2).sum(axis=1), layout
+    )
+    for array in (x_masks, z_masks, string_basis, frame.xx_diagonal, *entries, *layout[:-2]):
+        array.flags.writeable = False
+    return frame
+
+
+def _dh_entries(n: int, z_p: np.ndarray, c_p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, x, z, value) entries of dH = H_p - H_x in row 0: H_p's strings, then each X_i."""
+    return (
+        np.zeros(len(z_p) + n, dtype=np.int64),
+        np.concatenate([np.zeros(len(z_p), dtype=np.int64), 1 << np.arange(n, dtype=np.int64)]),
+        np.concatenate([z_p, np.zeros(n, dtype=np.int64)]),
+        np.concatenate([c_p, np.ones(n)]),
+    )
 
 
 def _image_entries(x_b, z_b, rows, x_h, z_h, c_h) -> tuple[np.ndarray, ...]:
@@ -480,14 +671,26 @@ def _string_table(n: int, height: int, row, x, z, value) -> np.ndarray:
     group, first, inverse = np.unique(
         (row << (2 * n)) | key, return_index=True, return_inverse=True
     )
-    sums = np.zeros(len(group))
-    np.add.at(sums, inverse, value)
+    sums = np.bincount(inverse, weights=value, minlength=len(group))
     kept = np.flatnonzero(np.abs(sums) > PRUNE_TOLERANCE)
-    kept = kept[np.argsort(first[kept])]
-    _, seen, column = np.unique(key[first[kept]], return_index=True, return_inverse=True)
-    table = np.zeros((height, len(seen)))
-    table[group[kept] >> (2 * n), np.argsort(np.argsort(seen))[column]] = sums[kept]
+    rows, columns, width = _cells(n, group[kept], key[first[kept]], first[kept])
+    table = np.zeros((height, width))
+    table[rows, columns] = sums[kept]
     return table
+
+
+def _cells(n: int, group, key, first) -> tuple[np.ndarray, np.ndarray, int]:
+    """The table row and column of each (row, string) group, and the column count.
+
+    ``group`` holds (row << 2n) | string keys, ``key`` their strings and
+    ``first`` the index of each group's first entry: columns follow each
+    string's first appearance.
+    """
+    order = np.argsort(first)
+    _, seen, column = np.unique(key[order], return_index=True, return_inverse=True)
+    columns = np.empty(len(group), dtype=np.int64)
+    columns[order] = np.argsort(np.argsort(seen))[column]
+    return group >> (2 * n), columns, len(seen)
 
 
 def cd_terms(inst: ProblemInstance, ansatz: Ansatz) -> list[PauliString]:
@@ -554,7 +757,7 @@ def cd_coefficients(
     points, rate = lams[live], rates[live, None]
     try:
         if ansatz is Ansatz.TWO_LOCAL and len(live):
-            coefficients, _ = _solve_certified(*gauge.normal_equations(points))
+            coefficients, _ = gauge._solve(*gauge._blocks(points))
             values[live] = rate * coefficients[:, gauge.string_basis]
         elif ansatz is Ansatz.LOCAL_Y:
             values[live] = rate * _local_y(gauge.fields, gauge.weights, gauge.sites, points)

@@ -45,7 +45,7 @@ ZERO_BASELINE_FLOOR = 1e-12
 HISTOGRAM_BINS = 50
 
 #: The cost report averages each drive's CD cost over the first this many
-#: records of a size on which that drive was not excluded.
+#: records of a size that were not excluded.
 COST_SAMPLES = 5
 
 _CSV_HEADER = (
@@ -462,23 +462,23 @@ def cost_report(
     """Entangling-exponential counts and the time-integrated CD cost.
 
     The CD cost is ``cd_cost`` averaged over the first ``COST_SAMPLES``
-    records of each (size, drive) on which the drive was not excluded.  Each
-    sampled instance is one task on the sweep's workers, in record order:
-    it is regenerated once for all of its sampled drives.
-    ``progress(n, seed, k, K)`` follows the k-th of K finished tasks.
+    records of each size that were not excluded, the same instances for
+    every drive, so the drives' costs are paired.  Each sampled instance is
+    one task on the sweep's workers, in record order: it is regenerated once
+    for all of its drives.  ``progress(n, seed, k, K)`` follows the k-th of
+    K finished tasks.
     """
     records = list(records)
     by_key: dict[tuple[int, str], list[RunRecord]] = {}
+    sampled: dict[int, int] = {}
+    tasks = []
     for record in records:
         for tag in record.ps:
             by_key.setdefault((record.n, tag), []).append(record)
-    # A drive excluded on an instance is singular somewhere on this grid.
-    kept = {
-        (n, tag): [r.seed for r in group if r.ps[tag] is not None][:COST_SAMPLES]
-        for (n, tag), group in by_key.items()
-    }
-    tasks = [(cfg, r.n, r.seed, [t for t in r.ps if r.seed in kept[r.n, t]]) for r in records]
-    tasks = [task for task in tasks if task[3]]
+        # A drive excluded on an instance is singular somewhere on this grid.
+        if not record.excluded and sampled.get(record.n, 0) < COST_SAMPLES:
+            sampled[record.n] = sampled.get(record.n, 0) + 1
+            tasks.append((cfg, record.n, record.seed, list(record.ps)))
     costs = {}
     for k, (n, seed, result) in enumerate(_map_in_order(_cost_task, tasks, cfg.jobs), 1):
         costs[n, seed] = result
@@ -489,8 +489,8 @@ def cost_report(
         totals = [r.entangling[tag] for r in group if not r.excluded]
         total = int(max(totals)) if totals else 0
         per_step = total // cfg.trotter_steps if total else 0
-        sampled = [costs[n, seed][tag] for seed in kept[n, tag]]
-        rows.append(CostRow(n, tag, per_step, total, float(np.mean(sampled)) if sampled else None))
+        drive = [result[tag] for (size, _), result in costs.items() if size == n]
+        rows.append(CostRow(n, tag, per_step, total, float(np.mean(drive)) if drive else None))
     return rows
 
 

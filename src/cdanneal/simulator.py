@@ -114,7 +114,9 @@ MEMORY_BUDGET = 1 << 30
 #: uncertain by eps dt max|E|; above this an evolution raises
 #: ``IntegratorError`` before its first step, as its phases would carry no
 #: information.  The desk protocol (dt = 0.05, max|E| <= 40 over n = 4-12)
-#: sits at most at 4.4e-16, over a million times inside.
+#: sits at most at 4.4e-16, over a million times inside.  The rotation
+#: angles dt c_j of the mixer and CD strings are bounded alike, per chunk
+#: of steps (see ``DrivenHamiltonian.steps``).
 PHASE_TOLERANCE = 1e-9
 
 
@@ -541,8 +543,9 @@ class DrivenHamiltonian:
         At least one, and as many as fit in 1% of ``MEMORY_BUDGET`` with
         their float64 chunk sums (``_StepPlan.step_bytes``), 24 bytes per
         basis state for their rows of the phase table, which hold 16, and,
-        for two-local, their stacked normal equations: the argument that
-        leaves the step plan uncharged.
+        for two-local, the blocks of their stacked Schur solve
+        (``CompiledGauge.point_bytes``): the argument that leaves the step
+        plan uncharged.
         """
         per_step = self.plan.step_bytes + self.gauge.point_bytes + 24 * (1 << self.n)
         return max(1, MEMORY_BUDGET // 100 // per_step)
@@ -565,7 +568,9 @@ class DrivenHamiltonian:
         are taken ``chunk_steps`` at a time: the coefficients, unitaries and
         phase table of a chunk are formed before its first step, and a
         singular gauge raises ``SingularGaugeError`` with the 1-based index of
-        its point as ``step`` before any step of its chunk runs.  Returns the
+        its point as ``step`` before any step of its chunk runs.  So does, as
+        ``IntegratorError`` naming its step, a finite rotation angle dt c_j
+        whose rounding eps |dt c_j| exceeds ``PHASE_TOLERANCE``.  Returns the
         state norm after each step.
         """
         dim = 1 << self.n
@@ -583,7 +588,17 @@ class DrivenHamiltonian:
             except SingularGaugeError as exc:
                 exc.step += start
                 raise
-            unitaries = self.plan.unitaries(dt * values)
+            angles = dt * values
+            # A non-finite angle is left to the norm check of the caller.
+            reach = np.finfo(float).eps * np.abs(angles).max(axis=1)
+            past = np.flatnonzero(np.isfinite(reach) & (reach > PHASE_TOLERANCE))
+            if len(past):
+                raise IntegratorError(
+                    f"rotation rounding eps*max|dt*c_j| = {reach[past[0]]:.3g} rad exceeds"
+                    f" {PHASE_TOLERANCE:g} at grid step {start + past[0] + 1}/{len(lams)}:"
+                    " the coefficients are too large to leave any angle information"
+                )
+            unitaries = self.plan.unitaries(angles)
             ops = []
             for kind, first, second, group, member in bound:
                 stack = None if group is None else unitaries[group][:, member]

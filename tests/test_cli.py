@@ -268,6 +268,38 @@ def test_run_refuses_phases_without_information(tmp_path, capsys):
     assert "phase rounding" in single_error_line(captured.err)
 
 
+def inflate_nc1_angles(monkeypatch):
+    """Patch nc1's coefficient table so that its rotation angles carry no information."""
+    real = DrivenHamiltonian.coefficients
+
+    def inflated(self, lams, lam_dots):
+        values = real(self, lams, lam_dots)
+        return values * 1e12 if self.ansatz is Ansatz.NC1 else values
+
+    monkeypatch.setattr(DrivenHamiltonian, "coefficients", inflated)
+
+
+def test_run_refuses_rotation_angles_without_information(tmp_path, capsys, monkeypatch):
+    instance = tmp_path / "inst.json"
+    save_instance(generate_instance(3, 9), instance)
+    inflate_nc1_angles(monkeypatch)
+    assert run_cli("run", "--instance", str(instance), "--ansatz", "nc1") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rotation rounding" in single_error_line(captured.err)
+
+
+def test_sweep_fails_on_rotation_angles_without_information(tmp_path, capsys, monkeypatch):
+    # A failed evolution, not a singular gauge: the sweep stops with exit 4
+    # and writes nothing, where an exclusion would have been recorded.
+    inflate_nc1_angles(monkeypatch)
+    config = tmp_path / "config.json"
+    write_config(config)
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 4
+    assert "rotation rounding" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exit_code():
     assert run_cli("run") == 2
     assert run_cli("frobnicate") == 2
@@ -400,17 +432,15 @@ def test_sweep_progress_reports_rate_and_exclusions(tmp_path, capsys, monkeypatc
     assert run_cli("sweep", "--config", str(config)) == 0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 4
     assert lines[0].startswith("instance 0 (n=3) done, 1/2, ")
     assert "instances/s, ETA " in lines[0]
     assert lines[1] == "  excluded nc1: singular gauge at site 2, lam=0.375, step 7"
     assert lines[2].startswith("instance 1 (n=3) done, 2/2, ")
     assert lines[2].endswith("ETA 0 s")
-    # Then one line per cost task: instance 0 is still sampled for none.
-    assert lines[3:] == [
-        f"cost sample n=3 seed={first_seed} done, 1/2",
-        f"cost sample n=3 seed={instance_seed(13, 1)} done, 2/2",
-    ]
+    # Then one line per cost task: the excluded instance 0 is sampled for
+    # no drive, so that both drives are averaged over the same instances.
+    assert lines[3:] == [f"cost sample n=3 seed={instance_seed(13, 1)} done, 1/1"]
     assert "instances/s" not in captured.out
     # The diagnostics reach stderr only: every emitted file is unchanged.
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
@@ -818,6 +848,32 @@ def test_validate_two_local_mutation_sensitivity(monkeypatch):
     assert all(type(passed) is bool for passed in results.values()), results
     assert results.pop("two-local-oracle") is False
     assert all(results.values()), results
+
+
+def test_validate_two_local_runs_the_schur_solve_and_its_fallback(monkeypatch):
+    # The zero-field instance at n = 2 has a zero XY diagonal at lam = 1,
+    # which the certificate rejects: the check must reach the full-Gram
+    # fallback as well as the Schur solve.
+    points = {"compiled": 0, "fallback": 0}
+    solve, solve_normal = CompiledGauge._solve, gauge_mod._solve_normal
+    inside = []
+
+    def counted_solve(self, a, *rest):
+        points["compiled"] += len(a)
+        inside.append(a)
+        try:
+            return solve(self, a, *rest)
+        finally:
+            inside.pop()
+
+    def counted_normal(*args):
+        points["fallback"] += bool(inside)
+        return solve_normal(*args)
+
+    monkeypatch.setattr(CompiledGauge, "_solve", counted_solve)
+    monkeypatch.setattr(gauge_mod, "_solve_normal", counted_normal)
+    assert validate_mod._check_two_local(0).passed
+    assert points == {"compiled": 60, "fallback": 1}
 
 
 @pytest.mark.parametrize(

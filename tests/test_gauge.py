@@ -347,18 +347,19 @@ def test_two_local_symmetry_forbidden_coefficient_is_zero():
 
 
 def test_certified_solve_matches_eigh_reference():
-    # Generated instances never need the truncation: the Cholesky-certified
-    # solve must agree with the eigendecomposition reference to rounding,
-    # and neither flags a point.
-    from cdanneal.gauge import _solve_certified, _solve_normal
+    # Generated instances never need the truncation: the certified solve on
+    # the Schur complement of the diagonal XY block must agree with the
+    # eigendecomposition of the full Gram matrix to rounding, and neither
+    # flags a point.
+    from cdanneal.gauge import _solve_normal
 
     lams = np.linspace(0.0, 1.0, 41)
     for n in range(2, 9):
         for rep in range(2):
             inst = generate_instance(n, instance_seed(911, 10 * n + rep))
             gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+            fast, flags = gauge._solve(*gauge._blocks(lams))
             grams, sources = gauge.normal_equations(lams)
-            fast, flags = _solve_certified(grams, sources)
             for k in range(len(lams)):
                 reference, flag = _solve_normal(grams[k], sources[k])
                 scale = np.abs(reference).max()
@@ -484,11 +485,12 @@ def test_stacked_closed_forms_report_the_first_singular_point():
         assert np.all(cd_coefficients(inst, ansatz, float(lams[step - 1]), 0.0) == 0.0)
 
 
-def pauli_sum_two_local_blocks(inst):
-    """The two-local action blocks from PauliSum commutators, as the oracle.
+def pauli_sum_two_local_table(inst):
+    """dH and the two-local images from PauliSum commutators, as the oracle.
 
-    Row 0 of the table is dH = H_p - H_x, then the images i[B_b, H_x] and
-    i[B_b, H_p]; one column per Pauli string in order of first appearance.
+    Returns the rows of a table with one column per Pauli string in order of
+    first appearance: dH = H_p - H_x, then the images i[B_b, H_x] and
+    i[B_b, H_p], one row per basis element.
     """
     n = inst.n
     basis = two_local_basis(n)
@@ -507,7 +509,12 @@ def pauli_sum_two_local_blocks(inst):
             values.append(value.real)
     table = np.zeros((len(ops), len(columns)))
     table[rows, cols] = values
-    source, image_x, image_p = table[0], table[1 : 1 + len(basis)], table[1 + len(basis) :]
+    return table[0], table[1 : 1 + len(basis)], table[1 + len(basis) :]
+
+
+def pauli_sum_two_local_blocks(inst):
+    """The full two-local action blocks from the oracle table."""
+    source, image_x, image_p = pauli_sum_two_local_table(inst)
     cross = image_x @ image_p.T
     return {
         "gram_xx": image_x @ image_x.T,
@@ -515,6 +522,26 @@ def pauli_sum_two_local_blocks(inst):
         "gram_pp": image_p @ image_p.T,
         "source_x": image_x @ source,
         "source_p": image_p @ source,
+        "norm_dh": float(source @ source),
+    }
+
+
+def pauli_sum_kept_blocks(inst):
+    """The blocks ``CompiledGauge`` keeps, formed from the oracle table.
+
+    Split as A = {Y, ZY} (k = n(n+1)/2 elements) and XY.  Each block is the
+    product of the table rows it reads, as the compile forms it; a product of
+    sub-rows can round differently from the same entries of a full product.
+    """
+    source, image_x, image_p = pauli_sum_two_local_table(inst)
+    k = inst.n * (inst.n + 1) // 2
+    return {
+        "xx_diagonal": np.diagonal(image_x @ image_x.T),
+        "pp_a": image_p[:k] @ image_p[:k].T,
+        "pp_xy": np.einsum("ij,ij->i", image_p[k:], image_p[k:]),
+        "xp_b": image_x[k:] @ image_p[:k].T + (image_x[:k] @ image_p[k:].T).T,
+        "source_x_a": image_x[:k] @ source,
+        "source_p_a": image_p[:k] @ source,
         "norm_dh": float(source @ source),
     }
 
@@ -529,14 +556,14 @@ _COMPILE_VALUES = st.one_of(
 
 
 @st.composite
-def two_local_instances(draw):
+def two_local_instances(draw, values=_COMPILE_VALUES):
     n = draw(st.integers(2, 7))
     zero_fields, zero_couplings = draw(st.sampled_from(
         [(False, False), (True, False), (False, True), (True, True)]
     ))
-    fields = tuple(0.0 if zero_fields else draw(_COMPILE_VALUES) for _ in range(n))
+    fields = tuple(0.0 if zero_fields else draw(values) for _ in range(n))
     couplings = tuple(
-        (i, j, 0.0 if zero_couplings else draw(_COMPILE_VALUES))
+        (i, j, 0.0 if zero_couplings else draw(values))
         for i in range(n)
         for j in range(i + 1, n)
     )
@@ -551,7 +578,17 @@ def test_compiled_two_local_blocks_match_pauli_sum_oracle(inst):
     # example, h_0 and h_1 meet in one X_0 X_1 image entry of 4e-13, which
     # the oracle prunes.
     gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
-    for name, expected in pauli_sum_two_local_blocks(inst).items():
+    for name, expected in pauli_sum_kept_blocks(inst).items():
+        assert np.array_equal(getattr(gauge, name), expected), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_local_instances(values=st.sampled_from([0.5, -0.5, 1.0]) | st.floats(-3.0, 3.0)))
+def test_compiled_two_local_blocks_match_oracle_off_the_prune(inst):
+    # Values well away from the prune tolerance take the per-size table
+    # layout unless a field or coupling is zero or a table cell cancels.
+    gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
+    for name, expected in pauli_sum_kept_blocks(inst).items():
         assert np.array_equal(getattr(gauge, name), expected), name
 
 
@@ -560,8 +597,54 @@ def test_compiled_two_local_blocks_match_on_generated_instances():
         for rep in range(3):
             inst = generate_instance(n, instance_seed(910, 10 * n + rep))
             gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
-            for name, expected in pauli_sum_two_local_blocks(inst).items():
+            for name, expected in pauli_sum_kept_blocks(inst).items():
                 assert np.array_equal(getattr(gauge, name), expected), (n, rep, name)
+
+
+def test_two_local_table_layout_taken_when_nothing_prunes(monkeypatch):
+    # A generated instance holds every coupling and field, so its string
+    # table comes from the per-size layout.  A zero field, a missing
+    # coupling or couplings out of order change the table's cells: those
+    # fall back to _string_table, and every path gives the oracle's blocks.
+    import cdanneal.gauge as gauge_mod
+
+    gauge_mod._two_local_frame(4)
+    tables = []
+    real = gauge_mod._string_table
+    monkeypatch.setattr(
+        gauge_mod, "_string_table", lambda *args: tables.append(args[0]) or real(*args)
+    )
+    inst = generate_instance(4, instance_seed(912, 0))
+    couplings, fields = inst.couplings, inst.fields
+    for variant, fallback in (
+        (inst, False),
+        (ProblemInstance(4, couplings, (0.0,) + fields[1:], seed=0), True),
+        (ProblemInstance(4, couplings[1:], fields, seed=0), True),
+        (ProblemInstance(4, couplings[::-1], fields, seed=0), True),
+    ):
+        tables.clear()
+        gauge = CompiledGauge(variant, Ansatz.TWO_LOCAL)
+        assert tables == ([4] if fallback else []), variant
+        for name, expected in pauli_sum_kept_blocks(variant).items():
+            assert np.array_equal(getattr(gauge, name), expected), (variant, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_local_instances())
+def test_two_local_gram_block_structure(inst):
+    # The lemma the Schur solve rests on, on the PauliSum oracle: with the
+    # basis split as A = {Y, ZY} and XY, G_xx is one diagonal per size, the
+    # XY blocks of G_pp are diagonal and zero off it, G_xp vanishes outside
+    # XY x A and its transpose, and the XY sources are 0.
+    n = inst.n
+    k, m = n * (n + 1) // 2, n * (n - 1) // 2
+    blocks = pauli_sum_two_local_blocks(inst)
+    assert np.array_equal(blocks["gram_xx"], np.diag([4.0] * n + [32.0] * m + [8.0] * m))
+    pp, xp = blocks["gram_pp"], blocks["gram_xp"]
+    assert np.array_equal(pp[k:, k:], np.diag(np.diagonal(pp)[k:]))
+    assert not pp[:k, k:].any() and not pp[k:, :k].any()
+    assert not xp[:k, :k].any() and not xp[k:, k:].any()
+    assert not blocks["source_x"][k:].any() and not blocks["source_p"][k:].any()
 
 
 def test_compiled_gauge_drive_mismatch():

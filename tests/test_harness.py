@@ -470,23 +470,33 @@ def test_cost_report_skips_excluded_drives(monkeypatch):
     # nears 1.  The last grid point, t = T, has lam_dot = 0 and reads no
     # denominator; on a 40-step grid the point before it, step 39, is
     # singular.  The drive is excluded there, and the cost report must not
-    # evaluate it there again.
+    # evaluate it there again: it samples no drive of an excluded record.
     singular = ProblemInstance(2, ((0, 1, 0.0),), (1e-7, 0.7), seed=5)
-    monkeypatch.setattr(harness_mod, "generate_instance", lambda n, seed: singular)
+    regular = generate_instance(2, instance_seed(11, 1))
+    first = instance_seed(11, 0)
+    monkeypatch.setattr(
+        harness_mod, "generate_instance", lambda n, seed: singular if seed == first else regular
+    )
     cfg = ExperimentConfig(
         master_seed=11,
         n_values=(2,),
-        instances_per_n=1,
+        instances_per_n=2,
         trotter_steps=40,
         ansatz=("none", "local-y", "nc1"),
     )
     records = run_ensemble(cfg)
     assert records[0].ps["local-y"] is None
     assert records[0].exclusions["local-y"][2] == 39
+    assert not records[1].excluded
+    rows = {r.ansatz: r for r in cost_report(records[:1], cfg)}
+    assert [rows[tag].cd_cost for tag in cfg.ansatz] == [None, None, None]
+    # With a kept record beside it, every drive is averaged over that one.
     rows = {r.ansatz: r for r in cost_report(records, cfg)}
-    assert rows["local-y"].cd_cost is None
-    assert rows["none"].cd_cost == 0.0
-    assert rows["nc1"].cd_cost > 0.0
+    sched = Schedule(cfg.total_time, cfg.trotter_steps)
+    for tag in cfg.ansatz:
+        expected = cd_cost(DrivenHamiltonian(regular, Ansatz.parse(tag)), sched)
+        assert rows[tag].cd_cost == expected, tag
+    assert rows["none"].cd_cost == 0.0 < rows["local-y"].cd_cost
 
 
 def test_energies_formed_once_per_task_and_cost_sample(monkeypatch):
@@ -543,9 +553,9 @@ def test_task_runner_chunk_size(monkeypatch, recording_pool):
 
 
 def test_cost_report_samples_the_first_kept_records(monkeypatch):
-    # nc1 is excluded on instance 1 of 7, so its five samples are instances
-    # 0 and 2-5: the sixth instance is sampled, the seventh is not, and
-    # each sampled instance is generated once for all of its drives.
+    # nc1 is excluded on instance 1 of 7, so the five samples of both drives
+    # are instances 0 and 2-5: the sixth instance is sampled, the seventh is
+    # not, and each sampled instance is generated once for all of its drives.
     cfg = ExperimentConfig(master_seed=41, n_values=(3,), ansatz=("none", "nc1"))
     seeds = [instance_seed(41, i) for i in range(7)]
     records = [
@@ -564,8 +574,9 @@ def test_cost_report_samples_the_first_kept_records(monkeypatch):
     monkeypatch.setattr(harness_mod, "generate_instance", counted)
     progress = []
     rows = {r.ansatz: r for r in cost_report(records, cfg, progress=lambda *a: progress.append(a))}
-    assert generated == seeds[:6]
-    assert progress == [(3, seed, k, 6) for k, seed in enumerate(seeds[:6], 1)]
+    kept = [seeds[i] for i in (0, 2, 3, 4, 5)]
+    assert generated == kept
+    assert progress == [(3, seed, k, 5) for k, seed in enumerate(kept, 1)]
     sched = Schedule(cfg.total_time, cfg.trotter_steps)
     expected = np.mean(
         [cd_cost(DrivenHamiltonian(real(3, seeds[i]), Ansatz.NC1), sched) for i in (0, 2, 3, 4, 5)]

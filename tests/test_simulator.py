@@ -835,6 +835,43 @@ def test_trotter_refuses_phases_past_the_rounding_bound(monkeypatch):
     assert steps == []
 
 
+def inflate_angles_at(monkeypatch, lam, value):
+    """Patch every drive's coefficient table: its last string gets ``value`` at ``lam``."""
+    real = DrivenHamiltonian.coefficients
+
+    def inflated(self, lams, lam_dots):
+        values = real(self, lams, lam_dots)
+        values[np.asarray(lams) == lam, -1] = value
+        return values
+
+    monkeypatch.setattr(DrivenHamiltonian, "coefficients", inflated)
+
+
+@pytest.mark.parametrize("chunk", [20, 3])
+def test_steps_refuse_rotation_angles_past_the_rounding_bound(monkeypatch, chunk):
+    # An angle dt c_j at grid step 8 whose rounding eps |dt c_j| is just
+    # past PHASE_TOLERANCE stops the evolution before any step of its chunk
+    # runs, naming step 8; just inside the bound it evolves.
+    monkeypatch.setattr(DrivenHamiltonian, "chunk_steps", chunk)
+    inst = generate_instance(4, instance_seed(623, 0))
+    sched = Schedule(1.0, 20)
+    _, lams, rates = np.array(sched.grid).T
+    edge = simulator.PHASE_TOLERANCE / (np.finfo(float).eps * sched.dt)
+    inflate_angles_at(monkeypatch, lams[7], 0.99 * edge)
+    trotter_evolve(inst, sched, Ansatz.NC1)
+    inflate_angles_at(monkeypatch, lams[7], -1.01 * edge)
+    with pytest.raises(IntegratorError, match=r"rotation rounding .* at grid step 8/20:"):
+        trotter_evolve(inst, sched, Ansatz.NC1)
+    # The steps of the chunks before it ran, and none of its own.
+    hamiltonian = DrivenHamiltonian(inst, Ansatz.NC1)
+    psi, expected = plus_state(4), plus_state(4)
+    with pytest.raises(IntegratorError):
+        hamiltonian.steps(psi, sched.dt, lams, rates)
+    done = 7 // chunk * chunk
+    hamiltonian.steps(expected, sched.dt, lams[:done], rates[:done])
+    assert np.array_equal(psi, expected)
+
+
 @pytest.mark.parametrize("ansatz", list(Ansatz))
 def test_chunked_steps_bit_identical_to_single_steps(ansatz):
     # Steps prepared one at a time, all at once, or by trotter_evolve leave
@@ -861,8 +898,8 @@ def test_chunked_steps_bit_identical_to_single_steps(ansatz):
 
 def test_chunk_steps_fit_one_percent_of_the_budget():
     # Each chunk's unitaries, its rows of the phase table with the angles
-    # they are formed from (24 bytes an entry) and, for two-local, its
-    # stacked normal equations stay within 1% of the budget; the default
+    # they are formed from (24 bytes an entry) and, for two-local, the
+    # blocks of its stacked Schur solve stay within 1% of the budget; the default
     # 20-step grid is one chunk at the sizes the sweeps run.
     for ansatz in Ansatz:
         hamiltonian = DrivenHamiltonian(generate_instance(8, instance_seed(623, 0)), ansatz)
@@ -875,11 +912,12 @@ def test_chunk_steps_fit_one_percent_of_the_budget():
 def test_chunk_steps_count_float64_chunk_sums(n):
     # Chunks are sized by the float64 sums a step forms, not by the int8
     # terms the plan stores: these are the chunk sizes of float64 terms.
+    # Two-local's also count its Schur solve's blocks (``point_bytes``).
     sizes = {
-        2: (47934, 30504, 30504, 12427),
-        8: (1048, 748, 223, 59),
-        12: (102, 97, 56, 14),
-        16: (6, 6, 6, 3),
+        2: (47934, 30504, 30504, 13557),
+        8: (1048, 748, 223, 81),
+        12: (102, 97, 56, 21),
+        16: (6, 6, 6, 4),
         20: (1, 1, 1, 1),
     }
     inst = generate_instance(n, instance_seed(628, n))
@@ -961,7 +999,8 @@ def test_trotter_local_y_fieldless_site():
 
 
 def test_gauge_compiled_once_per_instance(monkeypatch):
-    # _cd_masks is the one source of the CD strings.
+    # _cd_masks is the one source of the CD strings; two-local's come from
+    # its per-size frame, emptied here so that each run builds it once.
     counts = {"cd_masks": 0, "two_local": 0}
 
     def counted(key, fn):
@@ -985,6 +1024,7 @@ def test_gauge_compiled_once_per_instance(monkeypatch):
             lambda: gap_curve(inst, sched, ansatz, samples=5),
         ):
             counts.update(cd_masks=0, two_local=0)
+            gauge._two_local_frame.cache_clear()
             run()
             assert counts == {
                 "cd_masks": 1,
