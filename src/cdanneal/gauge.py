@@ -23,9 +23,12 @@ the closed forms, and for the 2-local family the blocks of the action's
 Gram matrix G(lam) = (1-lam)^2 G_xx + lam (1-lam) G_xp + lam^2 G_pp and
 source vector s(lam) = (1-lam) v_x + lam v_p.  These are products of one
 string table, dH and the commutator images of the basis.  What depends on
-n alone is formed once per size (``_two_local_frame``): the strings, the
-mixer images and the table's cells for an instance on which nothing
-prunes, so such an instance's table is one weighted sum per cell.
+n alone is formed once per size (``_two_local_frame``): the strings, G_xx
+and the table's entries for an H_p with every coupling and field, each
+entry a fixed factor times one coefficient.  An instance's table is one
+weighted sum per cell, in which a missing coupling is 0 and what
+``PauliSum`` prunes is 0; its columns are the strings that keep a cell, in
+ascending (x << n) | z order.
 
 The 2-local solve rests on a lemma.  Split the basis as A = {Y_i} u
 {Z_i Y_j} (k = n(n+1)/2 elements) and XY = {X_i Y_j} (m = n(n-1)/2).  Then
@@ -322,8 +325,10 @@ class CompiledGauge:
 
     ``string_basis`` maps each two-local string to its basis element: the
     symmetrized ZY and XY elements own two strings each.  The masks,
-    ``string_basis``, G_xx and the string table's layout come from one
-    per-size ``_two_local_frame``.
+    ``string_basis``, G_xx and the entries of the string table come from
+    one per-size ``_two_local_frame``, whose one layout serves every
+    instance; the products sum over the table's strings in ascending
+    (x << n) | z order.
     """
 
     def __init__(self, inst: ProblemInstance, ansatz: Ansatz):
@@ -350,17 +355,11 @@ class CompiledGauge:
         frame = _two_local_frame(n)
         self.x_masks, self.z_masks = frame.x_masks, frame.z_masks
         self.string_basis, self.xx_diagonal = frame.string_basis, frame.xx_diagonal
-        # H_p (couplings, then fields) as Z-string masks and coefficients in
-        # PauliSum order, before the prune.
         inst, size, k = self.inst, n * n, n * (n + 1) // 2
-        z_p = np.array(
-            [(1 << i) | (1 << j) for i, j, _ in inst.couplings] + [1 << i for i in range(n)],
-            dtype=np.int64,
-        )
-        c_p = np.array([value for *_, value in inst.couplings] + list(inst.fields))
+        c_p = [value for *_, value in inst.couplings] + list(inst.fields)
         scale = float(np.abs(c_p).max(initial=0.0))
         self.problem_scale = scale if scale > PRUNE_TOLERANCE else 0.0
-        table = frame.table(z_p, c_p)
+        table = frame.table(inst)
         source, image_x, image_p = table[0], table[1 : 1 + size], table[1 + size :]
         self.pp_a = image_p[:k] @ image_p[:k].T
         self.pp_xy = np.einsum("ij,ij->i", image_p[k:], image_p[k:])
@@ -504,137 +503,112 @@ def _has_cholesky(stack: np.ndarray) -> np.ndarray:
     return np.ones(len(stack), dtype=bool)
 
 
-class _TableLayout(NamedTuple):
-    """The string table of every instance whose cells all survive the prune.
-
-    Its entries are those of ``_TwoLocalFrame.table`` when H_p holds every
-    coupling, in lexicographic order, and every field: dH, the mixer images,
-    then the problem images.  Entry e is ``factors[e]`` times coefficient
-    ``terms[e]`` of (H_p's coefficients, 1), exactly.
-    """
-
-    problem_z: np.ndarray
-    factors: np.ndarray
-    terms: np.ndarray
-    #: Each entry's (row, string) group, and each group's table cell.
-    inverse: np.ndarray
-    rows: np.ndarray
-    columns: np.ndarray
-    width: int
-    height: int
-
-    def table(self, z_p: np.ndarray, c_p: np.ndarray) -> np.ndarray | None:
-        """``_string_table`` for H_p = sum c_p Z(z_p), or None where its layout differs.
-
-        None when a string of H_p is missing, out of order or at or below
-        ``PRUNE_TOLERANCE``, or when a cell sums to at or below it.  Every
-        cell is summed over the same entries in the same order, so the
-        table is ``_string_table``'s bit for bit.
-        """
-        if not np.array_equal(z_p, self.problem_z) or np.any(np.abs(c_p) <= PRUNE_TOLERANCE):
-            return None
-        values = self.factors * np.append(c_p, 1.0)[self.terms]
-        sums = np.bincount(self.inverse, weights=values, minlength=len(self.rows))
-        if np.any(np.abs(sums) <= PRUNE_TOLERANCE):
-            return None
-        table = np.zeros((self.height, self.width))
-        table[self.rows, self.columns] = sums
-        return table
-
-
 class _TwoLocalFrame(NamedTuple):
-    """The part of a two-local compile that depends on n alone."""
+    """The part of a two-local compile that depends on n alone.
+
+    Besides the masks, ``string_basis`` and G_xx, it holds the entries of
+    the string table of H_p with every coupling, in lexicographic order,
+    and every field: dH, the mixer images, then the problem images.  Entry
+    e is ``factors[e]`` times coefficient ``terms[e]`` of (H_p's
+    coefficients, 1), exactly.
+    """
 
     n: int
     x_masks: np.ndarray
     z_masks: np.ndarray
     string_basis: np.ndarray
-    #: (row, x, z, value) entries of the images i[B_b, H_x], H_x = -sum X_i.
-    mixer_entries: tuple[np.ndarray, ...]
     #: The diagonal of G_xx: 4 on Y, 32 on ZY, 8 on XY.
     xx_diagonal: np.ndarray
-    full_layout: _TableLayout
+    #: The position of coupling (i, j) among H_p's terms.
+    pair_index: np.ndarray
+    factors: np.ndarray
+    terms: np.ndarray
+    #: Each entry's (row, string) cell, each cell's row, and the rank of
+    #: its string among every string of the table.
+    inverse: np.ndarray
+    rows: np.ndarray
+    ranks: np.ndarray
 
-    def table(self, z_p: np.ndarray, c_p: np.ndarray) -> np.ndarray:
-        """dH and the images of the basis as one string table, for H_p = sum c_p Z(z_p).
+    def table(self, inst: ProblemInstance) -> np.ndarray:
+        """dH and the images of the basis as one string table.
 
         Row 0 is dH = H_p - H_x, rows 1..B the images i[B_b, H_x] and rows
-        B+1..2B the images i[B_b, H_p], with H_p pruned as ``PauliSum``
-        prunes it and entries in the order in which the PauliSum
-        commutators visit them.  ``full_layout`` forms it where it applies.
+        B+1..2B the images i[B_b, H_p].  A missing coupling is 0, and H_p's
+        coefficients and the cell sums at or below ``PRUNE_TOLERANCE`` are
+        0, as ``PauliSum`` prunes them.  Each cell sums its entries in the
+        order in which the PauliSum commutators visit them, and the columns
+        are the strings that keep a cell, in ascending (x << n) | z order.
         """
-        table = self.full_layout.table(z_p, c_p)
-        if table is not None:
-            return table
-        kept = np.abs(c_p) > PRUNE_TOLERANCE
-        problem = (np.zeros(kept.sum(), dtype=np.int64), z_p[kept], c_p[kept])
-        rows = 1 + len(self.xx_diagonal) + self.string_basis
-        parts = (
-            _dh_entries(self.n, *problem[1:]),
-            self.mixer_entries,
-            _image_entries(self.x_masks, self.z_masks, rows, *problem),
-        )
-        height = 1 + 2 * len(self.xx_diagonal)
-        return _string_table(self.n, height, *(np.concatenate(c) for c in zip(*parts)))
+        n = self.n
+        coefficients = np.concatenate([np.zeros(n * (n - 1) // 2), inst.fields, [1.0]])
+        if inst.couplings:
+            i, j, value = zip(*inst.couplings)
+            coefficients[self.pair_index[i, j]] = value
+        coefficients[np.abs(coefficients) <= PRUNE_TOLERANCE] = 0.0
+        values = self.factors * coefficients[self.terms]
+        sums = np.bincount(self.inverse, weights=values, minlength=len(self.rows))
+        kept = np.flatnonzero(np.abs(sums) > PRUNE_TOLERANCE)
+        ranks = self.ranks[kept]
+        columns = np.cumsum(np.bincount(ranks) > 0) - 1
+        table = np.zeros((1 + 2 * len(self.xx_diagonal), columns[-1] + 1))
+        table[self.rows[kept], columns[ranks]] = sums[kept]
+        return table
 
 
 @lru_cache(maxsize=16)
 def _two_local_frame(n: int) -> _TwoLocalFrame:
-    """The two-local strings, their basis map, the mixer images and G_xx for size n.
+    """The two-local strings, their basis map, G_xx and the table entries for size n.
 
     The strings are those of ``cd_terms``: n Y elements, then n(n-1)/2 ZY
     and n(n-1)/2 XY elements of two strings each.  Every array is read-only.
     """
-    size = n * n
+    size, m = n * n, n * (n - 1) // 2
     x_masks, z_masks = _cd_masks(ProblemInstance(n, (), (0.0,) * n, seed=0), Ansatz.TWO_LOCAL)
     string_basis = np.concatenate([np.arange(n), np.repeat(np.arange(n, size), 2)])
-    mixer = (1 << np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.full(n, -1.0))
-    entries = _image_entries(x_masks, z_masks, 1 + string_basis, *mixer)
-    images = _string_table(n, 1 + size, *entries)[1:]
-    # H_p with every coupling, in lexicographic order, and every field.  Its
-    # image entries are (e - 2) 2 c_t for the coefficient c_t of their term
-    # t: formed with every c_t = 1 they give the factors, with c_t = t the
-    # terms times the factors.
+    bit = 1 << np.arange(n, dtype=np.int64)
+    zeros = np.zeros(n, dtype=np.int64)
     i, j = np.triu_indices(n, 1)
-    problem_z = np.concatenate([(1 << i) | (1 << j), 1 << np.arange(n)])
-    count = len(problem_z)
-    problem = (1 + size + string_basis, np.zeros(count, dtype=np.int64), problem_z)
+    pair_index = np.zeros((n, n), dtype=np.int64)
+    pair_index[i, j] = np.arange(m)
+    # H_p's terms, then H_x = -sum X_i.  An image entry is (e - 2) 2 c_t for
+    # the coefficient c_t of its term t: formed with every c_t = 1 they give
+    # the factors, with c_t = t the terms times the factors.
+    z_p = np.concatenate([bit[i] | bit[j], bit])
+    count = len(z_p)
+    problem = (1 + size + string_basis, np.zeros(count, dtype=np.int64), z_p)
+    mixer = _image_entries(x_masks, z_masks, 1 + string_basis, bit, zeros, np.full(n, -1.0))
     unit = _image_entries(x_masks, z_masks, *problem, np.ones(count))
     terms = _image_entries(x_masks, z_masks, *problem, np.arange(count, dtype=float))[3] / unit[3]
-    parts = (_dh_entries(n, problem_z, np.ones(count)), entries, unit)
-    row, x, z, factors = (np.concatenate(c) for c in zip(*parts))
-    key = (x << n) | z
-    group, first, inverse = np.unique(
-        (row << (2 * n)) | key, return_index=True, return_inverse=True
+    # dH = H_p - H_x in row 0: H_p's strings, then each X_i.
+    dh = (
+        np.zeros(count + n, dtype=np.int64),
+        np.concatenate([problem[1], bit]),
+        np.concatenate([z_p, zeros]),
+        np.ones(count + n),
     )
-    layout = _TableLayout(
-        problem_z,
+    row, x, z, factors = (np.concatenate(c) for c in zip(dh, mixer, unit))
+    cells, inverse = np.unique((row << (2 * n)) | (x << n) | z, return_inverse=True)
+    _, ranks = np.unique(cells & ((1 << (2 * n)) - 1), return_inverse=True)
+    frame = _TwoLocalFrame(
+        n,
+        x_masks,
+        z_masks,
+        string_basis,
+        np.repeat([4.0, 32.0, 8.0], [n, m, m]),
+        pair_index,
         factors,
         # dH's H_p strings, then its X strings and the mixer images, which
         # scale with the trailing 1.
-        np.concatenate([np.arange(count), np.full(n + len(entries[0]), count), terms]).astype(
+        np.concatenate([np.arange(count), np.full(n + len(mixer[0]), count), terms]).astype(
             np.int64
         ),
         inverse,
-        *_cells(n, group, key[first], first),
-        1 + 2 * size,
+        cells >> (2 * n),
+        ranks,
     )
-    frame = _TwoLocalFrame(
-        n, x_masks, z_masks, string_basis, entries, (images**2).sum(axis=1), layout
-    )
-    for array in (x_masks, z_masks, string_basis, frame.xx_diagonal, *entries, *layout[:-2]):
+    for array in frame[1:]:
         array.flags.writeable = False
     return frame
-
-
-def _dh_entries(n: int, z_p: np.ndarray, c_p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(row, x, z, value) entries of dH = H_p - H_x in row 0: H_p's strings, then each X_i."""
-    return (
-        np.zeros(len(z_p) + n, dtype=np.int64),
-        np.concatenate([np.zeros(len(z_p), dtype=np.int64), 1 << np.arange(n, dtype=np.int64)]),
-        np.concatenate([z_p, np.zeros(n, dtype=np.int64)]),
-        np.concatenate([c_p, np.ones(n)]),
-    )
 
 
 def _image_entries(x_b, z_b, rows, x_h, z_h, c_h) -> tuple[np.ndarray, ...]:
@@ -657,40 +631,6 @@ def _image_entries(x_b, z_b, rows, x_h, z_h, c_h) -> tuple[np.ndarray, ...]:
     value = (exponent - 2) * (2.0 * c_h[None, :])
     row = np.broadcast_to(rows[:, None], anti.shape)
     return row[anti], x[anti], z[anti], value[anti]
-
-
-def _string_table(n: int, height: int, row, x, z, value) -> np.ndarray:
-    """Scatter (row, string, value) entries into a ``height``-row table.
-
-    Entries of one row that share a string are summed in entry order, sums
-    at or below ``PRUNE_TOLERANCE`` are dropped, and columns follow each
-    string's first surviving appearance: the table a row-by-row loop over
-    pruned ``PauliSum`` terms builds, bit for bit.
-    """
-    key = (x << n) | z
-    group, first, inverse = np.unique(
-        (row << (2 * n)) | key, return_index=True, return_inverse=True
-    )
-    sums = np.bincount(inverse, weights=value, minlength=len(group))
-    kept = np.flatnonzero(np.abs(sums) > PRUNE_TOLERANCE)
-    rows, columns, width = _cells(n, group[kept], key[first[kept]], first[kept])
-    table = np.zeros((height, width))
-    table[rows, columns] = sums[kept]
-    return table
-
-
-def _cells(n: int, group, key, first) -> tuple[np.ndarray, np.ndarray, int]:
-    """The table row and column of each (row, string) group, and the column count.
-
-    ``group`` holds (row << 2n) | string keys, ``key`` their strings and
-    ``first`` the index of each group's first entry: columns follow each
-    string's first appearance.
-    """
-    order = np.argsort(first)
-    _, seen, column = np.unique(key[order], return_index=True, return_inverse=True)
-    columns = np.empty(len(group), dtype=np.int64)
-    columns[order] = np.argsort(np.argsort(seen))[column]
-    return group >> (2 * n), columns, len(seen)
 
 
 def cd_terms(inst: ProblemInstance, ansatz: Ansatz) -> list[PauliString]:

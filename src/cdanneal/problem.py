@@ -54,15 +54,18 @@ class ProblemInstance:
             )
         if not all(math.isfinite(h) for h in self.fields):
             raise ParameterError(f"fields must be finite, got {self.fields}")
-        pairs = set()
+        previous = None
         for i, j, value in self.couplings:
             if not (0 <= i < j < self.n):
                 raise ParameterError(f"coupling ({i},{j}) must satisfy 0 <= i < j < n")
-            if (i, j) in pairs:
-                raise ParameterError(f"coupling ({i},{j}) is given more than once")
+            if previous is not None and (i, j) <= previous:
+                raise ParameterError(
+                    f"coupling ({i},{j}) must come after ({previous[0]},{previous[1]}): "
+                    "couplings are listed once each, in lexicographic order"
+                )
             if not math.isfinite(value):
                 raise ParameterError(f"coupling ({i},{j}) must be finite, got {value}")
-            pairs.add((i, j))
+            previous = (i, j)
 
     def coupling_matrix(self) -> np.ndarray:
         """Symmetric (n, n) coupling array with zero diagonal."""

@@ -107,17 +107,22 @@ def _check_nc1(seed: int) -> CheckResult:
 def _check_two_local(seed: int) -> CheckResult:
     """The compiled two-local solve against ``minimize_action`` at n = 2 to 4.
 
-    Per size, three generated instances and one with their fields zeroed.
-    Without fields, the XY images of H_p vanish at n = 2, so lam = 1 leaves
-    a zero XY diagonal that the certificate rejects: the check runs the
-    Schur solve and its ``_solve_normal`` fallback both.
+    Per size, three generated instances and two variants of the first: its
+    fields zeroed, and its first coupling removed.  Without fields, the XY
+    images of H_p vanish at n = 2, so lam = 1 leaves a zero XY diagonal that
+    the certificate rejects: the check runs the Schur solve and its
+    ``_solve_normal`` fallback both.
     """
     worst = 0.0
     for n in (2, 3, 4):
         basis = two_local_basis(n)
         generated = [generate_instance(n, instance_seed(seed, 300 * n + rep)) for rep in range(3)]
-        zero_field = ProblemInstance(n, generated[0].couplings, (0.0,) * n, seed=generated[0].seed)
-        for inst in generated + [zero_field]:
+        first = generated[0]
+        variants = [
+            ProblemInstance(n, first.couplings, (0.0,) * n, seed=first.seed),
+            ProblemInstance(n, first.couplings[1:], first.fields, seed=first.seed),
+        ]
+        for inst in generated + variants:
             gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
                 compiled = gauge.solve_two_local(lam)

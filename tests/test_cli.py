@@ -239,6 +239,17 @@ def test_run_malformed_instance(tmp_path):
         assert run_cli("run", "--instance", str(path)) == 2
 
 
+def test_run_refuses_couplings_out_of_order(tmp_path, capsys):
+    inst = generate_instance(4, instance_seed(912, 0))
+    path = tmp_path / "reversed.json"
+    save_instance(inst, path)
+    payload = json.loads(path.read_text())
+    payload["J"] = payload["J"][::-1]
+    path.write_text(json.dumps(payload))
+    assert run_cli("run", "--instance", str(path)) == 2
+    assert "coupling (1,3) must come after (2,3)" in single_error_line(capsys.readouterr().err)
+
+
 def test_run_non_finite_total_time(tmp_path, capsys):
     # T = 1e308 and 1e-310 are finite, but pi T and pi^2/4T overflow in the
     # schedule: both are refused as usage errors.
@@ -851,9 +862,10 @@ def test_validate_two_local_mutation_sensitivity(monkeypatch):
 
 
 def test_validate_two_local_runs_the_schur_solve_and_its_fallback(monkeypatch):
-    # The zero-field instance at n = 2 has a zero XY diagonal at lam = 1,
-    # which the certificate rejects: the check must reach the full-Gram
-    # fallback as well as the Schur solve.
+    # Five instances of each size n = 2-4 at five points each.  The
+    # zero-field instance at n = 2 has a zero XY diagonal at lam = 1, which
+    # the certificate rejects: the check must reach the full-Gram fallback
+    # as well as the Schur solve.
     points = {"compiled": 0, "fallback": 0}
     solve, solve_normal = CompiledGauge._solve, gauge_mod._solve_normal
     inside = []
@@ -873,7 +885,7 @@ def test_validate_two_local_runs_the_schur_solve_and_its_fallback(monkeypatch):
     monkeypatch.setattr(CompiledGauge, "_solve", counted_solve)
     monkeypatch.setattr(gauge_mod, "_solve_normal", counted_normal)
     assert validate_mod._check_two_local(0).passed
-    assert points == {"compiled": 60, "fallback": 1}
+    assert points == {"compiled": 75, "fallback": 1}
 
 
 @pytest.mark.parametrize(

@@ -488,9 +488,9 @@ def test_stacked_closed_forms_report_the_first_singular_point():
 def pauli_sum_two_local_table(inst):
     """dH and the two-local images from PauliSum commutators, as the oracle.
 
-    Returns the rows of a table with one column per Pauli string in order of
-    first appearance: dH = H_p - H_x, then the images i[B_b, H_x] and
-    i[B_b, H_p], one row per basis element.
+    Returns the rows of a table with one column per Pauli string in
+    ascending (x << n) | z order: dH = H_p - H_x, then the images
+    i[B_b, H_x] and i[B_b, H_p], one row per basis element.
     """
     n = inst.n
     basis = two_local_basis(n)
@@ -500,15 +500,12 @@ def pauli_sum_two_local_table(inst):
         + [1j * commutator(op, mixer) for op in basis]
         + [1j * commutator(op, problem) for op in basis]
     )
-    columns = {}
-    rows, cols, values = [], [], []
+    strings = sorted({s for op in ops for s, _ in op}, key=lambda s: (s.x_mask << n) | s.z_mask)
+    columns = {string: column for column, string in enumerate(strings)}
+    table = np.zeros((len(ops), len(columns)))
     for row, op in enumerate(ops):
         for string, value in op:
-            rows.append(row)
-            cols.append(columns.setdefault(string, len(columns)))
-            values.append(value.real)
-    table = np.zeros((len(ops), len(columns)))
-    table[rows, cols] = values
+            table[row, columns[string]] = value.real
     return table[0], table[1 : 1 + len(basis)], table[1 + len(basis) :]
 
 
@@ -557,26 +554,35 @@ _COMPILE_VALUES = st.one_of(
 
 @st.composite
 def two_local_instances(draw, values=_COMPILE_VALUES):
+    # Instance files may list any subset of the couplings, in order.
     n = draw(st.integers(2, 7))
     zero_fields, zero_couplings = draw(st.sampled_from(
         [(False, False), (True, False), (False, True), (True, True)]
     ))
+    partial = draw(st.booleans())
     fields = tuple(0.0 if zero_fields else draw(values) for _ in range(n))
     couplings = tuple(
         (i, j, 0.0 if zero_couplings else draw(values))
         for i in range(n)
         for j in range(i + 1, n)
+        if not partial or draw(st.booleans())
     )
     return ProblemInstance(n, couplings, fields, seed=0)
+
+
+_GENERATED = generate_instance(4, instance_seed(912, 0))
 
 
 @settings(max_examples=80, deadline=None)
 @given(two_local_instances())
 @example(ProblemInstance(3, ((0, 1, 0.4), (0, 2, 0.0), (1, 2, -0.7)), (2e-12, -1.8e-12, 0.3), 0))
+@example(ProblemInstance(4, _GENERATED.couplings, (0.0,) + _GENERATED.fields[1:], seed=0))
+@example(ProblemInstance(4, _GENERATED.couplings[1:], _GENERATED.fields, seed=0))
 def test_compiled_two_local_blocks_match_pauli_sum_oracle(inst):
     # The array compile must give the oracle's blocks bit for bit.  In the
-    # example, h_0 and h_1 meet in one X_0 X_1 image entry of 4e-13, which
-    # the oracle prunes.
+    # first example, h_0 and h_1 meet in one X_0 X_1 image entry of 4e-13,
+    # which the oracle prunes; the others are a generated instance with a
+    # zero field and with its first coupling missing.
     gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
     for name, expected in pauli_sum_kept_blocks(inst).items():
         assert np.array_equal(getattr(gauge, name), expected), name
@@ -585,8 +591,7 @@ def test_compiled_two_local_blocks_match_pauli_sum_oracle(inst):
 @settings(max_examples=30, deadline=None)
 @given(two_local_instances(values=st.sampled_from([0.5, -0.5, 1.0]) | st.floats(-3.0, 3.0)))
 def test_compiled_two_local_blocks_match_oracle_off_the_prune(inst):
-    # Values well away from the prune tolerance take the per-size table
-    # layout unless a field or coupling is zero or a table cell cancels.
+    # Values well away from the prune tolerance, so that few cells cancel.
     gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
     for name, expected in pauli_sum_kept_blocks(inst).items():
         assert np.array_equal(getattr(gauge, name), expected), name
@@ -599,34 +604,6 @@ def test_compiled_two_local_blocks_match_on_generated_instances():
             gauge = CompiledGauge(inst, Ansatz.TWO_LOCAL)
             for name, expected in pauli_sum_kept_blocks(inst).items():
                 assert np.array_equal(getattr(gauge, name), expected), (n, rep, name)
-
-
-def test_two_local_table_layout_taken_when_nothing_prunes(monkeypatch):
-    # A generated instance holds every coupling and field, so its string
-    # table comes from the per-size layout.  A zero field, a missing
-    # coupling or couplings out of order change the table's cells: those
-    # fall back to _string_table, and every path gives the oracle's blocks.
-    import cdanneal.gauge as gauge_mod
-
-    gauge_mod._two_local_frame(4)
-    tables = []
-    real = gauge_mod._string_table
-    monkeypatch.setattr(
-        gauge_mod, "_string_table", lambda *args: tables.append(args[0]) or real(*args)
-    )
-    inst = generate_instance(4, instance_seed(912, 0))
-    couplings, fields = inst.couplings, inst.fields
-    for variant, fallback in (
-        (inst, False),
-        (ProblemInstance(4, couplings, (0.0,) + fields[1:], seed=0), True),
-        (ProblemInstance(4, couplings[1:], fields, seed=0), True),
-        (ProblemInstance(4, couplings[::-1], fields, seed=0), True),
-    ):
-        tables.clear()
-        gauge = CompiledGauge(variant, Ansatz.TWO_LOCAL)
-        assert tables == ([4] if fallback else []), variant
-        for name, expected in pauli_sum_kept_blocks(variant).items():
-            assert np.array_equal(getattr(gauge, name), expected), (variant, name)
 
 
 @settings(max_examples=40, deadline=None)

@@ -74,6 +74,19 @@ def test_instance_validation():
             ProblemInstance(2, couplings=couplings, fields=fields, seed=0)
 
 
+def test_instance_refuses_couplings_out_of_order():
+    # Reversed couplings would build H_p, and every sum over its terms, in
+    # another order than the same instance written in order.
+    inst = generate_instance(4, instance_seed(912, 0))
+    with pytest.raises(ParameterError, match=r"coupling \(1,3\) must come after \(2,3\)"):
+        ProblemInstance(4, inst.couplings[::-1], inst.fields, seed=0)
+    swapped = (inst.couplings[1], inst.couplings[0]) + inst.couplings[2:]
+    with pytest.raises(ParameterError, match=r"coupling \(0,1\) must come after \(0,2\)"):
+        ProblemInstance(4, swapped, inst.fields, seed=0)
+    # A strict subset in order is an instance.
+    assert ProblemInstance(4, inst.couplings[1::2], inst.fields, seed=0).couplings[0][:2] == (0, 2)
+
+
 def test_instance_file_round_trip(tmp_path):
     inst = generate_instance(4, 99)
     path = tmp_path / "instance.json"
