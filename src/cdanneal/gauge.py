@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, SingularGaugeError
+from .errors import IntegratorError, ParameterError, SingularGaugeError
 from .pauli import PRUNE_TOLERANCE, PauliString, PauliSum, commutator, trace_inner
 from .problem import ProblemInstance, mixer_hamiltonian, problem_hamiltonian
 
@@ -124,6 +124,7 @@ def local_y_coefficients(inst: ProblemInstance, lam: float) -> np.ndarray:
     return _local_y(inst.field_array(), _local_y_weights(inst), np.arange(inst.n), lams)[0]
 
 
+@np.errstate(over="ignore")  # callers check the coefficients
 def _local_y_weights(inst: ProblemInstance) -> np.ndarray:
     """h_i^2 + sum_{j != i} J_ij^2 per site: the lam^2 part of the denominator."""
     return inst.field_array() ** 2 + (inst.coupling_matrix() ** 2).sum(axis=1)
@@ -132,23 +133,36 @@ def _local_y_weights(inst: ProblemInstance) -> np.ndarray:
 def _local_y(
     fields: np.ndarray, weights: np.ndarray, sites: np.ndarray, lams: np.ndarray
 ) -> np.ndarray:
-    """beta per point of ``lams`` and site; the first singular point raises,
-    naming its first singular site and, as ``step``, its 1-based index."""
+    """beta per point of ``lams`` and site; the first singular point raises
+    (see ``_refuse_singular``)."""
     points = lams[:, None]
     denominator = 2.0 * ((points - 1.0) ** 2 + points**2 * weights)
+    _refuse_singular("single-site Y", denominator, lams, sites)
+    return fields / denominator
+
+
+def _refuse_singular(family: str, denominator: np.ndarray, lams: np.ndarray, sites=None) -> None:
+    """Raise ``SingularGaugeError`` at the first point with a denominator below the floor.
+
+    ``denominator`` holds a row per point of ``lams`` and a column per site
+    of ``sites``, or a single column and no sites for a global coefficient.
+    The error names the point's first singular site, if any, and, as
+    ``step``, the point's 1-based index.
+    """
     small = np.argwhere(np.abs(denominator) < SINGULAR_FLOOR)
     if len(small):
         point, column = small[0]
-        site, lam, value = int(sites[column]), float(lams[point]), float(denominator[point, column])
+        site = None if sites is None else int(sites[column])
+        lam, value = float(lams[point]), float(denominator[point, column])
+        place = "" if site is None else f"site {site}, "
         raise SingularGaugeError(
-            f"single-site Y denominator {value:.3e} below floor "
-            f"{SINGULAR_FLOOR:.0e} at site {site}, lam={lam}",
+            f"{family} denominator {value:.3e} below floor "
+            f"{SINGULAR_FLOOR:.0e} at {place}lam={lam}",
             site=site,
             lam=lam,
             value=value,
             step=int(point) + 1,
         )
-    return fields / denominator
 
 
 def nc1_coefficient(inst: ProblemInstance, lam: float) -> float:
@@ -198,20 +212,11 @@ def _nc1_sums(inst: ProblemInstance) -> tuple[float, float, float]:
 
 @np.errstate(over="ignore", invalid="ignore")  # callers check the coefficients
 def _nc1_alpha(sums: tuple[float, float, float], lams: np.ndarray) -> np.ndarray:
-    """alpha_1 per point of ``lams``; the first singular point raises with
-    its 1-based index as ``step``."""
+    """alpha_1 per point of ``lams``; the first singular point raises
+    (see ``_refuse_singular``)."""
     numerator, quadratic, quartic = sums
     denominator = (1.0 - 2.0 * lams) * quadratic + lams**2 * quartic
-    small = np.flatnonzero(np.abs(denominator) < SINGULAR_FLOOR)
-    if len(small):
-        lam, value = float(lams[small[0]]), float(denominator[small[0]])
-        raise SingularGaugeError(
-            f"nested-commutator denominator {value:.3e} below floor "
-            f"{SINGULAR_FLOOR:.0e} at lam={lam}",
-            lam=lam,
-            value=value,
-            step=int(small[0]) + 1,
-        )
+    _refuse_singular("nested-commutator", denominator[:, None], lams)
     return -0.25 * numerator / denominator
 
 
@@ -322,6 +327,8 @@ class CompiledGauge:
       block of G_xp), ``source_x_a`` and ``source_p_a`` (the A parts of
       v_x and v_p) and ``norm_dh`` = ||dH||^2.  Each grid is solved in one
       stacked call on the k x k Schur complement of the diagonal XY block.
+      A block that is not finite raises ``IntegratorError`` at compile,
+      before any solver sees it.
 
     ``string_basis`` maps each two-local string to its basis element: the
     symmetrized ZY and XY elements own two strings each.  The masks,
@@ -349,6 +356,7 @@ class CompiledGauge:
                 [h for h in inst.fields if h != 0.0] + list(np.repeat(pairs, 2))
             )
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite blocks are refused below
     def _compile_two_local(self) -> None:
         n = self.inst.n
         _check_two_local(n)
@@ -367,6 +375,12 @@ class CompiledGauge:
         self.source_x_a = image_x[:k] @ source
         self.source_p_a = image_p[:k] @ source
         self.norm_dh = float(source @ source)
+        for name in ("pp_a", "pp_xy", "xp_b", "source_x_a", "source_p_a", "norm_dh"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise IntegratorError(
+                    f"two-local Gram block {name} at n={n} is not finite:"
+                    " the fields or couplings are too large"
+                )
 
     def _blocks(self, lams: np.ndarray) -> tuple[np.ndarray, ...]:
         """The two-local action's blocks at each point of the 1-D ``lams``.
@@ -669,6 +683,7 @@ def _cd_masks(inst: ProblemInstance, ansatz: Ansatz) -> tuple[np.ndarray, np.nda
     return np.concatenate(x_masks), np.concatenate(z_masks)
 
 
+@np.errstate(over="ignore")  # a large rate times a coefficient; callers check the coefficients
 def cd_coefficients(
     gauge: ProblemInstance | CompiledGauge, ansatz: Ansatz, lam, lam_dot
 ) -> np.ndarray:

@@ -26,6 +26,7 @@ from .problem import (
     generate_instance,
     ground_state,
     instance_seed,
+    read_json_object,
 )
 from .schedule import Schedule
 from .simulator import (
@@ -158,13 +159,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-        if not isinstance(payload, dict):
-            raise ParameterError(f"{path}: expected a JSON object")
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json_object(path))
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(_sorted_json(self.to_dict()))

@@ -162,14 +162,20 @@ def _number(value) -> float:
     return float(value)
 
 
-def load_instance(path: str | Path) -> ProblemInstance:
-    """Read the instance JSON format; unknown fields and mistyped values are rejected."""
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in a file; invalid JSON, named by line, or any other value is refused."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(payload, dict):
         raise ParameterError(f"{path}: expected a JSON object")
+    return payload
+
+
+def load_instance(path: str | Path) -> ProblemInstance:
+    """Read the instance JSON format; unknown fields and mistyped values are rejected."""
+    payload = read_json_object(path)
     unknown = set(payload) - {"n", "seed", "h", "J"}
     if unknown:
         raise ParameterError(f"{path}: unknown fields {sorted(unknown)}")

@@ -111,12 +111,12 @@ MEMORY_BUDGET = 1 << 30
 
 #: Radians of rounding a step's phase dt lam E may carry.  E is known to
 #: one unit in the last place, so the phase of its largest entry is
-#: uncertain by eps dt max|E|; above this an evolution raises
-#: ``IntegratorError`` before its first step, as its phases would carry no
-#: information.  The desk protocol (dt = 0.05, max|E| <= 40 over n = 4-12)
-#: sits at most at 4.4e-16, over a million times inside.  The rotation
-#: angles dt c_j of the mixer and CD strings are bounded alike, per chunk
-#: of steps (see ``DrivenHamiltonian.steps``).
+#: uncertain by eps dt max|E|; above this ``DrivenHamiltonian.steps``
+#: raises ``IntegratorError`` before its first step, as its phases would
+#: carry no information.  The desk protocol (dt = 0.05, max|E| <= 40 over
+#: n = 4-12) sits at most at 4.4e-16, over a million times inside.  The
+#: rotation angles dt c_j of the mixer and CD strings are bounded alike,
+#: per chunk of steps.
 PHASE_TOLERANCE = 1e-9
 
 
@@ -566,16 +566,27 @@ class DrivenHamiltonian:
         bound once to the buffers of this call, and leaves the result in
         ``psi``, which must be a contiguous complex128 vector.  The points
         are taken ``chunk_steps`` at a time: the coefficients, unitaries and
-        phase table of a chunk are formed before its first step, and a
-        singular gauge raises ``SingularGaugeError`` with the 1-based index of
-        its point as ``step`` before any step of its chunk runs.  So does, as
-        ``IntegratorError`` naming its step, a finite rotation angle dt c_j
-        whose rounding eps |dt c_j| exceeds ``PHASE_TOLERANCE``.  Returns the
-        state norm after each step.
+        phase table of a chunk are formed before its first step.
+
+        This is where a grid is refused.  Energies whose phase rounding eps
+        dt max|E| is not within ``PHASE_TOLERANCE`` raise ``IntegratorError``
+        before any step.  A singular gauge raises ``SingularGaugeError``, and
+        a rotation angle dt c_j whose rounding eps |dt c_j| is not within the
+        same bound, NaN and inf included, ``IntegratorError``; both name the
+        1-based grid step of the point and come before any step of its chunk
+        runs.  Finite angles and phases keep a finite state finite.  Returns
+        the state norm after each step.
         """
         dim = 1 << self.n
         if psi.dtype != np.complex128 or psi.shape != (dim,) or not psi.flags.c_contiguous:
             raise ParameterError(f"step needs a contiguous complex128 vector of length {dim}")
+        # Python floats: a product past the float range is inf, unwarned.
+        rounding = math.ulp(1.0) * float(dt) * float(np.abs(self.energies).max())
+        if not rounding <= PHASE_TOLERANCE:  # NaN energies fail too
+            raise IntegratorError(
+                f"phase rounding eps*dt*max|E| = {rounding:.3g} rad exceeds {PHASE_TOLERANCE:g}:"
+                f" the energies are too large for dt = {dt:g} to leave any phase information"
+            )
         bound = self.plan.bind((psi, np.empty_like(psi), np.empty_like(psi)))
         real, imag = psi.real, psi.imag
         scales = -dt * lams
@@ -586,12 +597,17 @@ class DrivenHamiltonian:
             try:
                 values = self.coefficients(lams[chunk], lam_dots[chunk])
             except SingularGaugeError as exc:
-                exc.step += start
-                raise
+                step = start + exc.step
+                raise SingularGaugeError(
+                    f"{exc} (aborted at grid step {step}/{len(lams)})",
+                    site=exc.site,
+                    lam=exc.lam,
+                    value=exc.value,
+                    step=step,
+                ) from exc
             angles = dt * values
-            # A non-finite angle is left to the norm check of the caller.
             reach = np.finfo(float).eps * np.abs(angles).max(axis=1)
-            past = np.flatnonzero(np.isfinite(reach) & (reach > PHASE_TOLERANCE))
+            past = np.flatnonzero(~(reach <= PHASE_TOLERANCE))  # NaN and inf fail too
             if len(past):
                 raise IntegratorError(
                     f"rotation rounding eps*max|dt*c_j| = {reach[past[0]]:.3g} rad exceeds"
@@ -712,40 +728,20 @@ class DrivenHamiltonian:
         return mat
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm stops the evolution
 def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> EvolutionReport:
     """First-order digitized evolution from the uniform superposition.
 
     Each grid step k applies exp(-i dt c_j(t_k) P_j) for every term P_j of
     the driven Hamiltonian, coefficients evaluated at the step's grid point,
-    in the fixed canonical term order (see ``DrivenHamiltonian.step``).  A
-    gauge singularity at any grid point aborts with the offending step index
-    attached, and so does a step that leaves a non-finite norm.  Energies
-    whose phases round by more than ``PHASE_TOLERANCE`` are refused first.
+    in the fixed canonical term order (see ``DrivenHamiltonian.step``).
+    ``DrivenHamiltonian.steps`` refuses a grid whose phases or angles carry
+    no information, or whose gauge is singular, naming the grid step.
     """
     psi = plus_state(inst.n)
     hamiltonian = DrivenHamiltonian(inst, ansatz)
-    rounding = np.finfo(float).eps * sched.dt * float(np.abs(hamiltonian.energies).max())
-    if not rounding <= PHASE_TOLERANCE:  # NaN energies fail too
-        raise IntegratorError(
-            f"phase rounding eps*dt*max|E| = {rounding:.3g} rad exceeds {PHASE_TOLERANCE:g}:"
-            f" the energies are too large for dt = {sched.dt:g} to leave any phase information"
-        )
     _, lams, rates = np.array(sched.grid).T
     started = time.perf_counter()
-    try:
-        norms = hamiltonian.steps(psi, sched.dt, lams, rates).tolist()
-    except SingularGaugeError as exc:
-        raise SingularGaugeError(
-            f"{exc} (aborted at grid step {exc.step}/{sched.steps})",
-            site=exc.site,
-            lam=exc.lam,
-            value=exc.value,
-            step=exc.step,
-        ) from exc
-    for step, norm in enumerate(norms, 1):
-        if not math.isfinite(norm):
-            raise IntegratorError(f"state norm {norm} after grid step {step}/{sched.steps}")
+    norms = hamiltonian.steps(psi, sched.dt, lams, rates).tolist()
     wall = time.perf_counter() - started
     steps = sched.steps
     single, entangling = hamiltonian.single_count, hamiltonian.entangling_count

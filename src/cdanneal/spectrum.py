@@ -225,7 +225,6 @@ def gap_curve(
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
     hamiltonian = DrivenHamiltonian(inst, ansatz)
-    hamiltonian.check_rows_budget()
 
     def gap_at(t: float) -> float:
         low = instantaneous_spectrum(hamiltonian, sched.lam(t), sched.lam_dot(t))

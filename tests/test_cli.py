@@ -265,18 +265,36 @@ def test_run_non_finite_total_time(tmp_path, capsys):
     assert "max|E| = inf" in single_error_line(capsys.readouterr().err)
 
 
+def test_tiny_total_time_overflows_coefficients_without_a_warning(tmp_path, capsys):
+    # At T = 1.5e-308 the rate lam_dot is near the float range, and times a
+    # CD coefficient it overflows to inf: the evolution refuses the angle and
+    # the gap solve the operator, each on one stderr line.
+    instance = tmp_path / "inst.json"
+    save_instance(ProblemInstance(1, (), (1e-3,), seed=0), instance)
+    args = ("--instance", str(instance), "--T", "1.5e-308")
+    assert run_cli("run", *args, "--ansatz", "local-y") == 4
+    assert "rotation rounding" in single_error_line(capsys.readouterr().err)
+    save_instance(generate_instance(3, 9), instance)
+    assert run_cli("gap", *args, "--ansatz", "nc1", "--out", str(tmp_path / "gap.csv")) == 4
+    assert "non-finite" in single_error_line(capsys.readouterr().err)
+
+
 def test_run_refuses_phases_without_information(tmp_path, capsys):
     # Every field and coupling 1e300: the energies are finite, but rounding
-    # moves each step's phase by ~1e284 rad.  Refused before evolving.
+    # moves each step's phase by ~1e284 rad.  Every drive refuses it before
+    # evolving, with no overflow warning; two-local's Gram blocks overflow
+    # first.
     instance = tmp_path / "inst.json"
     instance.write_text(
         '{"n": 3, "seed": 1, "h": [1e300, 1e300, 1e300],'
         ' "J": [[0, 1, 1e300], [0, 2, 1e300], [1, 2, 1e300]]}'
     )
-    assert run_cli("run", "--instance", str(instance), "--ansatz", "none") == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "phase rounding" in single_error_line(captured.err)
+    for ansatz in Ansatz:
+        assert run_cli("run", "--instance", str(instance), "--ansatz", ansatz.value) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        refusal = "Gram block" if ansatz is Ansatz.TWO_LOCAL else "phase rounding"
+        assert refusal in single_error_line(captured.err)
 
 
 def inflate_nc1_angles(monkeypatch):
@@ -634,8 +652,9 @@ def test_gap_negative_instance_seed_exit_code(tmp_path, capsys):
 
 
 def test_gap_overflow_exit_codes(tmp_path, capsys):
-    # An overflowing schedule is a usage error; overflowing energies or nc1
-    # sums are a numerical failure.  None of them ends in a traceback.
+    # An overflowing schedule is a usage error; overflowing energies, nc1
+    # sums or two-local Gram blocks are a numerical failure.  None of them
+    # ends in a traceback.
     instance = tmp_path / "inst.json"
     save_instance(generate_instance(3, 9), instance)
     for total_time in ("1e308", "1e-310"):
@@ -643,14 +662,23 @@ def test_gap_overflow_exit_codes(tmp_path, capsys):
         assert run_cli(*args, "--out", str(tmp_path / "gap.csv")) == 2
         assert "finite" in single_error_line(capsys.readouterr().err)
     pairs = ((0, 1), (0, 2), (1, 2))
-    for inst, ansatz in (
-        (ProblemInstance(2, ((0, 1, 1e308),), (1e308, 1e308), seed=0), "none"),
-        (ProblemInstance(3, tuple((i, j, 1e77) for i, j in pairs), (1e77,) * 3, seed=0), "nc1"),
+    for inst, ansatz, refusal in (
+        (ProblemInstance(2, ((0, 1, 1e308),), (1e308, 1e308), seed=0), "none", "non-finite"),
+        (
+            ProblemInstance(3, tuple((i, j, 1e77) for i, j in pairs), (1e77,) * 3, seed=0),
+            "nc1",
+            "non-finite",
+        ),
+        (
+            ProblemInstance(3, tuple((i, j, 1e160) for i, j in pairs), (1e160,) * 3, seed=0),
+            "two-local",
+            "Gram block pp_a at n=3 is not finite",
+        ),
     ):
         save_instance(inst, instance)
         args = ("gap", "--instance", str(instance), "--ansatz", ansatz, "--samples", "5")
         assert run_cli(*args, "--out", str(tmp_path / "gap.csv")) == 4
-        assert "non-finite" in single_error_line(capsys.readouterr().err)
+        assert refusal in single_error_line(capsys.readouterr().err)
     assert not (tmp_path / "gap.csv").exists()
 
 

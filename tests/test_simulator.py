@@ -804,8 +804,9 @@ def test_trotter_singular_point_mid_grid_aborts_with_its_step(monkeypatch, helpe
 
 @pytest.mark.parametrize("chunk", [20, 3])
 def test_trotter_non_finite_norm_mid_grid_stops_at_its_step(monkeypatch, chunk):
-    # An infinite coefficient at grid step 7 leaves a NaN state from that
-    # step on; the evolution reports step 7 whatever the chunk size.
+    # An infinite coefficient at grid step 7 would leave a NaN state from
+    # that step on; its angle is refused by the rotation bound instead,
+    # naming step 7 whatever the chunk size.
     monkeypatch.setattr(DrivenHamiltonian, "chunk_steps", chunk)
     sched = Schedule(1.0, 20)
     closed_form = gauge._nc1_alpha
@@ -815,24 +816,37 @@ def test_trotter_non_finite_norm_mid_grid_stops_at_its_step(monkeypatch, chunk):
         return np.where(lams == overflowing, math.inf, closed_form(sums, lams))
 
     monkeypatch.setattr(gauge, "_nc1_alpha", overflowing_alpha)
-    with pytest.raises(IntegratorError, match=r"state norm nan after grid step 7/20$"):
+    with pytest.raises(IntegratorError, match=r"= inf rad exceeds 1e-09 at grid step 7/20:"):
         trotter_evolve(generate_instance(4, instance_seed(621, 0)), sched, Ansatz.NC1)
 
 
 def test_trotter_refuses_phases_past_the_rounding_bound(monkeypatch):
     # One qubit, E = (h, -h): eps dt |h| just inside PHASE_TOLERANCE evolves,
-    # just outside it is refused before the first step.
+    # just outside it is refused before the first step, by trotter_evolve
+    # and by a direct steps call, which leaves psi as it was.
     sched = Schedule(1.0, 20)
+    _, lams, rates = np.array(sched.grid).T
     edge = simulator.PHASE_TOLERANCE / (np.finfo(float).eps * sched.dt)
     inside = trotter_evolve(ProblemInstance(1, (), (0.99 * edge,), seed=0), sched, Ansatz.NONE)
     assert inside.step_norms[-1] == pytest.approx(1.0, abs=1e-12)
-    steps = []
-    monkeypatch.setattr(DrivenHamiltonian, "steps", lambda self, *args: steps.append(args))
+    chunks = []  # every chunk forms its coefficients before its first step
+    real = DrivenHamiltonian.coefficients
+
+    def counted(self, *args):
+        chunks.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(DrivenHamiltonian, "coefficients", counted)
+    refused = r"phase rounding eps\*dt\*max\|E\| = .* rad"
     for h in (1.01 * edge, 1e300):
         inst = ProblemInstance(1, (), (h,), seed=0)
-        with pytest.raises(IntegratorError, match=r"phase rounding eps\*dt\*max\|E\| = .* rad"):
+        with pytest.raises(IntegratorError, match=refused):
             trotter_evolve(inst, sched, Ansatz.NONE)
-    assert steps == []
+        psi = plus_state(1)
+        with pytest.raises(IntegratorError, match=refused):
+            DrivenHamiltonian(inst, Ansatz.NONE).steps(psi, sched.dt, lams, rates)
+        assert np.array_equal(psi, plus_state(1))
+    assert chunks == []
 
 
 def inflate_angles_at(monkeypatch, lam, value):
