@@ -40,6 +40,7 @@ from .problem import (
     generate_instance,
     ground_state,
     load_instance,
+    read_text,
     save_instance,
 )
 from .schedule import Schedule
@@ -151,9 +152,9 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     # sample_shots checks these too, but only after the whole evolution.
-    if args.shots is not None and (args.shots < 1 or args.shot_seed < 0):
+    if args.shots is not None and (not 1 <= args.shots < 2**63 or args.shot_seed < 0):
         raise ParameterError(
-            f"need --shots >= 1 and --shot-seed >= 0, got {args.shots} and {args.shot_seed}"
+            f"need --shots in [1, 2**63), --shot-seed >= 0, got {args.shots} and {args.shot_seed}"
         )
     inst = load_instance(args.instance)
     ansatz = Ansatz.parse(args.ansatz)
@@ -273,7 +274,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, embedded_hash = records_from_csv(Path(args.records).read_text())
+    records, embedded_hash = records_from_csv(read_text(args.records))
     summary = enhancement_metrics(records)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.records).parent
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterError, SingularGaugeError
-from .gauge import Ansatz, _nc1_alpha, cd_coefficients
+from .gauge import Ansatz, _nc1_alpha
 from .problem import (
     STATEVECTOR_CAP,
     generate_instance,
@@ -110,7 +110,10 @@ class ExperimentConfig:
         if wrong:
             raise ParameterError(f"wrongly typed config fields {wrong}")
         # An int would reach config_hash as 1, not 1.0: one protocol, two hashes.
-        object.__setattr__(self, "total_time", float(self.total_time))
+        try:
+            object.__setattr__(self, "total_time", float(self.total_time))
+        except OverflowError:
+            raise ParameterError("total_time must be finite, got an integer past the float range")
         if self.master_seed < 0:
             raise ParameterError("master_seed must be >= 0")
         if self.instances_per_n < 1:
@@ -124,8 +127,8 @@ class ExperimentConfig:
         Schedule(self.total_time, self.trotter_steps)
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
-        if self.shots is not None and self.shots < 1:
-            raise ParameterError("shots must be >= 1 when set")
+        if self.shots is not None and not 1 <= self.shots < 2**63:
+            raise ParameterError("shots must be in [1, 2**63) when set")
         if self.gap_samples < 2:
             raise ParameterError("gap_samples must be >= 2")
         for tag in self.ansatz:
@@ -424,15 +427,9 @@ def cd_cost(hamiltonian: DrivenHamiltonian, sched: Schedule) -> float:
         norms = np.zeros(len(lams))
         norms[live] = np.abs(2.0 * rates[live] * alphas) * cd_norm(hamiltonian, gauge.sources)
     else:
-        # One coefficient table per grid, solved in the chunks an evolution
-        # uses, so that a long grid's stacked two-local solve stays small.
-        chunk = hamiltonian.chunk_steps
-        table = np.concatenate(
-            [
-                cd_coefficients(gauge, ansatz, lams[k : k + chunk], rates[k : k + chunk])
-                for k in range(0, len(lams), chunk)
-            ]
-        )
+        # The CD columns of the evolution's own walk, refused as it refuses them.
+        chunks = hamiltonian.grid_chunks(sched.dt, lams, rates)
+        table = np.concatenate([values[:, hamiltonian.n :] for _, values in chunks])
         if ansatz is Ansatz.LOCAL_Y:
             norms = [float(np.abs(values).sum()) for values in table]
         else:
@@ -500,6 +497,11 @@ def records_to_csv(records: Iterable[RunRecord], cfg_hash: str) -> str:
     return _hashed_csv(cfg_hash, _CSV_HEADER, rows)
 
 
+def _excerpt(text: str) -> str:
+    """``text`` for a message: whole up to 80 characters, else its first 80 and its length."""
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
@@ -532,7 +534,7 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
             continue
         if not header_seen:
             if line != _CSV_HEADER:
-                raise ParameterError(f"line {lineno}: unexpected header {line!r}")
+                raise ParameterError(f"line {lineno}: unexpected header {_excerpt(line)!r}")
             header_seen = True
             continue
         parts = line.split(",")
@@ -558,7 +560,7 @@ def records_from_csv(text: str) -> tuple[list[RunRecord], str | None]:
             delta = float(delta) if delta else None
             Ansatz(tag)
         except ValueError as exc:
-            raise ParameterError(f"line {lineno}: malformed field ({exc})")
+            raise ParameterError(f"line {lineno}: malformed field ({_excerpt(str(exc))})")
         # A NaN fails every comparison, so each range check refuses it.
         for ok, what in (
             (1 <= n <= STATEVECTOR_CAP, f"n={n} outside [1, {STATEVECTOR_CAP}]"),

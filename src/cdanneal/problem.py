@@ -162,12 +162,23 @@ def _number(value) -> float:
     return float(value)
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text; bytes that do not decode are refused, naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")
+
+
 def read_json_object(path: str | Path) -> dict:
     """The JSON object in a file; invalid JSON, named by line, or any other value is refused."""
+    text = read_text(path)
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:  # nested too deeply, an integer too long
+        raise ParameterError(f"{path}: invalid JSON ({exc})")
     if not isinstance(payload, dict):
         raise ParameterError(f"{path}: expected a JSON object")
     return payload
@@ -187,7 +198,7 @@ def load_instance(path: str | Path) -> ProblemInstance:
             fields=tuple(_number(v) for v in payload["h"]),
             seed=_integer(payload["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{path}: malformed instance file ({exc})")
 
 

@@ -116,7 +116,7 @@ MEMORY_BUDGET = 1 << 30
 #: carry no information.  The desk protocol (dt = 0.05, max|E| <= 40 over
 #: n = 4-12) sits at most at 4.4e-16, over a million times inside.  The
 #: rotation angles dt c_j of the mixer and CD strings are bounded alike,
-#: per chunk of steps.
+#: per chunk, by ``DrivenHamiltonian.grid_chunks``.
 PHASE_TOLERANCE = 1e-9
 
 
@@ -538,7 +538,7 @@ class DrivenHamiltonian:
 
     @cached_property
     def chunk_steps(self) -> int:
-        """How many steps ``steps`` prepares at once.
+        """How many grid points ``grid_chunks`` yields, and ``steps`` prepares, at once.
 
         At least one, and as many as fit in 1% of ``MEMORY_BUDGET`` with
         their float64 chunk sums (``_StepPlan.step_bytes``), 24 bytes per
@@ -549,6 +549,37 @@ class DrivenHamiltonian:
         """
         per_step = self.plan.step_bytes + self.gauge.point_bytes + 24 * (1 << self.n)
         return max(1, MEMORY_BUDGET // 100 // per_step)
+
+    def grid_chunks(self, dt: float, lams: np.ndarray, lam_dots: np.ndarray):
+        """Yield (chunk, values), the grid's ``coefficients`` ``chunk_steps`` rows at a time.
+
+        This is where a grid's coefficients are refused, before their chunk is
+        yielded: a singular gauge raises ``SingularGaugeError``, and an angle
+        dt c_j whose rounding eps |dt c_j| is not within ``PHASE_TOLERANCE``,
+        NaN and inf included, ``IntegratorError``; both name its grid step.
+        """
+        for start in range(0, len(lams), self.chunk_steps):
+            chunk = slice(start, start + self.chunk_steps)
+            try:
+                values = self.coefficients(lams[chunk], lam_dots[chunk])
+            except SingularGaugeError as exc:
+                step = start + exc.step
+                raise SingularGaugeError(
+                    f"{exc} (aborted at grid step {step}/{len(lams)})",
+                    site=exc.site,
+                    lam=exc.lam,
+                    value=exc.value,
+                    step=step,
+                ) from exc
+            reach = np.finfo(float).eps * np.abs(dt * values).max(axis=1)
+            past = np.flatnonzero(~(reach <= PHASE_TOLERANCE))  # NaN and inf fail too
+            if len(past):
+                raise IntegratorError(
+                    f"rotation rounding eps*max|dt*c_j| = {reach[past[0]]:.3g} rad exceeds"
+                    f" {PHASE_TOLERANCE:g} at grid step {start + past[0] + 1}/{len(lams)}:"
+                    " the coefficients are too large to leave any angle information"
+                )
+            yield chunk, values
 
     def step(self, psi: np.ndarray, dt: float, lam: float, lam_dot: float) -> None:
         """In place: one first-order Trotter step; ``steps`` with one point."""
@@ -565,16 +596,11 @@ class DrivenHamiltonian:
         applies the rotations fused into block unitaries (see ``_StepPlan``),
         bound once to the buffers of this call, and leaves the result in
         ``psi``, which must be a contiguous complex128 vector.  The points
-        are taken ``chunk_steps`` at a time: the coefficients, unitaries and
-        phase table of a chunk are formed before its first step.
-
-        This is where a grid is refused.  Energies whose phase rounding eps
-        dt max|E| is not within ``PHASE_TOLERANCE`` raise ``IntegratorError``
-        before any step.  A singular gauge raises ``SingularGaugeError``, and
-        a rotation angle dt c_j whose rounding eps |dt c_j| is not within the
-        same bound, NaN and inf included, ``IntegratorError``; both name the
-        1-based grid step of the point and come before any step of its chunk
-        runs.  Finite angles and phases keep a finite state finite.  Returns
+        are taken in the chunks of ``grid_chunks``, which refuses their
+        coefficients: the unitaries and phase table of a chunk are formed
+        before its first step.  Energies whose phase rounding eps dt max|E|
+        is not within ``PHASE_TOLERANCE`` raise ``IntegratorError`` before any
+        step.  Finite angles and phases keep a finite state finite.  Returns
         the state norm after each step.
         """
         dim = 1 << self.n
@@ -590,31 +616,9 @@ class DrivenHamiltonian:
         bound = self.plan.bind((psi, np.empty_like(psi), np.empty_like(psi)))
         real, imag = psi.real, psi.imag
         scales = -dt * lams
-        whole = len(lams) <= self.chunk_steps
         norms = np.empty(len(lams))
-        for start in range(0, len(lams), self.chunk_steps):
-            chunk = slice(start, start + self.chunk_steps)
-            try:
-                values = self.coefficients(lams[chunk], lam_dots[chunk])
-            except SingularGaugeError as exc:
-                step = start + exc.step
-                raise SingularGaugeError(
-                    f"{exc} (aborted at grid step {step}/{len(lams)})",
-                    site=exc.site,
-                    lam=exc.lam,
-                    value=exc.value,
-                    step=step,
-                ) from exc
-            angles = dt * values
-            reach = np.finfo(float).eps * np.abs(angles).max(axis=1)
-            past = np.flatnonzero(~(reach <= PHASE_TOLERANCE))  # NaN and inf fail too
-            if len(past):
-                raise IntegratorError(
-                    f"rotation rounding eps*max|dt*c_j| = {reach[past[0]]:.3g} rad exceeds"
-                    f" {PHASE_TOLERANCE:g} at grid step {start + past[0] + 1}/{len(lams)}:"
-                    " the coefficients are too large to leave any angle information"
-                )
-            unitaries = self.plan.unitaries(angles)
+        for chunk, values in self.grid_chunks(dt, lams, lam_dots):
+            unitaries = self.plan.unitaries(dt * values)
             ops = []
             for kind, first, second, group, member in bound:
                 stack = None if group is None else unitaries[group][:, member]
@@ -624,6 +628,7 @@ class DrivenHamiltonian:
                     paired[:, :, 0, :, 0] = paired[:, :, 1, :, 1] = stack.swapaxes(1, 2)
                     stack = paired.reshape(len(stack), 2 * stack.shape[1], -1)
                 ops.append((kind, first, second, stack))
+            whole = len(values) == len(lams)
             for row, phase in enumerate(self._phase_table_for(scales[chunk], whole)):
                 for kind, first, second, stack in ops:
                     if kind == _STACKED:
@@ -637,7 +642,7 @@ class DrivenHamiltonian:
                     else:
                         np.copyto(first, second)
                 # The sum np.linalg.norm forms, bit for bit.
-                norms[start + row] = math.sqrt(real.dot(real) + imag.dot(imag))
+                norms[chunk.start + row] = math.sqrt(real.dot(real) + imag.dot(imag))
             # The last row holds this chunk's table; free it before the next.
             del phase
         return norms
@@ -735,7 +740,7 @@ def trotter_evolve(inst: ProblemInstance, sched: Schedule, ansatz: Ansatz) -> Ev
     the driven Hamiltonian, coefficients evaluated at the step's grid point,
     in the fixed canonical term order (see ``DrivenHamiltonian.step``).
     ``DrivenHamiltonian.steps`` refuses a grid whose phases or angles carry
-    no information, or whose gauge is singular, naming the grid step.
+    no information, or whose gauge is singular (see ``grid_chunks``).
     """
     psi = plus_state(inst.n)
     hamiltonian = DrivenHamiltonian(inst, ansatz)
@@ -804,8 +809,8 @@ def success_probability(psi: np.ndarray, truth: GroundTruth) -> float:
 
 def sample_shots(psi: np.ndarray, shots: int, seed: int) -> dict[int, int]:
     """Multinomial measurement emulation; deterministic given the seed."""
-    if shots < 1 or seed < 0:
-        raise ParameterError(f"need shots >= 1 and a seed >= 0, got {shots} shots, seed {seed}")
+    if not 1 <= shots < 2**63 or seed < 0:  # the counts are int64
+        raise ParameterError(f"need 1 <= shots < 2**63, seed >= 0, got {shots} shots, seed {seed}")
     probabilities = np.abs(psi) ** 2
     probabilities = probabilities / probabilities.sum()
     counts = np.random.default_rng(seed).multinomial(shots, probabilities)

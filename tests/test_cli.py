@@ -828,6 +828,66 @@ def test_report_missing_file(tmp_path):
     assert run_cli("report", "--records", str(tmp_path / "none.csv")) == 5
 
 
+def test_report_quotes_a_long_line_by_its_start_and_length(tmp_path, capsys):
+    # A 100,000-character header, or field, is quoted by its first 80
+    # characters and its length, not echoed whole to stderr.
+    header = "instance_id,n,seed,degenerate,excluded,ansatz,P_s,wall_ms,entangling_count,delta_min"
+    records = tmp_path / "records.csv"
+    for text, what in (
+        ("[" * 100_000, "unexpected header"),
+        (f"{header}\n0,4,17,false,false,none,{'9' * 100_000}x,0.0,120,\n", "malformed field"),
+    ):
+        records.write_text(text)
+        assert run_cli("report", "--records", str(records), "--out-dir", str(tmp_path / "r")) == 2
+        line = single_error_line(capsys.readouterr().err)
+        assert what in line and "characters)" in line and len(line) < 250, line
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000], ids=["undecodable", "nested"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--instance", "{}"),
+        ("gap", "--instance", "{}", "--out", "{}.csv"),
+        ("sweep", "--config", "{}", "--quiet"),
+        ("report", "--records", "{}", "--out-dir", "{}.d"),
+    ],
+    ids=["run", "gap", "sweep", "report"],
+)
+def test_unreadable_input_files_exit_2(tmp_path, capsys, argv, content):
+    # Bytes that do not decode, and JSON nested past the parser's recursion
+    # limit, are usage errors on one line, not tracebacks.  The JSON readers
+    # name the file; the records reader refuses the nested file's header.
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert run_cli(*(arg.format(path) for arg in argv)) == 2
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("error: ") and "Traceback" not in line
+    assert str(path) in line or (argv[0], content[:1]) == ("report", b"[")
+    assert [p.name for p in tmp_path.iterdir()] == ["input"]
+
+
+def test_integers_past_what_their_field_holds_exit_2(tmp_path, capsys):
+    # A field past the float range, JSON digits past the parser's limit and
+    # shots past numpy's int64 counts are usage errors, not tracebacks.
+    instance, config = tmp_path / "inst.json", tmp_path / "config.json"
+    instance.write_text(json.dumps({"n": 1, "seed": 0, "h": [10**400], "J": []}))
+    assert run_cli("run", "--instance", str(instance)) == 2
+    assert "malformed instance file" in single_error_line(capsys.readouterr().err)
+    save_instance(generate_instance(3, 9), instance)
+    assert run_cli("run", "--instance", str(instance), "--shots", str(2**63)) == 2
+    assert "--shots" in single_error_line(capsys.readouterr().err)
+    for overrides, what in (({"total_time": 10**400}, "total_time"), ({"shots": 2**63}, "shots")):
+        write_config(config, **overrides)
+        assert run_cli("sweep", "--config", str(config), "--quiet") == 2
+        assert what in single_error_line(capsys.readouterr().err)
+    config.write_text('{"master_seed": 1' + "0" * 5000 + "}")
+    assert run_cli("sweep", "--config", str(config), "--quiet") == 2
+    assert "invalid JSON (Exceeds the limit" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------- validate
 
 

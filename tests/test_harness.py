@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cdanneal.gauge as gauge_mod
 import cdanneal.harness as harness_mod
-from cdanneal.errors import ParameterError, SingularGaugeError
+from cdanneal.errors import IntegratorError, ParameterError, SingularGaugeError
 from cdanneal.gauge import Ansatz, assemble_hamiltonian
 from cdanneal.harness import (
     ExperimentConfig,
@@ -462,6 +463,69 @@ def test_cd_cost_matches_dense_cd_norms(n, ansatz):
     got = cd_cost(DrivenHamiltonian(inst, drive), sched)
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-14)
     assert (got > 0.0) == (drive is not Ansatz.NONE)
+
+
+@pytest.mark.parametrize("n, ansatz", [(4, Ansatz.TWO_LOCAL), (6, Ansatz.LOCAL_Y)])
+def test_cd_cost_is_the_same_in_any_chunks(monkeypatch, n, ansatz):
+    # The cost reads the coefficients of the evolution's walk over the grid,
+    # which solves each point alike however many points a chunk holds.
+    inst = generate_instance(n, instance_seed(516, n))
+    sched = Schedule(1.0, 20)
+    whole = cd_cost(DrivenHamiltonian(inst, ansatz), sched)
+    assert whole > 0.0
+    for chunk in (1, 7, 20):
+        monkeypatch.setattr(DrivenHamiltonian, "chunk_steps", chunk)
+        assert cd_cost(DrivenHamiltonian(inst, ansatz), sched) == whole, chunk
+
+
+def patch_local_y_at_grid_step_7(monkeypatch, broken):
+    """Pass ``gauge._local_y``'s rows through ``broken(values, hit)`` at grid step 7 of 20.
+
+    ``hit`` is the step's row among the points of the call.  Returns its lam.
+    """
+    singular = Schedule(1.0, 20).grid[6].lam
+    closed_form = gauge_mod._local_y
+
+    def patched(*args):
+        hits = np.flatnonzero(args[-1] == singular)
+        values = closed_form(*args)
+        return broken(values, hits[0]) if len(hits) else values
+
+    monkeypatch.setattr(gauge_mod, "_local_y", patched)
+    return singular
+
+
+@pytest.mark.parametrize("chunk", [20, 3])
+def test_cd_cost_refuses_a_singular_point_naming_its_grid_step(monkeypatch, chunk):
+    # The same refusal an evolution of the grid raises, with the same text.
+    monkeypatch.setattr(DrivenHamiltonian, "chunk_steps", chunk)
+
+    def singular_at(values, hit):
+        raise SingularGaugeError(
+            f"synthetic at lam={lam}", site=1, lam=lam, value=0.0, step=int(hit) + 1
+        )
+
+    lam = patch_local_y_at_grid_step_7(monkeypatch, singular_at)
+    hamiltonian = DrivenHamiltonian(generate_instance(4, instance_seed(621, 0)), Ansatz.LOCAL_Y)
+    with pytest.raises(SingularGaugeError) as err:
+        cd_cost(hamiltonian, Schedule(1.0, 20))
+    assert err.value.step == 7
+    assert str(err.value) == f"synthetic at lam={lam} (aborted at grid step 7/20)"
+
+
+@pytest.mark.parametrize("chunk", [20, 3])
+def test_cd_cost_refuses_an_infinite_coefficient_naming_its_grid_step(monkeypatch, chunk):
+    monkeypatch.setattr(DrivenHamiltonian, "chunk_steps", chunk)
+
+    def infinite_at(values, hit):
+        values[hit] = np.inf
+        return values
+
+    patch_local_y_at_grid_step_7(monkeypatch, infinite_at)
+    hamiltonian = DrivenHamiltonian(generate_instance(4, instance_seed(621, 0)), Ansatz.LOCAL_Y)
+    refused = r"rotation rounding .* = inf rad exceeds 1e-09 at grid step 7/20:"
+    with pytest.raises(IntegratorError, match=refused):
+        cd_cost(hamiltonian, Schedule(1.0, 20))
 
 
 def test_cost_report_skips_excluded_drives(monkeypatch):

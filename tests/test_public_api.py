@@ -1,5 +1,5 @@
-"""Every public function and class has a caller in the package or the benchmark,
-and every defaulted parameter of one has a caller that sets it.
+"""Every public function, class and method has a caller in the package or the
+benchmark, and every defaulted parameter of one has a caller that sets it.
 
 A name or option that only tests reach is surface every later change must
 carry; these tests find it by parsing ``src/cdanneal/*.py`` and
@@ -7,6 +7,7 @@ carry; these tests find it by parsing ``src/cdanneal/*.py`` and
 """
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -34,17 +35,43 @@ def _references(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_public_functions_and_classes_have_callers():
+def _referenced() -> set[str]:
+    """Every name and attribute the package and the benchmark use."""
     paths = sorted((ROOT / "src" / "cdanneal").glob("*.py")) + sorted(
         (ROOT / "benchmarks").glob("*.py")
     )
-    referenced = set().union(*(_references(ast.parse(p.read_text())) for p in paths))
+    return set().union(*(_references(ast.parse(p.read_text())) for p in paths))
+
+
+def test_public_functions_and_classes_have_callers():
+    referenced = _referenced()
     public = set()
     for name in cdanneal.__all__:
         value = getattr(cdanneal, name)
         if inspect.isfunction(value) or inspect.isclass(value):
             public.add(name)
     assert public - referenced == set()
+
+
+#: Classes whose methods may lack a caller: the general Pauli algebra stays
+#: as the tests' reference for the fast paths, conveniences included.
+REFERENCE_ALGEBRA = {"PauliString", "PauliSum"}
+
+
+def test_public_methods_have_callers():
+    # Methods, properties and class or static methods a public class defines.
+    referenced = _referenced()
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    uncalled = set()
+    for name in set(cdanneal.__all__) - REFERENCE_ALGEBRA:
+        value = getattr(cdanneal, name)
+        if not inspect.isclass(value):
+            continue
+        for attr, member in vars(value).items():
+            method = inspect.isfunction(member) or isinstance(member, kinds)
+            if method and not attr.startswith("_") and attr not in referenced:
+                uncalled.add(f"{name}.{attr}")
+    assert uncalled == set()
 
 
 #: Defaulted parameters kept without a caller that sets them, each for a
